@@ -27,8 +27,14 @@ from .distances import (
     effective_kind,
     minmax_objective,
 )
-from .lp import build_footrule_program, build_kendall_lp, solve
-from .rankings import Instance, Permutation, Ranking, RankingClass, as_partial
+from .lp import (
+    _above_counts,
+    _twice_positions,
+    build_footrule_program,
+    build_kendall_lp,
+    solve,
+)
+from .rankings import Instance, Permutation, Ranking, RankingClass
 from ._rng import generator
 
 _B_TOLERANCE = 1e-12
@@ -171,7 +177,7 @@ def mmkt_conv(inst: Instance, kind: DistanceKind | None = None) -> AggregationRe
     kind = _tau_kind(inst, kind)
     prog = build_kendall_lp(inst)
     sol = solve(prog)
-    order, _ = pivot_rounding(sol.u_pair, prog.meta["wf"])
+    order, _ = pivot_rounding(sol.u_pair, prog.wf)
     perm = Permutation.from_order(order)
     objective = minmax_objective(perm, inst, kind, SetDistanceKind.MEDIAN)
     return AggregationResult(perm, objective, certificate=sol.objective)
@@ -310,7 +316,7 @@ def restrict_to_min_witnesses(inst: Instance, kind: DistanceKind) -> Instance:
 
 
 def min_mmkt_conv(
-    inst: Instance, kind: DistanceKind | None = None, rng_seed=None
+    inst: Instance, kind: DistanceKind | None = None
 ) -> AggregationResult:
     """Pivot rounding on the witness-restricted instance (min set-distance).
 
@@ -338,19 +344,6 @@ def min_mmsp_conv(
     return AggregationResult(inner.ranking, objective)
 
 
-def _pooled_majority(inst: Instance) -> np.ndarray:
-    """maj[x][y] = number of members (all classes pooled) ranking x above y."""
-    n = inst.n
-    maj = np.zeros((n, n), dtype=np.int64)
-    for _, _, member in inst.iter_members():
-        tw = as_partial(member)._twice_positions
-        for x in range(n):
-            for y in range(n):
-                if tw[x] < tw[y]:
-                    maj[x, y] += 1
-    return maj
-
-
 def median_pivot_baseline(
     inst: Instance,
     rng_seed=None,
@@ -363,7 +356,8 @@ def median_pivot_baseline(
     no minmax guarantee.  The objective is evaluated under (kind, set_kind).
     """
     kind = effective_kind(inst, kind or DistanceKind.KENDALL_TAU)
-    maj = _pooled_majority(inst)
+    # maj[x][y]: members of all classes pooled ranking x + 1 above y + 1
+    maj = _above_counts(inst).sum(axis=0)
     rng = generator(rng_seed)
 
     def recurse(active: list[int]) -> list[int]:
@@ -389,13 +383,9 @@ def median_footrule_matching_baseline(
     Minimizes the pooled (unweighted) footrule exactly; no minmax guarantee.
     """
     kind = effective_kind(inst, kind or DistanceKind.SPEARMAN_FOOTRULE)
-    n = inst.n
-    cost = np.zeros((n, n), dtype=np.int64)
-    for _, _, member in inst.iter_members():
-        tw = as_partial(member)._twice_positions
-        for x in range(n):
-            for t in range(1, n + 1):
-                cost[x, t - 1] += abs(tw[x] - 2 * t)
+    tw = np.vstack([_twice_positions(cls) for cls in inst.classes])
+    # cost[x][t - 1]: pooled |2 * position - 2t| of element x + 1 at rank t
+    cost = np.abs(tw[:, :, None] - 2 * np.arange(1, inst.n + 1)).sum(axis=0)
     _, cols = linear_sum_assignment(cost)
     perm = Permutation(tuple(int(c) + 1 for c in cols))
     return AggregationResult(perm, minmax_objective(perm, inst, kind, set_kind))

@@ -14,8 +14,8 @@ Gene-order files have one genome per line: a name, a tab, and a signed
 permutation of 1..n.  Signs are stripped and each genome becomes its own
 singleton class with weight 1.
 
-Exit codes: 0 success, 2 parse error, 3 incompatible flags, 4 instance too
-large for exact enumeration.
+Exit codes: 0 success, 2 usage error, parse error or unreadable file, 3
+incompatible flags, 4 instance too large for exact enumeration.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def run_algorithm(
     if algo == "min-pick":
         return aggregators.min_pick_perm(inst, kind)
     if algo == "min-mmkt":
-        return aggregators.min_mmkt_conv(inst, kind, seed)
+        return aggregators.min_mmkt_conv(inst, kind)
     if algo == "min-mmsp":
         return aggregators.min_mmsp_conv(inst, kind, seed, deterministic_ties)
     if algo == "pivot-baseline":
@@ -304,7 +304,7 @@ def cmd_aggregate(args) -> int:
         return 3
     try:
         parsed = _read_parsed(args.file, args.gene_orders)
-    except ParseError as err:
+    except (ParseError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     inst = parsed.instance
@@ -344,7 +344,7 @@ def cmd_aggregate(args) -> int:
 def cmd_exact(args) -> int:
     try:
         parsed = _read_parsed(args.file, args.gene_orders)
-    except ParseError as err:
+    except (ParseError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     inst = parsed.instance
@@ -463,13 +463,12 @@ def format_benchmark_csv(rows: list[BenchmarkRow], phi1_list, algos) -> str:
 
 
 def cmd_benchmark(args) -> int:
-    phi1_list = [float(tok) for tok in args.phi1_list.split(",") if tok]
     algos = _BENCH_ALGOS[(args.setdist, args.distance)]
     rows = run_benchmark(
         args.n,
         args.classes,
         args.per_class,
-        phi1_list,
+        args.phi1_list,
         args.phi2,
         args.trials,
         args.seed,
@@ -478,13 +477,40 @@ def cmd_benchmark(args) -> int:
         args.workers,
         algos,
     )
-    text = format_benchmark_csv(rows, phi1_list, algos)
+    text = format_benchmark_csv(rows, args.phi1_list, algos)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _dispersion(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return value
+
+
+def _dispersion_list(text: str) -> list[float]:
+    values = [_dispersion(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,16 +532,16 @@ def build_parser() -> argparse.ArgumentParser:
     agg.set_defaults(func=cmd_aggregate)
 
     ben = sub.add_parser("benchmark", help="two-level Mallows benchmark sweep")
-    ben.add_argument("--n", type=int, default=10)
-    ben.add_argument("--classes", type=int, default=3)
-    ben.add_argument("--per-class", type=int, default=10)
-    ben.add_argument("--phi1-list", default="0.5,0.7,0.9,1.0")
-    ben.add_argument("--phi2", type=float, default=0.7)
-    ben.add_argument("--trials", type=int, default=100)
+    ben.add_argument("--n", type=_positive_int, default=10)
+    ben.add_argument("--classes", type=_positive_int, default=3)
+    ben.add_argument("--per-class", type=_positive_int, default=10)
+    ben.add_argument("--phi1-list", type=_dispersion_list, default="0.5,0.7,0.9,1.0")
+    ben.add_argument("--phi2", type=_dispersion, default=0.7)
+    ben.add_argument("--trials", type=_positive_int, default=100)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--distance", choices=sorted(_DISTANCES), default="kt")
     ben.add_argument("--setdist", choices=sorted(_SET_DISTANCES), default="med")
-    ben.add_argument("--workers", type=int, default=1)
+    ben.add_argument("--workers", type=_positive_int, default=1)
     ben.add_argument("--out", default=None)
     ben.set_defaults(func=cmd_benchmark)
 
@@ -537,3 +563,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -9,14 +9,15 @@ Two programs are built here:
 * the footrule program over free positions u(1..n), reformulated exactly
   as an LP by splitting the absolute deviations into nonnegative slacks.
 
-Programs are solved with scipy's HiGHS backend.  Fractional solutions keep
-the raw variable values; the reported objective is recomputed from the
-variables so it always equals the worst class cost implied by them.
+Both are assembled directly as the sparse arrays scipy's HiGHS backend
+takes.  Fractional solutions keep the raw variable values; the reported
+objective is recomputed from the variables so it always equals the worst
+class cost implied by them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-from .rankings import Instance, as_partial, position
+from .rankings import Instance, RankingClass, as_partial
 
 
 class SolverError(RuntimeError):
@@ -43,34 +44,29 @@ class IterationLimit(SolverError):
     pass
 
 
-#: solver tolerance on constraint violation and optimality
-EPSILON = 1e-7
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    lower: float | None = 0.0
-    upper: float | None = None
-
-
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: dict[int, float]
-    sense: str  # "<=", ">=" or "=="
-    rhs: float
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """A minimization LP plus the metadata needed to read its solution back."""
+    """A minimization LP in ``linprog`` form plus what reads its solution back.
 
-    variables: list[Variable]
-    objective: dict[int, float]
-    constraints: list[Constraint]
+    Column 0 is the epigraph variable q.  A pairwise program (``kind`` is
+    "pairwise") keeps u[x][y] at column ``1 + x(n-1) + y - [y > x]`` and the
+    float class weights ``wf`` (C, n, n) and tie shifts (C,).  A positional
+    program keeps the positions u(h) at columns 1..n and, per class, the
+    member positions (m, n) and lambda/m.
+    """
+
+    c: np.ndarray
+    A_ub: csr_matrix | None
+    b_ub: np.ndarray | None
+    A_eq: csr_matrix | None
+    b_eq: np.ndarray | None
+    bounds: np.ndarray  # (columns, 2), +-inf where unbounded
     kind: str  # "pairwise" or "positional"
     n: int
-    meta: dict = field(default_factory=dict)
+    wf: np.ndarray | None = None
+    shifts: np.ndarray | None = None
+    class_pos: tuple[np.ndarray, ...] = ()
+    lam_over_m: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -92,12 +88,6 @@ class PairwiseWeights:
     def n(self) -> int:
         return len(self.w[0])
 
-    def as_array(self) -> np.ndarray:
-        """Float view, shape (C, n, n)."""
-        return np.array(
-            [[[float(v) for v in row] for row in cls] for cls in self.w]
-        )
-
 
 @dataclass(frozen=True)
 class TieMass:
@@ -114,23 +104,29 @@ class FractionalSolution:
     u_pos: np.ndarray | None = None  # (n,) real positions
 
 
+def _twice_positions(cls: RankingClass) -> np.ndarray:
+    """(m, n) int array: row g holds 2 * position of every element in member g."""
+    return np.array(
+        [as_partial(member)._twice_positions for member in cls.members],
+        dtype=np.int64,
+    )
+
+
+def _above_counts(inst: Instance) -> np.ndarray:
+    """(C, n, n) int array: members of class k ranking x+1 strictly above y+1."""
+    counts = []
+    for cls in inst.classes:
+        tw = _twice_positions(cls)
+        counts.append((tw[:, :, None] < tw[:, None, :]).sum(axis=0))
+    return np.stack(counts)
+
+
 def pairwise_weights(inst: Instance) -> PairwiseWeights:
     """Weighted fraction of each class ranking x strictly above y."""
-    n = inst.n
     out = []
-    for cls in inst.classes:
-        counts = [[0] * n for _ in range(n)]
-        for member in cls.members:
-            part = as_partial(member)
-            tw = part._twice_positions
-            for x in range(n):
-                for y in range(n):
-                    if tw[x] < tw[y]:
-                        counts[x][y] += 1
+    for cls, counts in zip(inst.classes, _above_counts(inst).tolist()):
         unit = cls.weight / cls.m
-        out.append(
-            tuple(tuple(unit * c for c in row) for row in counts)
-        )
+        out.append(tuple(tuple(unit * c for c in row) for row in counts))
     return PairwiseWeights(tuple(out))
 
 
@@ -150,128 +146,140 @@ def kendall_class_costs(inst: Instance, perm) -> list[Fraction]:
     For a permutation pi this equals weight * median Kemeny distance to the
     class (weight * median Kendall tau when the class has no ties).
     """
-    weights = pairwise_weights(inst)
     ties = tie_mass(inst)
-    tw = as_partial(perm)._twice_positions
-    n = inst.n
-    costs = []
-    for k, cls in enumerate(inst.classes):
-        wk = weights.w[k]
-        acc = cls.weight * ties.t[k] / 2
-        for x in range(n):
-            for y in range(n):
-                # u[y][x] = 1 iff pi ranks y above x
-                if tw[y] < tw[x]:
-                    acc += wk[x][y]
-        costs.append(acc)
-    return costs
+    tw = np.array(as_partial(perm)._twice_positions)
+    # below[x][y]: pi ranks y + 1 above x + 1, i.e. u[y][x] = 1
+    below = tw[None, :] < tw[:, None]
+    sums = (_above_counts(inst) * below).sum(axis=(1, 2)).tolist()
+    return [
+        cls.weight * ties.t[k] / 2 + cls.weight * s / cls.m
+        for k, (cls, s) in enumerate(zip(inst.classes, sums))
+    ]
+
+
+def _sparse(rows, cols, data, shape) -> csr_matrix | None:
+    """CSR matrix from COO parts, or None when it has no rows."""
+    if shape[0] == 0:
+        return None
+    return csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape,
+    )
 
 
 def build_kendall_lp(inst: Instance) -> LinearProgram:
     """The pairwise-order relaxation of minmax Kendall/Kemeny aggregation."""
-    n = inst.n
-    weights = pairwise_weights(inst)
+    n, num_classes = inst.n, inst.num_classes
+    ncols = 1 + n * (n - 1)
+    num = np.array([cls.weight.numerator for cls in inst.classes])
+    den = np.array([cls.weight.denominator * cls.m for cls in inst.classes])
+    # correctly rounded, like float(Fraction): both operands are exact floats
+    wf = _above_counts(inst) * num[:, None, None] / den[:, None, None]
     ties = tie_mass(inst)
-    wf = weights.as_array()
     shifts = np.array(
         [float(cls.weight * ties.t[k] / 2) for k, cls in enumerate(inst.classes)]
     )
 
-    variables = [Variable("q", 0.0, None)]
-    objective = {0: 1.0}
-    pair_index: dict[tuple[int, int], int] = {}
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            if x != y:
-                pair_index[(x, y)] = len(variables)
-                variables.append(Variable(f"u_{x}_{y}", 0.0, 1.0))
+    x = np.arange(n)[:, None]
+    y = np.arange(n)[None, :]
+    col = 1 + x * (n - 1) + y - (y > x)  # column of u[x][y]
+    off = ~np.eye(n, dtype=bool)
 
-    constraints = []
     # class cost epigraph: sum_{x!=y} w^k[x][y] u[y][x] - q <= -shift_k
-    for k in range(inst.num_classes):
-        coeffs: dict[int, float] = {0: -1.0}
-        for x in range(1, n + 1):
-            for y in range(1, n + 1):
-                if x == y:
-                    continue
-                c = wf[k, x - 1, y - 1]
-                if c != 0.0:
-                    idx = pair_index[(y, x)]
-                    coeffs[idx] = coeffs.get(idx, 0.0) + c
-        constraints.append(Constraint(coeffs, "<=", -shifts[k]))
-    # pairing: u[x][y] + u[y][x] = 1
-    for x, y in combinations(range(1, n + 1), 2):
-        constraints.append(
-            Constraint({pair_index[(x, y)]: 1.0, pair_index[(y, x)]: 1.0}, "==", 1.0)
-        )
-    # triangles, both cyclic orientations per unordered triple
-    for x, y, z in combinations(range(1, n + 1), 3):
-        constraints.append(
-            Constraint(
-                {
-                    pair_index[(x, y)]: 1.0,
-                    pair_index[(y, z)]: 1.0,
-                    pair_index[(z, x)]: 1.0,
-                },
-                ">=",
-                1.0,
-            )
-        )
-        constraints.append(
-            Constraint(
-                {
-                    pair_index[(y, x)]: 1.0,
-                    pair_index[(z, y)]: 1.0,
-                    pair_index[(x, z)]: 1.0,
-                },
-                ">=",
-                1.0,
-            )
-        )
+    coef = wf.transpose(0, 2, 1)[:, off]  # coefficient of u[a][b] is w[b][a]
+    k_idx, j_idx = np.nonzero(coef)
+    rows = [np.arange(num_classes), k_idx]
+    cols = [np.zeros(num_classes, dtype=np.intp), col[off][j_idx]]
+    data = [np.full(num_classes, -1.0), coef[k_idx, j_idx]]
+    # triangles, both cyclic orientations per unordered triple, as
+    # -(u[x][y] + u[y][z] + u[z][x]) <= -1
+    tri = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+    tx, ty, tz = tri.T
+    tri_cols = np.stack(
+        [col[tx, ty], col[ty, tz], col[tz, tx], col[ty, tx], col[tz, ty], col[tx, tz]],
+        axis=1,
+    ).reshape(-1, 3)
+    rows.append(num_classes + np.repeat(np.arange(len(tri_cols)), 3))
+    cols.append(tri_cols.ravel())
+    data.append(np.full(tri_cols.size, -1.0))
+    n_ub = num_classes + len(tri_cols)
+    b_ub = np.concatenate([-shifts, np.full(len(tri_cols), -1.0)])
 
-    meta = {"q": 0, "pair_index": pair_index, "wf": wf, "shifts": shifts}
-    return LinearProgram(variables, objective, constraints, "pairwise", n, meta)
+    # pairing: u[x][y] + u[y][x] = 1
+    pairs = np.array(list(combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
+    lo, hi = pairs.T
+    A_eq = _sparse(
+        [np.repeat(np.arange(len(pairs)), 2)],
+        [np.stack([col[lo, hi], col[hi, lo]], axis=1).ravel()],
+        [np.ones(2 * len(pairs))],
+        (len(pairs), ncols),
+    )
+
+    c_vec = np.zeros(ncols)
+    c_vec[0] = 1.0
+    bounds = np.zeros((ncols, 2))
+    bounds[0, 1] = np.inf
+    bounds[1:, 1] = 1.0
+    return LinearProgram(
+        c_vec,
+        _sparse(rows, cols, data, (n_ub, ncols)),
+        b_ub,
+        A_eq,
+        np.ones(len(pairs)) if len(pairs) else None,
+        bounds,
+        "pairwise",
+        n,
+        wf=wf,
+        shifts=shifts,
+    )
 
 
 def build_footrule_program(inst: Instance) -> LinearProgram:
     """Minmax weighted L1 distance to the member positions, split into an LP."""
     n = inst.n
-    variables = [Variable("q", 0.0, None)]
-    objective = {0: 1.0}
-    pos_index = []
-    for h in range(1, n + 1):
-        pos_index.append(len(variables))
-        variables.append(Variable(f"u_{h}", None, None))
-
-    constraints = []
-    class_pos = []
-    lam_over_m = []
-    for k, cls in enumerate(inst.classes):
+    rows, cols, data, b_ub = [], [], [], []
+    class_pos, lam_over_m = [], []
+    row0, col0 = 0, 1 + n
+    for cls in inst.classes:
         lam = float(cls.weight) / cls.m
+        pos = _twice_positions(cls) / 2
         lam_over_m.append(lam)
-        pos_mat = np.array(
-            [[float(position(m, h)) for h in range(1, n + 1)] for m in cls.members]
-        )
-        class_pos.append(pos_mat)
-        cost_coeffs: dict[int, float] = {0: -1.0}
-        for g, member in enumerate(cls.members):
-            for h in range(1, n + 1):
-                e_idx = len(variables)
-                variables.append(Variable(f"e_{k}_{g}_{h}", 0.0, None))
-                target = pos_mat[g, h - 1]
-                # e >= u(h) - target and e >= target - u(h)
-                constraints.append(
-                    Constraint({pos_index[h - 1]: 1.0, e_idx: -1.0}, "<=", target)
-                )
-                constraints.append(
-                    Constraint({pos_index[h - 1]: -1.0, e_idx: -1.0}, "<=", -target)
-                )
-                cost_coeffs[e_idx] = lam
-        constraints.append(Constraint(cost_coeffs, "<=", 0.0))
+        class_pos.append(pos)
+        size = pos.size
+        # slack e_{g,h} per member g and element h, in (g, h) order:
+        # e >= u(h) - target and e >= target - u(h)
+        u_cols = 1 + np.tile(np.arange(n), cls.m)
+        e_cols = col0 + np.arange(size)
+        rows.append(row0 + np.repeat(np.arange(2 * size), 2))
+        cols.append(np.tile(np.stack([u_cols, e_cols], axis=1), 2).ravel())
+        data.append(np.tile([1.0, -1.0, -1.0, -1.0], size))
+        target = pos.ravel()
+        b_ub.append(np.stack([target, -target], axis=1).ravel())
+        # class cost: lambda/m * sum e - q <= 0
+        rows.append(np.full(size + 1, row0 + 2 * size))
+        cols.append(np.concatenate([[0], e_cols]))
+        data.append(np.concatenate([[-1.0], np.full(size, lam)]))
+        b_ub.append([0.0])
+        row0 += 2 * size + 1
+        col0 += size
 
-    meta = {"q": 0, "pos_index": pos_index, "class_pos": class_pos,
-            "lam_over_m": lam_over_m}
-    return LinearProgram(variables, objective, constraints, "positional", n, meta)
+    c_vec = np.zeros(col0)
+    c_vec[0] = 1.0
+    bounds = np.zeros((col0, 2))
+    bounds[:, 1] = np.inf
+    bounds[1:1 + n, 0] = -np.inf
+    return LinearProgram(
+        c_vec,
+        _sparse(rows, cols, data, (row0, col0)),
+        np.concatenate(b_ub),
+        None,
+        None,
+        bounds,
+        "positional",
+        n,
+        class_pos=tuple(class_pos),
+        lam_over_m=tuple(lam_over_m),
+    )
 
 
 def _pairwise_objective(u: np.ndarray, wf: np.ndarray, shifts: np.ndarray) -> float:
@@ -279,59 +287,23 @@ def _pairwise_objective(u: np.ndarray, wf: np.ndarray, shifts: np.ndarray) -> fl
     return float(costs.max())
 
 
-def _positional_objective(u: np.ndarray, meta: dict) -> float:
+def _positional_objective(u: np.ndarray, lp: LinearProgram) -> float:
     costs = [
         lam * np.abs(u[None, :] - pos).sum()
-        for lam, pos in zip(meta["lam_over_m"], meta["class_pos"])
+        for lam, pos in zip(lp.lam_over_m, lp.class_pos)
     ]
     return float(max(costs))
 
 
 def solve(lp: LinearProgram) -> FractionalSolution:
     """Solve with HiGHS and read the structured solution back out."""
-    nvars = len(lp.variables)
-    c = np.zeros(nvars)
-    for idx, coef in lp.objective.items():
-        c[idx] = coef
-
-    ub_rows, ub_data, ub_cols, b_ub = [], [], [], []
-    eq_rows, eq_data, eq_cols, b_eq = [], [], [], []
-    for con in lp.constraints:
-        if con.sense == "==":
-            row = len(b_eq)
-            for idx, coef in con.coeffs.items():
-                eq_rows.append(row)
-                eq_cols.append(idx)
-                eq_data.append(coef)
-            b_eq.append(con.rhs)
-        else:
-            sign = 1.0 if con.sense == "<=" else -1.0
-            row = len(b_ub)
-            for idx, coef in con.coeffs.items():
-                ub_rows.append(row)
-                ub_cols.append(idx)
-                ub_data.append(sign * coef)
-            b_ub.append(sign * con.rhs)
-
-    A_ub = (
-        csr_matrix((ub_data, (ub_rows, ub_cols)), shape=(len(b_ub), nvars))
-        if b_ub
-        else None
-    )
-    A_eq = (
-        csr_matrix((eq_data, (eq_rows, eq_cols)), shape=(len(b_eq), nvars))
-        if b_eq
-        else None
-    )
-    bounds = [(v.lower, v.upper) for v in lp.variables]
-
     res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=A_eq,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
+        lp.c,
+        A_ub=lp.A_ub,
+        b_ub=lp.b_ub,
+        A_eq=lp.A_eq,
+        b_eq=lp.b_eq,
+        bounds=lp.bounds,
         method="highs",
     )
     if res.status == 2:
@@ -343,15 +315,13 @@ def solve(lp: LinearProgram) -> FractionalSolution:
     if res.status != 0:
         raise SolverError(res.message)
 
-    x = res.x
     if lp.kind == "pairwise":
         u = np.zeros((lp.n, lp.n))
-        for (a, b), idx in lp.meta["pair_index"].items():
-            u[a - 1, b - 1] = x[idx]
-        objective = _pairwise_objective(u, lp.meta["wf"], lp.meta["shifts"])
+        u[~np.eye(lp.n, dtype=bool)] = res.x[1:]
+        objective = _pairwise_objective(u, lp.wf, lp.shifts)
         return FractionalSolution("pairwise", objective, u_pair=u)
     if lp.kind == "positional":
-        u = np.array([x[idx] for idx in lp.meta["pos_index"]])
-        objective = _positional_objective(u, lp.meta)
+        u = res.x[1:1 + lp.n]
+        objective = _positional_objective(u, lp)
         return FractionalSolution("positional", objective, u_pos=u)
     raise SolverError(f"unknown program kind {lp.kind!r}")

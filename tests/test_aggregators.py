@@ -148,7 +148,7 @@ class TestMmktConv:
             inst = random_instance(rng)
             prog = build_kendall_lp(inst)
             sol = solve(prog)
-            order, trace = pivot_rounding(sol.u_pair, prog.meta["wf"])
+            order, trace = pivot_rounding(sol.u_pair, prog.wf)
             for level in trace:
                 for a, b in zip(level.a_costs, level.b_costs):
                     assert a <= 2 * b + TOL

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+import minmaxrank
 from minmaxrank import Instance, Permutation, RankingClass, make_partial_ranking
 from minmaxrank.cli import (
     ParseError,
@@ -118,6 +124,57 @@ class TestRoundTrip:
         assert again.element_names == parsed.element_names
 
 
+_TOKENS = st.text(alphabet="abcxyz0123456789_-.", min_size=1, max_size=4)
+
+
+@st.composite
+def named_instances(draw):
+    """An instance plus optional custom element names and class ids."""
+    n = draw(st.integers(1, 6))
+    classes = []
+    for _ in range(draw(st.integers(1, 3))):
+        weight = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+        tied = n >= 2 and draw(st.booleans())
+        members = []
+        for g in range(draw(st.integers(1, 3))):
+            order = draw(st.permutations(range(1, n + 1)))
+            if not tied:
+                members.append(Permutation.from_order(order))
+                continue
+            # bucket boundaries; the first member always ties its top two so
+            # the class parses back as partial rankings
+            cuts = draw(st.sets(st.integers(1, n - 1)))
+            if g == 0:
+                cuts.discard(1)
+            ends = [0, *sorted(cuts), n]
+            members.append(
+                make_partial_ranking([order[a:b] for a, b in zip(ends, ends[1:])])
+            )
+        classes.append(RankingClass(tuple(members), weight))
+    inst = Instance(n, tuple(classes))
+    names = draw(st.none() | st.lists(_TOKENS, min_size=n, max_size=n, unique=True))
+    ids = draw(
+        st.none()
+        | st.lists(_TOKENS, min_size=len(classes), max_size=len(classes), unique=True)
+    )
+    return inst, names, ids
+
+
+@given(named_instances())
+def test_write_parse_round_trip(case):
+    inst, names, ids = case
+    names = tuple(names) if names else None
+    ids = tuple(ids) if ids else None
+    parsed = parse_instance_file(write_instance_file(inst, names, ids))
+    assert parsed.instance == inst
+    assert parsed.element_names == (
+        names or tuple(str(x) for x in range(1, inst.n + 1))
+    )
+    assert parsed.class_ids == (
+        ids or tuple(str(k) for k in range(1, inst.num_classes + 1))
+    )
+
+
 class TestGeneOrders:
     def test_signs_stripped_and_singleton_classes(self):
         text = "mouse\t-3 1 -2\nfrog\t2 -1 3\n"
@@ -192,6 +249,46 @@ class TestCommands:
         order = " ".join(str(x) for x in range(1, 10))
         path.write_text(f"class=1 lambda=1 : {order}\n")
         assert main(["exact", str(path)]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["benchmark", "--trials", "0"],
+        ["benchmark", "--phi1-list", "0.5,x"],
+        ["benchmark", "--phi1-list", "1.5"],
+        ["benchmark", "--phi1-list", ","],
+        ["benchmark", "--n", "0"],
+        ["benchmark", "--classes", "0"],
+        ["benchmark", "--per-class", "0"],
+        ["benchmark", "--phi2", "0"],
+        ["benchmark", "--workers", "0"],
+    ],
+)
+def test_bad_benchmark_flag_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["aggregate", "exact"])
+def test_missing_file_exit_2(command, tmp_path, capsys):
+    assert main([command, str(tmp_path / "absent.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_module_entry_prints_usage():
+    src = str(Path(minmaxrank.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "minmaxrank.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: minmaxrank")
 
 
 class TestBenchmark:

@@ -1,8 +1,10 @@
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from minmaxrank import (
     DistanceKind,
@@ -12,6 +14,7 @@ from minmaxrank import (
     RankingClass,
     SetDistanceKind,
     Unbounded,
+    as_partial,
     brute_force,
     build_footrule_program,
     build_kendall_lp,
@@ -23,7 +26,8 @@ from minmaxrank import (
     solve,
     tie_mass,
 )
-from minmaxrank.lp import Constraint, LinearProgram, Variable
+from minmaxrank.cli import parse_gene_order_file
+from minmaxrank.lp import LinearProgram, _above_counts
 from minmaxrank._rng import generator
 
 from conftest import random_instance, random_permutation
@@ -82,6 +86,18 @@ class TestPairwiseWeights:
                             assert pw.w[k][x][y] + pw.w[k][y][x] == cls.weight
                         assert 0 <= pw.w[k][x][y] <= cls.weight
                 assert total == cls.weight * inst.n * (inst.n - 1) / 2
+
+    def test_above_counts_match_member_loop(self, rng):
+        for _ in range(20):
+            inst = random_instance(rng, allow_ties=True)
+            counts = _above_counts(inst)
+            for k, cls in enumerate(inst.classes):
+                for x, y in permutations(range(1, inst.n + 1), 2):
+                    expect = sum(
+                        as_partial(m).position(x) < as_partial(m).position(y)
+                        for m in cls.members
+                    )
+                    assert counts[k, x - 1, y - 1] == expect
 
     def test_triangle_property(self, rng):
         for _ in range(20):
@@ -156,6 +172,16 @@ class TestKendallLP:
                 perm, inst, DistanceKind.KEMENY, SetDistanceKind.MEDIAN
             )
 
+    def test_gene_sample_size(self):
+        path = Path(__file__).parents[1] / "data" / "sample_gene_orders.tsv"
+        prog = build_kendall_lp(parse_gene_order_file(path.read_text()).instance)
+        assert len(prog.c) == 1 + 36 * 35
+        assert prog.A_ub.shape == (11 + 14_280, 1_261)
+        assert prog.A_eq.shape == (630, 1_261)
+        # a one-genome class costs one entry per unordered pair, plus q;
+        # pairing rows hold 2 entries, triangle rows 3
+        assert prog.A_ub.nnz + prog.A_eq.nnz == 11 * (1 + 630) + 2 * 630 + 3 * 14_280
+
     def test_relaxation_lower_bounds_optimum(self, rng):
         for _ in range(15):
             inst = random_instance(rng)
@@ -165,6 +191,15 @@ class TestKendallLP:
 
 
 class TestFootruleProgram:
+    def test_gap_instance_size(self):
+        inst = gap_instance()
+        prog = build_footrule_program(inst)
+        n = inst.n
+        assert len(prog.c) == 1 + n + sum(cls.m * n for cls in inst.classes)
+        # two rows per slack plus one cost row per class
+        assert prog.A_ub.shape[0] == 2 * 2 * n + 2
+        assert prog.A_eq is None
+
     def test_singleton_zero_at_own_ranks(self):
         p = make_permutation([2, 3, 1])
         sol = solve(build_footrule_program(Instance(3, (RankingClass((p,), 1),))))
@@ -202,27 +237,30 @@ class TestFootruleProgram:
 
 class TestSolveErrors:
     def test_infeasible(self):
+        # x in [0, 1] with x >= 2, written as -x <= -2
         prog = LinearProgram(
-            variables=[Variable("x", 0.0, 1.0)],
-            objective={0: 1.0},
-            constraints=[Constraint({0: 1.0}, ">=", 2.0)],
+            c=np.array([1.0]),
+            A_ub=csr_matrix([[-1.0]]),
+            b_ub=np.array([-2.0]),
+            A_eq=None,
+            b_eq=None,
+            bounds=np.array([[0.0, 1.0]]),
             kind="positional",
             n=1,
-            meta={"q": 0, "pos_index": [0], "class_pos": [np.zeros((1, 1))],
-                  "lam_over_m": [1.0]},
         )
         with pytest.raises(Infeasible):
             solve(prog)
 
     def test_unbounded(self):
         prog = LinearProgram(
-            variables=[Variable("x", None, None)],
-            objective={0: 1.0},
-            constraints=[],
+            c=np.array([1.0]),
+            A_ub=None,
+            b_ub=None,
+            A_eq=None,
+            b_eq=None,
+            bounds=np.array([[-np.inf, np.inf]]),
             kind="positional",
             n=1,
-            meta={"q": 0, "pos_index": [0], "class_pos": [np.zeros((1, 1))],
-                  "lam_over_m": [1.0]},
         )
         with pytest.raises(Unbounded):
             solve(prog)
