@@ -23,18 +23,12 @@ from .distances import (
     DistanceKind,
     KindMismatch,
     SetDistanceKind,
-    distance,
+    doubled_distances,
     effective_kind,
     minmax_objective,
 )
-from .lp import (
-    _above_counts,
-    _twice_positions,
-    build_footrule_program,
-    build_kendall_lp,
-    solve,
-)
-from .rankings import Instance, Permutation, Ranking, RankingClass
+from .lp import _above_counts, build_footrule_program, build_kendall_lp, solve
+from .rankings import Instance, Permutation, Ranking, RankingClass, twice_positions
 from ._rng import generator
 
 _B_TOLERANCE = 1e-12
@@ -266,17 +260,19 @@ def _min_pick_indices(inst: Instance, kind: DistanceKind) -> tuple[int, int]:
     """(class, index) of the member with the smallest cross-class min score."""
     if inst.num_classes == 1:
         return 0, 0
-    best = None
-    best_score = None
-    for k, i, member in inst.iter_members():
-        score = max(
-            cls.weight * min(distance(member, s, kind) for s in cls.members)
-            for j, cls in enumerate(inst.classes)
-            if j != k
-        )
-        if best_score is None or score < best_score:
-            best, best_score = (k, i), score
-    return best
+    index = list(inst.iter_members())
+    tw = twice_positions([member for _, _, member in index])
+    starts = np.cumsum([0] + [cls.m for cls in inst.classes[:-1]])
+    # nearest[g][j]: twice the distance from member g to its nearest in class j
+    nearest = np.minimum.reduceat(
+        doubled_distances(tw, tw, kind.positional), starts, axis=1
+    ).tolist()
+    scores = [
+        max(cls.weight * row[j] for j, cls in enumerate(inst.classes) if j != k)
+        for (k, _, _), row in zip(index, nearest)
+    ]
+    k, i, _ = index[scores.index(min(scores))]
+    return k, i
 
 
 def min_pick_perm(inst: Instance, kind: DistanceKind) -> AggregationResult:
@@ -303,14 +299,17 @@ def restrict_to_min_witnesses(inst: Instance, kind: DistanceKind) -> Instance:
     kind = effective_kind(inst, kind)
     k_star, i_star = _min_pick_indices(inst, kind)
     anchor = inst.classes[k_star].members[i_star]
+    anchor_tw = twice_positions([anchor])
     classes = []
     for j, cls in enumerate(inst.classes):
         if j == k_star:
             classes.append(RankingClass((anchor,), cls.weight))
             continue
-        dists = [distance(anchor, s, kind) for s in cls.members]
-        lo = min(dists)
-        kept = tuple(s for s, d in zip(cls.members, dists) if d == lo)
+        d2 = doubled_distances(
+            anchor_tw, twice_positions(cls.members), kind.positional
+        )[0]
+        lo = d2.min()
+        kept = tuple(s for s, d in zip(cls.members, d2) if d == lo)
         classes.append(RankingClass(kept, cls.weight))
     return Instance(inst.n, tuple(classes))
 
@@ -383,7 +382,7 @@ def median_footrule_matching_baseline(
     Minimizes the pooled (unweighted) footrule exactly; no minmax guarantee.
     """
     kind = effective_kind(inst, kind or DistanceKind.SPEARMAN_FOOTRULE)
-    tw = np.vstack([_twice_positions(cls) for cls in inst.classes])
+    tw = twice_positions([member for _, _, member in inst.iter_members()])
     # cost[x][t - 1]: pooled |2 * position - 2t| of element x + 1 at rank t
     cost = np.abs(tw[:, :, None] - 2 * np.arange(1, inst.n + 1)).sum(axis=0)
     _, cols = linear_sum_assignment(cost)

@@ -27,6 +27,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import aggregators, exact
 from .distances import DistanceKind, SetDistanceKind, effective_kind, set_distance
@@ -235,17 +236,42 @@ def parse_gene_order_file(text: str) -> ParsedFile:
 _DISTANCES = {"kt": DistanceKind.KENDALL_TAU, "sf": DistanceKind.SPEARMAN_FOOTRULE}
 _SET_DISTANCES = {"med": SetDistanceKind.MEDIAN, "min": SetDistanceKind.MINIMUM}
 
-#: algo name -> (required distance flag or None, required setdist flag or None)
-_ALGO_REQUIRES = {
-    "mmkt": ("kt", "med"),
-    "mmsp": ("sf", "med"),
-    "pick-rnd": (None, None),
-    "pick-opt": (None, None),
-    "min-pick": (None, "min"),
-    "min-mmkt": ("kt", "min"),
-    "min-mmsp": ("sf", "min"),
-    "pivot-baseline": (None, None),
-    "matching-baseline": (None, None),
+class _Algorithm(NamedTuple):
+    distance: str | None  # required --distance flag, or None for any
+    setdist: str | None  # required --setdist flag, or None for any
+    # run(inst, kind, set_kind, seed, deterministic_ties); it looks the
+    # function up on the aggregators module at call time, so a replaced
+    # module attribute is the one called
+    run: Callable[..., aggregators.AggregationResult]
+
+
+_ALGORITHMS = {
+    "mmkt": _Algorithm("kt", "med", lambda i, k, s, r, t: aggregators.mmkt_conv(i, k)),
+    "mmsp": _Algorithm(
+        "sf", "med", lambda i, k, s, r, t: aggregators.mmsp_conv(i, k, r, t)
+    ),
+    "pick-rnd": _Algorithm(
+        None, None, lambda i, k, s, r, t: aggregators.pick_rnd_perm(i, k, s, r)
+    ),
+    "pick-opt": _Algorithm(
+        None, None, lambda i, k, s, r, t: aggregators.pick_opt_perm(i, k, s)
+    ),
+    "min-pick": _Algorithm(
+        None, "min", lambda i, k, s, r, t: aggregators.min_pick_perm(i, k)
+    ),
+    "min-mmkt": _Algorithm(
+        "kt", "min", lambda i, k, s, r, t: aggregators.min_mmkt_conv(i, k)
+    ),
+    "min-mmsp": _Algorithm(
+        "sf", "min", lambda i, k, s, r, t: aggregators.min_mmsp_conv(i, k, r, t)
+    ),
+    "pivot-baseline": _Algorithm(
+        None, None, lambda i, k, s, r, t: aggregators.median_pivot_baseline(i, r, k, s)
+    ),
+    "matching-baseline": _Algorithm(
+        None, None,
+        lambda i, k, s, r, t: aggregators.median_footrule_matching_baseline(i, k, s),
+    ),
 }
 
 
@@ -257,33 +283,17 @@ def run_algorithm(
     seed=None,
     deterministic_ties: bool = False,
 ) -> aggregators.AggregationResult:
-    if algo == "mmkt":
-        return aggregators.mmkt_conv(inst, kind)
-    if algo == "mmsp":
-        return aggregators.mmsp_conv(inst, kind, seed, deterministic_ties)
-    if algo == "pick-rnd":
-        return aggregators.pick_rnd_perm(inst, kind, set_kind, seed)
-    if algo == "pick-opt":
-        return aggregators.pick_opt_perm(inst, kind, set_kind)
-    if algo == "min-pick":
-        return aggregators.min_pick_perm(inst, kind)
-    if algo == "min-mmkt":
-        return aggregators.min_mmkt_conv(inst, kind)
-    if algo == "min-mmsp":
-        return aggregators.min_mmsp_conv(inst, kind, seed, deterministic_ties)
-    if algo == "pivot-baseline":
-        return aggregators.median_pivot_baseline(inst, seed, kind, set_kind)
-    if algo == "matching-baseline":
-        return aggregators.median_footrule_matching_baseline(inst, kind, set_kind)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    if algo not in _ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    return _ALGORITHMS[algo].run(inst, kind, set_kind, seed, deterministic_ties)
 
 
 def _check_compatible(algo: str, dist_flag: str, set_flag: str) -> str | None:
-    need_dist, need_set = _ALGO_REQUIRES[algo]
-    if need_dist is not None and dist_flag != need_dist:
-        return f"algorithm {algo} requires --distance {need_dist}"
-    if need_set is not None and set_flag != need_set:
-        return f"algorithm {algo} requires --setdist {need_set}"
+    need = _ALGORITHMS[algo]
+    if need.distance is not None and dist_flag != need.distance:
+        return f"algorithm {algo} requires --distance {need.distance}"
+    if need.setdist is not None and set_flag != need.setdist:
+        return f"algorithm {algo} requires --setdist {need.setdist}"
     return None
 
 
@@ -486,14 +496,21 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)
 
 
 def _dispersion(text: str) -> float:
@@ -524,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     agg.add_argument("file")
     agg.add_argument("--distance", choices=sorted(_DISTANCES), default="kt")
     agg.add_argument("--setdist", choices=sorted(_SET_DISTANCES), default="med")
-    agg.add_argument("--algo", choices=sorted(_ALGO_REQUIRES), default="mmkt")
-    agg.add_argument("--seed", type=int, default=0)
+    agg.add_argument("--algo", choices=sorted(_ALGORITHMS), default="mmkt")
+    agg.add_argument("--seed", type=_seed, default=0)
     agg.add_argument("--deterministic-ties", action="store_true")
     agg.add_argument("--gene-orders", action="store_true",
                      help="parse the file as signed gene orders")
@@ -538,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--phi1-list", type=_dispersion_list, default="0.5,0.7,0.9,1.0")
     ben.add_argument("--phi2", type=_dispersion, default=0.7)
     ben.add_argument("--trials", type=_positive_int, default=100)
-    ben.add_argument("--seed", type=int, default=0)
+    ben.add_argument("--seed", type=_seed, default=0)
     ben.add_argument("--distance", choices=sorted(_DISTANCES), default="kt")
     ben.add_argument("--setdist", choices=sorted(_SET_DISTANCES), default="med")
     ben.add_argument("--workers", type=_positive_int, default=1)
@@ -549,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     exa.add_argument("file")
     exa.add_argument("--distance", choices=sorted(_DISTANCES), default="kt")
     exa.add_argument("--setdist", choices=sorted(_SET_DISTANCES), default="med")
-    exa.add_argument("--n-limit", type=int, default=8)
+    exa.add_argument("--n-limit", type=_positive_int, default=8)
     exa.add_argument("--gene-orders", action="store_true")
     exa.set_defaults(func=cmd_exact)
 

@@ -9,6 +9,10 @@ Four pairwise distances are supported:
   pairs count 1, pairs tied in exactly one of the two rankings count 1/2.
 * Partial footrule -- footrule over fractional tie positions.
 
+All four are computed by one exact integer kernel, ``doubled_distances``:
+twice each distance is an L1 distance between rows of twice-positions
+(footrule) or of pair signs (Kemeny, counting tied-in-one pairs as 1/2 as
+in Fagin et al., "Comparing and aggregating rankings with ties", PODS 2004).
 Values are exact: integers for the permutation distances, half-integer
 Fractions for the partial-ranking ones.  Rank-set distances aggregate a
 class either by averaging (median) or by taking the best member (minimum),
@@ -19,15 +23,14 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
-from .rankings import (
-    Instance,
-    PartialRanking,
-    Permutation,
-    Ranking,
-    RankingClass,
-    as_partial,
-)
+import numpy as np
+
+from .rankings import Instance, Permutation, Ranking, RankingClass, twice_positions
+
+#: element budget of the distance kernel's broadcast temporary
+BLOCK_ELEMENTS = 1 << 16
 
 
 class DistanceError(ValueError):
@@ -59,96 +62,87 @@ class SetDistanceKind(Enum):
     MINIMUM = "minimum"
 
 
-def _check_sizes(p: Ranking, q: Ranking) -> None:
+#: distances defined on permutations only, by function name
+_PERMUTATION_ONLY = {
+    DistanceKind.KENDALL_TAU: "kendall_tau",
+    DistanceKind.SPEARMAN_FOOTRULE: "spearman_footrule",
+}
+
+
+def _check(p: Ranking, q: Ranking, kind: DistanceKind) -> None:
+    name = _PERMUTATION_ONLY.get(kind)
+    if name and not (isinstance(p, Permutation) and isinstance(q, Permutation)):
+        raise KindMismatch(f"{name} is defined on permutations only")
     if p.n != q.n:
         raise SizeMismatch(f"rankings over {p.n} and {q.n} elements")
 
 
-def _require_permutations(p: Ranking, q: Ranking, name: str) -> None:
-    if not isinstance(p, Permutation) or not isinstance(q, Permutation):
-        raise KindMismatch(f"{name} is defined on permutations only")
+@lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n, 1)
 
 
-def _count_inversions(seq: list[int]) -> int:
-    """Inversions in seq, counted by merge sort."""
-    n = len(seq)
-    if n < 2:
-        return 0
-    buf = list(seq)
-    tmp = [0] * n
-    total = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n - width, 2 * width):
-            mid = lo + width
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if buf[i] <= buf[j]:
-                    tmp[k] = buf[i]
-                    i += 1
-                else:
-                    tmp[k] = buf[j]
-                    total += mid - i
-                    j += 1
-                k += 1
-            tmp[k:hi] = buf[i:mid] if i < mid else buf[j:hi]
-            buf[lo:hi] = tmp[lo:hi]
-        width *= 2
-    return total
+def pair_signs(tw: np.ndarray) -> np.ndarray:
+    """(len, n(n-1)/2) int8 array of sign(tw[:, x] - tw[:, y]) over pairs x < y.
+
+    -1 means x is ranked above y, 1 below, 0 tied.
+    """
+    x, y = _pairs(tw.shape[1])
+    return np.sign(tw[:, x] - tw[:, y]).astype(np.int8)
+
+
+def doubled_distances(p: np.ndarray, q: np.ndarray, positional: bool) -> np.ndarray:
+    """(len p, len q) int64 array of twice the distance between rows.
+
+    ``p`` and ``q`` are twice-position arrays (``rankings.twice_positions``).
+    Twice the footrule is the L1 distance between them; twice the Kemeny
+    distance is the L1 distance between their pair signs, since an opposite
+    pair differs by 2 and a pair tied in exactly one ranking by 1.  Rows are
+    taken in blocks so the broadcast temporary never exceeds BLOCK_ELEMENTS
+    elements, however many rows there are.
+    """
+    if not positional:
+        p, q = pair_signs(p), pair_signs(q)
+    out = np.empty((len(p), len(q)), dtype=np.int64)
+    width = max(1, p.shape[1])
+    q_rows = max(1, min(len(q), BLOCK_ELEMENTS // width))
+    p_rows = max(1, BLOCK_ELEMENTS // (q_rows * width))
+    for j in range(0, len(q), q_rows):
+        q_block = q[None, j:j + q_rows]
+        for i in range(0, len(p), p_rows):
+            out[i:i + p_rows, j:j + q_rows] = np.abs(
+                p[i:i + p_rows, None] - q_block
+            ).sum(axis=2)
+    return out
+
+
+def _doubled(p: Ranking, q: Ranking, kind: DistanceKind) -> int:
+    _check(p, q, kind)
+    d2 = doubled_distances(twice_positions([p]), twice_positions([q]), kind.positional)
+    return int(d2[0, 0])
 
 
 def kendall_tau(p: Permutation, q: Permutation) -> int:
     """Number of element pairs ordered oppositely by p and q."""
-    _require_permutations(p, q, "kendall_tau")
-    _check_sizes(p, q)
-    # Walk p's order and count inversions of q's ranks along it.
-    composed = [q.ranks[x - 1] for x in p.order()]
-    return _count_inversions(composed)
+    return _doubled(p, q, DistanceKind.KENDALL_TAU) // 2
 
 
 def spearman_footrule(p: Permutation, q: Permutation) -> int:
     """Sum over elements of the absolute rank difference."""
-    _require_permutations(p, q, "spearman_footrule")
-    _check_sizes(p, q)
-    return sum(abs(a - b) for a, b in zip(p.ranks, q.ranks))
+    return _doubled(p, q, DistanceKind.SPEARMAN_FOOTRULE) // 2
 
 
 def kemeny(p: Ranking, q: Ranking) -> Fraction:
     """Kendall tau on partial rankings; tied-in-one pairs count 1/2.
 
-    Permutations are promoted to singleton-bucket partial rankings, so on
-    total orders this equals ``kendall_tau`` exactly.
+    On total orders this equals ``kendall_tau`` exactly.
     """
-    _check_sizes(p, q)
-    pp, qq = as_partial(p), as_partial(q)
-    n = pp.n
-    pb = [0] * n
-    qb = [0] * n
-    for x in range(1, n + 1):
-        pb[x - 1] = pp.bucket_of(x)
-        qb[x - 1] = qq.bucket_of(x)
-    opposite = 0
-    tied_in_one = 0
-    for x in range(n):
-        for y in range(x + 1, n):
-            dp = pb[x] - pb[y]
-            dq = qb[x] - qb[y]
-            if dp * dq < 0:
-                opposite += 1
-            elif (dp == 0) != (dq == 0):
-                tied_in_one += 1
-    return Fraction(2 * opposite + tied_in_one, 2)
+    return Fraction(_doubled(p, q, DistanceKind.KEMENY), 2)
 
 
 def partial_footrule(p: Ranking, q: Ranking) -> Fraction:
     """Footrule over fractional positions; permutations auto-promote."""
-    _check_sizes(p, q)
-    pp, qq = as_partial(p), as_partial(q)
-    total = sum(
-        abs(a - b) for a, b in zip(pp._twice_positions, qq._twice_positions)
-    )
-    return Fraction(total, 2)
+    return Fraction(_doubled(p, q, DistanceKind.PARTIAL_FOOTRULE), 2)
 
 
 def distance(p: Ranking, q: Ranking, kind: DistanceKind):
@@ -171,10 +165,13 @@ def set_distance(
     set_kind: SetDistanceKind,
 ) -> Fraction:
     """Distance from a ranking to a class: mean or minimum over members."""
-    values = [distance(p, member, kind) for member in cls.members]
+    _check(p, cls.members[0], kind)
+    d2 = doubled_distances(
+        twice_positions([p]), twice_positions(cls.members), kind.positional
+    )
     if set_kind is SetDistanceKind.MEDIAN:
-        return Fraction(sum(values), cls.m)
-    return Fraction(min(values))
+        return Fraction(int(d2.sum()), 2 * cls.m)
+    return Fraction(int(d2.min()), 2)
 
 
 def minmax_objective(

@@ -1,9 +1,11 @@
 """Brute-force minmax optimum by full enumeration of the output space.
 
-Used as the ground-truth oracle when checking approximation ratios.  The
-enumeration kernel works in scaled integers (twice the distance, times the
-least common denominator of the class factors) so candidate objectives are
-compared exactly; the reported value is an exact Fraction.
+Used as the ground-truth oracle when checking approximation ratios.
+Candidates are scored in blocks of rows, one distance-kernel call per class
+and block, so memory stays bounded however large n! is.  Objectives are
+compared in scaled integers (twice the distance, times the least common
+denominator of the class factors), held as Python ints so no weight can
+overflow them; the reported value is an exact Fraction.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
-from .distances import DistanceKind, SetDistanceKind
+import numpy as np
+
+from .distances import BLOCK_ELEMENTS, DistanceKind, SetDistanceKind, doubled_distances
 from .lp import build_footrule_program, build_kendall_lp, solve
-from .rankings import Instance, Permutation, as_partial
+from .rankings import Instance, Permutation, twice_positions
 
 
 class TooLarge(ValueError):
@@ -27,18 +31,6 @@ class OptimalSolution:
     ranking: Permutation
     value: Fraction
     all_optima: tuple[Permutation, ...] | None = None
-
-
-def _pair_masks(twice_pos: tuple[int, ...], pairs: list[tuple[int, int]]):
-    """Bitmasks over the pair list: above = x before y, below = y before x."""
-    above = 0
-    below = 0
-    for bit, (x, y) in enumerate(pairs):
-        if twice_pos[x] < twice_pos[y]:
-            above |= 1 << bit
-        elif twice_pos[x] > twice_pos[y]:
-            below |= 1 << bit
-    return above, below
 
 
 def brute_force(
@@ -57,76 +49,41 @@ def brute_force(
     if n > n_limit:
         raise TooLarge(f"n={n} exceeds enumeration limit {n_limit}")
 
-    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    positional = kind.positional
-
     # Exact integer scaling: objective * scale is integral for every class.
     if set_kind is SetDistanceKind.MEDIAN:
         factors = [cls.weight / (2 * cls.m) for cls in inst.classes]
+        aggregate = np.sum
     else:
         factors = [cls.weight / 2 for cls in inst.classes]
+        aggregate = np.min
     scale = math.lcm(*(f.denominator for f in factors))
     int_factors = [int(f * scale) for f in factors]
+    class_tw = [twice_positions(cls.members) for cls in inst.classes]
 
-    # Per member, data enabling O(pairs) / O(n) evaluation of 2 * distance.
-    class_members = []
-    for cls in inst.classes:
-        members = []
-        for m in cls.members:
-            tw = as_partial(m)._twice_positions
-            if positional:
-                members.append(tw)
-            else:
-                above, below = _pair_masks(tw, pairs)
-                # pairs tied in the member cost 1 against any total order
-                tie_base = len(pairs) - (above | below).bit_count()
-                members.append((above, below, tie_base))
-        class_members.append(members)
-
-    is_median = set_kind is SetDistanceKind.MEDIAN
-    full_mask = (1 << len(pairs)) - 1
+    candidates = permutations(range(1, n + 1))  # lexicographic rank arrays
+    rows = max(1, BLOCK_ELEMENTS // (n * n))  # a block's pair signs stay in budget
     best_scaled = None
-    best_ranks = None
     optima: list[tuple[int, ...]] = []
-
-    for ranks in permutations(range(1, n + 1)):
-        if positional:
-            twice = [2 * r for r in ranks]
-        else:
-            pmask = 0  # bit set iff the candidate puts x before y
-            for bit, (x, y) in enumerate(pairs):
-                if ranks[x] < ranks[y]:
-                    pmask |= 1 << bit
-        scaled = 0
-        for k in range(inst.num_classes):
-            if positional:
-                d2s = [
-                    sum(abs(a - b) for a, b in zip(twice, tw))
-                    for tw in class_members[k]
-                ]
-            else:
-                inv = full_mask ^ pmask
-                d2s = [
-                    2 * ((above & inv).bit_count() + (below & pmask).bit_count())
-                    + tie_base
-                    for above, below, tie_base in class_members[k]
-                ]
-            agg = sum(d2s) if is_median else min(d2s)
-            cost = int_factors[k] * agg
-            if cost > scaled:
-                scaled = cost
-        if best_scaled is None or scaled < best_scaled:
-            best_scaled = scaled
-            best_ranks = ranks
-            if collect_all:
-                optima = [ranks]
-        elif collect_all and scaled == best_scaled:
-            optima.append(ranks)
+    while block := list(islice(candidates, rows)):
+        tw = 2 * np.array(block, dtype=np.int64)
+        scaled = np.max(
+            [
+                aggregate(doubled_distances(tw, members, kind.positional), axis=1)
+                .astype(object) * f
+                for f, members in zip(int_factors, class_tw)
+            ],
+            axis=0,
+        )
+        lo = scaled.min()
+        hits = [block[i] for i in np.flatnonzero(scaled == lo)]
+        if best_scaled is None or lo < best_scaled:
+            best_scaled, optima = lo, hits
+        elif collect_all and lo == best_scaled:
+            optima += hits
 
     value = Fraction(best_scaled, scale)
-    result = Permutation(best_ranks)
     all_optima = tuple(Permutation(r) for r in optima) if collect_all else None
-    return OptimalSolution(result, value, all_optima)
+    return OptimalSolution(Permutation(optima[0]), value, all_optima)
 
 
 def lp_gap(inst: Instance, kind: DistanceKind, n_limit: int = 8) -> float:

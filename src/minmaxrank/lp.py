@@ -25,7 +25,8 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-from .rankings import Instance, RankingClass, as_partial
+from .distances import pair_signs
+from .rankings import Instance, twice_positions
 
 
 class SolverError(RuntimeError):
@@ -104,19 +105,11 @@ class FractionalSolution:
     u_pos: np.ndarray | None = None  # (n,) real positions
 
 
-def _twice_positions(cls: RankingClass) -> np.ndarray:
-    """(m, n) int array: row g holds 2 * position of every element in member g."""
-    return np.array(
-        [as_partial(member)._twice_positions for member in cls.members],
-        dtype=np.int64,
-    )
-
-
 def _above_counts(inst: Instance) -> np.ndarray:
     """(C, n, n) int array: members of class k ranking x+1 strictly above y+1."""
     counts = []
     for cls in inst.classes:
-        tw = _twice_positions(cls)
+        tw = twice_positions(cls.members)
         counts.append((tw[:, :, None] < tw[:, None, :]).sum(axis=0))
     return np.stack(counts)
 
@@ -134,7 +127,7 @@ def tie_mass(inst: Instance) -> TieMass:
     """Average tied-pair count per class (the constant part of its cost)."""
     return TieMass(
         tuple(
-            Fraction(sum(as_partial(m).tied_pair_count() for m in cls.members), cls.m)
+            Fraction(int((pair_signs(twice_positions(cls.members)) == 0).sum()), cls.m)
             for cls in inst.classes
         )
     )
@@ -147,7 +140,7 @@ def kendall_class_costs(inst: Instance, perm) -> list[Fraction]:
     class (weight * median Kendall tau when the class has no ties).
     """
     ties = tie_mass(inst)
-    tw = np.array(as_partial(perm)._twice_positions)
+    tw = twice_positions([perm])[0]
     # below[x][y]: pi ranks y + 1 above x + 1, i.e. u[y][x] = 1
     below = tw[None, :] < tw[:, None]
     sums = (_above_counts(inst) * below).sum(axis=(1, 2)).tolist()
@@ -242,7 +235,7 @@ def build_footrule_program(inst: Instance) -> LinearProgram:
     row0, col0 = 0, 1 + n
     for cls in inst.classes:
         lam = float(cls.weight) / cls.m
-        pos = _twice_positions(cls) / 2
+        pos = twice_positions(cls.members) / 2
         lam_over_m.append(lam)
         class_pos.append(pos)
         size = pos.size

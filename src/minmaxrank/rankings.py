@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
+import numpy as np
+
 
 class RankingError(ValueError):
     """Base class for ranking construction/lookup errors."""
@@ -154,15 +156,6 @@ class PartialRanking:
     def positions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(t, 2) for t in self._twice_positions)
 
-    def bucket_of(self, x: int) -> int:
-        """0-based index of the bucket containing x."""
-        if not 1 <= x <= self.n:
-            raise ElementOutOfRange(f"element {x} outside 1..{self.n}")
-        for i, b in enumerate(self.buckets):
-            if x in b:
-                return i
-        raise AssertionError("unreachable: validated partition")
-
     def tied_pair_count(self) -> int:
         """Number of unordered pairs sharing a bucket."""
         return sum(len(b) * (len(b) - 1) // 2 for b in self.buckets)
@@ -191,6 +184,24 @@ Ranking = Union[Permutation, PartialRanking]
 def as_partial(r: Ranking) -> PartialRanking:
     """Promote a permutation to a singleton-bucket partial ranking."""
     return r.to_partial() if isinstance(r, Permutation) else r
+
+
+def twice_positions(rankings: Sequence[Ranking]) -> np.ndarray:
+    """(len, n) int64 array: row g holds twice each position in ranking g.
+
+    Columns are elements - 1.  Permutation rows are twice the ranks;
+    partial-ranking rows are the doubled half-integer tie positions.  All
+    rankings must share one ground set.
+    """
+    return np.array(
+        [
+            [2 * r for r in ranking.ranks]
+            if isinstance(ranking, Permutation)
+            else ranking._twice_positions
+            for ranking in rankings
+        ],
+        dtype=np.int64,
+    )
 
 
 def position(r: Ranking, x: int) -> Fraction:

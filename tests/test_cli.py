@@ -25,6 +25,11 @@ class=a lambda=1 : 1 2 3 4
 class=b lambda=1 : 2 1 3 4
 """
 
+GENE_ARGS = [
+    str(Path(__file__).resolve().parents[1] / "data" / "sample_gene_orders.tsv"),
+    "--gene-orders",
+]
+
 TIED_FILE = """\
 elements: w x y z
 class=1 lambda=0.5 : { w x } y z
@@ -263,6 +268,14 @@ class TestCommands:
         ["benchmark", "--per-class", "0"],
         ["benchmark", "--phi2", "0"],
         ["benchmark", "--workers", "0"],
+        ["benchmark", "--seed", "-1"],
+        ["aggregate", "--seed", "-1", "--algo", "pick-rnd", *GENE_ARGS],
+        ["aggregate", "--seed", "-1", "--algo", "mmsp", "--distance", "sf", *GENE_ARGS],
+        ["aggregate", "--seed", "-1", "--algo", "min-mmsp", "--distance", "sf",
+         "--setdist", "min", *GENE_ARGS],
+        ["aggregate", "--seed", "-1", "--algo", "pivot-baseline", *GENE_ARGS],
+        ["exact", "--n-limit", "-1", *GENE_ARGS],
+        ["exact", "--n-limit", "0", *GENE_ARGS],
     ],
 )
 def test_bad_benchmark_flag_exit_2(argv, capsys):

@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from minmaxrank import distances
 from minmaxrank import (
     DistanceKind,
     Instance,
@@ -24,6 +26,8 @@ from minmaxrank import (
     spearman_footrule,
 )
 from minmaxrank._rng import generator
+from minmaxrank.distances import doubled_distances
+from minmaxrank.rankings import twice_positions
 
 from conftest import random_instance, random_partial_ranking, random_permutation
 
@@ -51,6 +55,11 @@ def pair_count_kemeny(p, q):
         elif (dp == 0) != (dq == 0):
             total += Fraction(1, 2)
     return total
+
+
+def position_footrule(p, q):
+    """Independent oracle for the partial footrule via positions."""
+    return sum(abs(position(p, x) - position(q, x)) for x in range(1, p.n + 1))
 
 
 class TestKendallTau:
@@ -258,3 +267,39 @@ class TestMinmaxObjective:
             assert minmax_objective(
                 p, inst, kind, SetDistanceKind.MINIMUM
             ) <= minmax_objective(p, inst, kind, SetDistanceKind.MEDIAN)
+
+
+class TestDoubledDistances:
+    @pytest.mark.parametrize("block", [distances.BLOCK_ELEMENTS, 7])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_pair_oracles(self, rng, monkeypatch, ties, block):
+        monkeypatch.setattr(distances, "BLOCK_ELEMENTS", block)
+        make = random_partial_ranking if ties else random_permutation
+        for _ in range(30):
+            n = int(rng.integers(1, 9))
+            rows = int(rng.integers(1, 5))
+            p = [make(rng, n) for _ in range(rows)]
+            q = [make(rng, n) for _ in range(rows + int(rng.integers(1, 4)))]
+            tp, tq = twice_positions(p), twice_positions(q)
+            pairwise = doubled_distances(tp, tq, False)
+            positional = doubled_distances(tp, tq, True)
+            assert pairwise.shape == positional.shape == (len(p), len(q))
+            for i, a in enumerate(p):
+                for j, b in enumerate(q):
+                    assert pairwise[i, j] == 2 * pair_count_kemeny(a, b)
+                    assert positional[i, j] == 2 * position_footrule(a, b)
+
+    @pytest.mark.parametrize("positional", [False, True])
+    def test_memory_stays_within_budget(self, positional):
+        rng = generator(6)
+        tw = twice_positions([random_permutation(rng, 10) for _ in range(1000)])
+        tracemalloc.start()
+        try:
+            out = doubled_distances(tw, tw, positional)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1000, 1000)
+        # the 8 MB result plus bounded temporaries; one unblocked broadcast
+        # would hold 1000 * 1000 * 45 pair signs
+        assert peak < 12 * 2**20

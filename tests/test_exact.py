@@ -131,6 +131,37 @@ def test_relabeling_invariance(rng):
         ) == b.value
 
 
+def test_optima_across_blocks_in_lexicographic_order():
+    # identity and reversal disagree on every pair, so each of the 8!
+    # permutations has Kendall distances summing to 28 and median cost 14
+    inst = Instance(
+        8,
+        (RankingClass((Permutation.identity(8), make_permutation(range(8, 0, -1))), 1),),
+    )
+    opt = brute_force(
+        inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN, collect_all=True
+    )
+    assert opt.value == 14
+    assert opt.ranking == Permutation.identity(8)
+    assert [p.ranks for p in opt.all_optima] == list(permutations(range(1, 9)))
+
+
+@pytest.mark.parametrize("weight", [Fraction(0.1), Fraction(1, 3)])
+def test_inexact_weights_match_enumeration(rng, weight):
+    for kind in DistanceKind:
+        for _ in range(3):
+            inst = random_instance(
+                rng, n_choices=(5,), weight_choices=(weight, Fraction(1)),
+                allow_ties=kind in (DistanceKind.KEMENY, DistanceKind.PARTIAL_FOOTRULE),
+            )
+            for sk in SetDistanceKind:
+                best = min(
+                    minmax_objective(Permutation(r), inst, kind, sk)
+                    for r in permutations(range(1, 6))
+                )
+                assert brute_force(inst, kind, sk).value == best
+
+
 class TestLpGap:
     def test_gap_instance(self):
         assert abs(lp_gap(gap_instance(), DistanceKind.KENDALL_TAU) - 2.0) < 1e-6

@@ -19,6 +19,7 @@ from minmaxrank import (
     make_permutation,
     position,
 )
+from minmaxrank.rankings import twice_positions
 
 from conftest import random_partial_ranking
 
@@ -115,6 +116,17 @@ class TestPosition:
             assert r.is_total_order()
             assert all(position(r, x) == p.rank_of(x) for x in range(1, n + 1))
             assert r.to_permutation() == p
+
+    def test_twice_positions_mixes_kinds(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            p = Permutation.from_order([int(x) + 1 for x in rng.permutation(n)])
+            r = random_partial_ranking(rng, n)
+            tw = twice_positions([p, r])
+            assert tw.shape == (2, n) and tw.dtype.kind == "i"
+            for x in range(1, n + 1):
+                assert tw[0, x - 1] == 2 * position(p, x)
+                assert tw[1, x - 1] == 2 * position(r, x)
 
 
 class TestPartialRankingValidation:
