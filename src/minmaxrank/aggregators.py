@@ -53,13 +53,8 @@ class RoundedMatrix:
         uu = u.copy()
         uu[np.abs(uu) <= eps] = 0.0
         uu[np.abs(uu - 1.0) <= eps] = 1.0
-        n = uu.shape[0]
-        h = np.zeros((n, n), dtype=np.int8)
-        for x in range(n):
-            for y in range(x):  # x > y: printed rule
-                h[x, y] = 1 if uu[x, y] >= 0.5 else 0
-                h[y, x] = 1 - h[x, y]
-        return cls(h)
+        lower = np.tril(uu >= 0.5, -1)  # x > y: printed rule
+        return cls((lower | np.triu(~lower.T, 1)).astype(np.int8))
 
 
 @dataclass(frozen=True)
@@ -72,76 +67,87 @@ class PivotScore:
     ratio: float
 
 
-def _ratio(a: np.ndarray, b: np.ndarray) -> float:
-    """max_k A_k / B_k, with 0/0 -> 0 and positive/0 -> inf."""
+def _ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max_k A_k / B_k per column, with 0/0 -> 0 and positive/0 -> inf."""
     out = np.where(
         b > _B_TOLERANCE,
         a / np.maximum(b, _B_TOLERANCE),
         np.where(a > _B_TOLERANCE, np.inf, 0.0),
     )
-    return float(out.max())
+    return out.max(axis=0)
 
 
-def _pivot_costs(a: int, others: np.ndarray, h: np.ndarray, u: np.ndarray,
+def _pivot_costs(active: np.ndarray, h: np.ndarray, u: np.ndarray,
                  wf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A and B cost vectors (one entry per class) for candidate pivot a.
+    """A and B costs (C, len(active)) of every active element as the pivot.
 
-    Indices are 0-based.  ``others`` are the active elements besides a;
-    elements with h[x, a] = 1 go left of the pivot, the rest go right, and
-    the pivot additionally fixes every (right, left) pair.
+    Indices are 0-based.  Column i scores pivot a = active[i]: elements with
+    h[x, a] = 1 go left of it, the rest go right, and the pivot additionally
+    fixes every (right, left) pair.
     """
-    left = others[h[others, a] == 1]
-    right = others[h[others, a] == 0]
+    right = h[np.ix_(active, active)]  # right[i, x]: active[x] right of pivot i
+    left = right.T
+    w = wf[:, active][:, :, active]
 
-    a_costs = wf[:, a, left].sum(axis=1) + wf[:, right, a].sum(axis=1)
-    b_costs = (u[others, a] * wf[:, a, others]).sum(axis=1) + (
-        u[a, others] * wf[:, others, a]
-    ).sum(axis=1)
-    if left.size and right.size:
-        w_rl = wf[:, right][:, :, left]  # w[k][x][y], x right, y left
-        w_lr = wf[:, left][:, :, right]  # w[k][y][x]
-        a_costs = a_costs + w_rl.sum(axis=(1, 2))
-        u_rl = u[np.ix_(right, left)]  # u[x][y]
-        u_lr = u[np.ix_(left, right)]  # u[y][x]
-        b_costs = b_costs + (
-            u_rl[None, :, :] * w_lr.swapaxes(1, 2)
-            + u_lr.T[None, :, :] * w_rl
-        ).sum(axis=(1, 2))
+    def pair_costs(m: np.ndarray) -> np.ndarray:
+        # cost of pair (x, y) under m: m[x][y] w[y][x] + m[y][x] w[x][y]
+        return m * w.swapaxes(1, 2) + m.T * w
+
+    def spanning(cost: np.ndarray) -> np.ndarray:
+        # per pivot i: cost[x][y] summed over x right of i and y left of i
+        return (right @ cost * left).sum(axis=2)
+
+    pair_b = pair_costs(u[np.ix_(active, active)])
+    a_costs = pair_costs(right).sum(axis=2) + spanning(w)
+    b_costs = pair_b.sum(axis=2) + spanning(pair_b)
     return a_costs, b_costs
+
+
+def _pivot_sort(before: np.ndarray, choose) -> list[int]:
+    """Quicksort of 0..n-1 (0-based) around the pivots ``choose`` picks.
+
+    ``choose(active)`` returns the pivot of an ascending array of at least
+    two elements; x goes left of pivot v when ``before[x, v]``.  An explicit
+    stack of (right, pivot, left) stands in for recursion, so ``choose``
+    still runs in pre-order, left part before right part.
+    """
+    order, stack = [], [np.arange(len(before))]
+    while stack:
+        active = stack.pop()
+        if len(active) <= 1:
+            order.extend(active.tolist())
+            continue
+        v = choose(active)
+        goes_left = before[active, v]
+        stack += [active[~goes_left & (active != v)], np.array([v]), active[goes_left]]
+    return order
 
 
 def pivot_rounding(
     u: np.ndarray, wf: np.ndarray
 ) -> tuple[list[int], list[PivotScore]]:
-    """Recursive min-ratio pivot rounding of a pairwise fractional solution.
+    """Min-ratio pivot rounding of a pairwise fractional solution.
 
     Returns the elements (1-based) best-to-worst together with the chosen
-    pivot's cost record at every recursion level, top-down.
+    pivot's cost record at every quicksort level, in pre-order.
     """
     h = RoundedMatrix.from_fractional(u).h
+    trace = []
 
-    def recurse(active: list[int]) -> tuple[list[int], list[PivotScore]]:
-        if len(active) <= 1:
-            return list(active), []
-        best_score = None
-        for a in active:  # ascending ids: ties keep the smallest element
-            others = np.array([x for x in active if x != a])
-            a_costs, b_costs = _pivot_costs(a, others, h, u, wf)
-            ratio = _ratio(a_costs, b_costs)
-            if best_score is None or ratio < best_score.ratio:
-                best_score = PivotScore(
-                    a + 1, tuple(a_costs.tolist()), tuple(b_costs.tolist()), ratio
-                )
-        v = best_score.pivot - 1
-        left = [x for x in active if x != v and h[x, v] == 1]
-        right = [x for x in active if x != v and h[x, v] == 0]
-        left_order, left_trace = recurse(left)
-        right_order, right_trace = recurse(right)
-        order = left_order + [v] + right_order
-        return order, [best_score] + left_trace + right_trace
+    def choose(active: np.ndarray) -> int:
+        a_costs, b_costs = _pivot_costs(active, h, u, wf)
+        ratios = _ratio(a_costs, b_costs)
+        # ascending ids: ratios within _TIE_TOLERANCE tie, the smallest id wins
+        i = int(np.flatnonzero(ratios <= ratios.min() + _TIE_TOLERANCE)[0])
+        trace.append(PivotScore(
+            int(active[i]) + 1,
+            tuple(a_costs[:, i].tolist()),
+            tuple(b_costs[:, i].tolist()),
+            float(ratios[i]),
+        ))
+        return active[i]
 
-    order0, trace = recurse(list(range(u.shape[0])))
-    return [x + 1 for x in order0], trace
+    return [x + 1 for x in _pivot_sort(h == 1, choose)], trace
 
 
 def _tau_kind(inst: Instance, kind: DistanceKind | None) -> DistanceKind:
@@ -358,16 +364,9 @@ def median_pivot_baseline(
     # maj[x][y]: members of all classes pooled ranking x + 1 above y + 1
     maj = _above_counts(inst).sum(axis=0)
     rng = generator(rng_seed)
-
-    def recurse(active: list[int]) -> list[int]:
-        if len(active) <= 1:
-            return active
-        v = active[int(rng.integers(len(active)))]
-        left = [x for x in active if x != v and maj[x, v] > maj[v, x]]
-        right = [x for x in active if x != v and maj[x, v] <= maj[v, x]]
-        return recurse(left) + [v] + recurse(right)
-
-    order = recurse(list(range(inst.n)))
+    order = _pivot_sort(
+        maj > maj.T, lambda active: active[int(rng.integers(len(active)))]
+    )
     perm = Permutation.from_order([x + 1 for x in order])
     return AggregationResult(perm, minmax_objective(perm, inst, kind, set_kind))
 

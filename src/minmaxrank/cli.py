@@ -15,7 +15,8 @@ permutation of 1..n.  Signs are stripped and each genome becomes its own
 singleton class with weight 1.
 
 Exit codes: 0 success, 2 usage error, parse error or unreadable file, 3
-incompatible flags, 4 instance too large for exact enumeration.
+incompatible flags, 4 instance too large for exact enumeration, 5 the LP
+solver rejected or failed on the program.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import aggregators, exact
+from . import aggregators, exact, lp
 from .distances import DistanceKind, SetDistanceKind, effective_kind, set_distance
 from .mallows import TwoLevelConfig, sample_instance
 from .rankings import (
@@ -118,6 +119,12 @@ def parse_instance_file(text: str) -> ParsedFile:
             raise ParseError(line_no, f"bad lambda {fields[1]!r}")
         if weight <= 0:
             raise ParseError(line_no, "lambda must be positive")
+        try:
+            in_range = float(weight) > 0
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ParseError(line_no, f"{fields[1]!r} is outside float64 range")
         buckets = [
             [element_id(tok) for tok in group]
             for group in _tokenize_ranking(ranking_part, line_no)
@@ -320,9 +327,13 @@ def cmd_aggregate(args) -> int:
     inst = parsed.instance
     kind = _DISTANCES[args.distance]
     set_kind = _SET_DISTANCES[args.setdist]
-    result = run_algorithm(
-        args.algo, inst, kind, set_kind, args.seed, args.deterministic_ties
-    )
+    try:
+        result = run_algorithm(
+            args.algo, inst, kind, set_kind, args.seed, args.deterministic_ties
+        )
+    except lp.SolverError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 5
     kind = effective_kind(inst, kind)
     order = (
         result.ranking.order()
@@ -372,7 +383,11 @@ def cmd_exact(args) -> int:
         + " ".join(parsed.element_names[x - 1] for x in opt.ranking.order())
     )
     if set_kind is SetDistanceKind.MEDIAN:
-        gap = exact.lp_gap(inst, kind, n_limit=args.n_limit)
+        try:
+            gap = exact.lp_gap(inst, kind, n_limit=args.n_limit)
+        except lp.SolverError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 5
         print(f"lp-gap: {gap:.6f}")
     return 0
 

@@ -164,10 +164,16 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     """The pairwise-order relaxation of minmax Kendall/Kemeny aggregation."""
     n, num_classes = inst.n, inst.num_classes
     ncols = 1 + n * (n - 1)
-    num = np.array([cls.weight.numerator for cls in inst.classes])
-    den = np.array([cls.weight.denominator * cls.m for cls in inst.classes])
-    # correctly rounded, like float(Fraction): both operands are exact floats
-    wf = _above_counts(inst) * num[:, None, None] / den[:, None, None]
+    # w[k][x][y] = count * weight / m, looked up in a per-class table of the
+    # m + 1 possible counts; Python's int true division rounds each exact
+    # quotient correctly, like float(Fraction), whatever the operand sizes
+    wf = np.stack([
+        np.array([
+            c * cls.weight.numerator / (cls.weight.denominator * cls.m)
+            for c in range(cls.m + 1)
+        ])[counts]
+        for cls, counts in zip(inst.classes, _above_counts(inst))
+    ])
     ties = tie_mass(inst)
     shifts = np.array(
         [float(cls.weight * ties.t[k] / 2) for k, cls in enumerate(inst.classes)]

@@ -1,3 +1,6 @@
+import math
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +37,7 @@ from minmaxrank import (
 )
 from minmaxrank.aggregators import _pivot_costs, positions_to_order
 from minmaxrank._rng import generator
+from minmaxrank.mallows import TwoLevelConfig, sample_instance
 
 from conftest import random_instance, random_permutation
 
@@ -122,12 +126,131 @@ def test_pivot_costs_match_naive_reference():
         h = RoundedMatrix.from_fractional(u).h
         active = sorted(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
         active = [int(x) for x in active]
-        for a in active:
-            others = np.array([x for x in active if x != a])
-            got_a, got_b = _pivot_costs(a, others, h, u, wf)
+        got_a, got_b = _pivot_costs(np.array(active), h, u, wf)
+        assert got_a.shape == got_b.shape == (C, len(active))
+        for i, a in enumerate(active):
             want_a, want_b = naive_pivot_costs(a, active, h, u, wf)
-            assert np.allclose(got_a, want_a)
-            assert np.allclose(got_b, want_b)
+            assert np.allclose(got_a[:, i], want_a)
+            assert np.allclose(got_b[:, i], want_b)
+
+
+def naive_ratio(a_costs, b_costs):
+    return max(
+        a / b if b > 1e-12 else (math.inf if a > 1e-12 else 0.0)
+        for a, b in zip(a_costs, b_costs)
+    )
+
+
+def reference_pivot_rounding(u, wf):
+    """Recursive min-ratio pivot rounding over ``naive_pivot_costs``.
+
+    Ratios within 1e-9 of the level's minimum tie, and the smallest id wins.
+    """
+    h = RoundedMatrix.from_fractional(u).h
+
+    def recurse(active):
+        if len(active) <= 1:
+            return list(active), []
+        scored = []
+        for a in active:
+            a_costs, b_costs = naive_pivot_costs(a, active, h, u, wf)
+            scored.append((naive_ratio(a_costs, b_costs), a, a_costs, b_costs))
+        least = min(ratio for ratio, *_ in scored)
+        ratio, v, a_costs, b_costs = next(s for s in scored if s[0] <= least + 1e-9)
+        left_order, left_trace = recurse([x for x in active if h[x, v] == 1])
+        right_order, right_trace = recurse(
+            [x for x in active if x != v and h[x, v] == 0]
+        )
+        return (
+            left_order + [v] + right_order,
+            [(v + 1, a_costs, b_costs, ratio)] + left_trace + right_trace,
+        )
+
+    order, trace = recurse(list(range(u.shape[0])))
+    return [x + 1 for x in order], trace
+
+
+def random_pairwise_problem(rng):
+    """Fractional u, partly snapped to a hidden order, and sparse weights.
+
+    Snapped pairs and zero weights make many candidates score exactly 0/0
+    or tie in exact arithmetic.
+    """
+    n = int(rng.integers(2, 9))
+    C = int(rng.integers(1, 4))
+    rank = rng.permutation(n)
+    u = np.zeros((n, n))
+    for x in range(n):
+        for y in range(x + 1, n):
+            r = float(rank[x] < rank[y]) if rng.random() < 0.5 else rng.random()
+            u[x, y], u[y, x] = r, 1.0 - r
+    wf = rng.random((C, n, n)) * (rng.random((C, n, n)) < 0.5)
+    for x in range(n):
+        wf[:, x, x] = 0.0
+    return u, wf
+
+
+def assert_same_rounding(u, wf):
+    order, trace = pivot_rounding(u, wf)
+    want_order, want_trace = reference_pivot_rounding(u, wf)
+    assert order == want_order
+    assert [level.pivot for level in trace] == [t[0] for t in want_trace]
+    for level, (_, a_costs, b_costs, ratio) in zip(trace, want_trace):
+        assert np.allclose(level.a_costs, a_costs)
+        assert np.allclose(level.b_costs, b_costs)
+        assert np.isclose(level.ratio, ratio)
+    return trace
+
+
+def test_pivot_rounding_matches_recursive_reference():
+    rng = generator(11)
+    zero_ties = 0
+    for _ in range(60):
+        trace = assert_same_rounding(*random_pairwise_problem(rng))
+        zero_ties += sum(level.ratio == 0 for level in trace)
+    assert zero_ties > 0
+
+
+def test_pivot_rounding_matches_reference_on_lp_solutions():
+    # LP optima are integral on many pairs, so candidates tie in exact
+    # arithmetic and their float ratios differ only by summation order
+    for trial in range(8):
+        cfg = TwoLevelConfig.create(10, 3, 10, 0.7, 0.7)
+        prog = build_kendall_lp(sample_instance(cfg, (4, trial)))
+        assert_same_rounding(solve(prog).u_pair, prog.wf)
+
+
+@contextmanager
+def recursion_headroom(frames=40):
+    """Allow only ``frames`` Python frames beyond the current depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_pivot_rounding_has_no_recursion_limit():
+    # the identity's integral solution: every candidate scores 0/0, so the
+    # smallest active element is the pivot at each of n - 1 levels
+    n = 80
+    u = np.triu(np.ones((n, n)), 1)
+    with recursion_headroom():
+        order, trace = pivot_rounding(u, u[None])
+    assert order == list(range(1, n + 1))
+    assert [level.pivot for level in trace] == list(range(1, n))
+    assert all(level.ratio == 0 for level in trace)
+
+
+def test_pivot_baseline_has_no_recursion_limit(rng):
+    p = random_permutation(rng, 80)
+    inst = Instance(80, (RankingClass((p,), 1),))
+    with recursion_headroom():
+        assert median_pivot_baseline(inst, rng_seed=0).ranking == p
 
 
 class TestMmktConv:

@@ -285,6 +285,24 @@ def test_bad_benchmark_flag_exit_2(argv, capsys):
     assert f"argument {argv[1]}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, weight, code",
+    [
+        (["aggregate"], "1e400", 2),
+        (["aggregate"], "1e-400", 2),
+        (["aggregate", "--algo", "mmsp", "--distance", "sf"], "1e20", 5),
+        (["exact"], "1e20", 5),
+    ],
+)
+def test_extreme_lambda_exits_with_message(argv, weight, code, tmp_path, capsys):
+    # 1e400 overflows float64 and 1e-400 rounds to 0; at 1e20 HiGHS
+    # rejects the program's coefficients
+    path = tmp_path / "extreme.txt"
+    path.write_text(f"class=a lambda={weight} : 1 2 3\nclass=b lambda=1 : 3 2 1\n")
+    assert main([argv[0], str(path), *argv[1:]]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["aggregate", "exact"])
 def test_missing_file_exit_2(command, tmp_path, capsys):
     assert main([command, str(tmp_path / "absent.txt")]) == 2

@@ -22,6 +22,7 @@ from minmaxrank import (
     make_partial_ranking,
     make_permutation,
     minmax_objective,
+    mmkt_conv,
     pairwise_weights,
     solve,
     tie_mass,
@@ -181,6 +182,21 @@ class TestKendallLP:
         # a one-genome class costs one entry per unordered pair, plus q;
         # pairing rows hold 2 entries, triangle rows 3
         assert prog.A_ub.nnz + prog.A_eq.nnz == 11 * (1 + 630) + 2 * 630 + 3 * 14_280
+
+    def test_large_integer_weights(self, rng):
+        # 0.1 is 3602879701896397 / 2**55, so weight denominator times m
+        # passes int64 at m = 512, and count times numerator passes 2**53
+        weight, m = Fraction(0.1), 512
+        members = tuple(random_permutation(rng, 4) for _ in range(m))
+        inst = Instance(4, (RankingClass(members, weight),))
+        prog = build_kendall_lp(inst)
+        want = [
+            [float(Fraction(c * weight, m)) for c in row]
+            for row in _above_counts(inst)[0].tolist()
+        ]
+        assert prog.wf[0].tolist() == want
+        res = mmkt_conv(inst)
+        assert float(res.objective) <= 2 * res.certificate + TOL
 
     def test_relaxation_lower_bounds_optimum(self, rng):
         for _ in range(15):
