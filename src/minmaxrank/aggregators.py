@@ -49,11 +49,8 @@ class RoundedMatrix:
     h: np.ndarray
 
     @classmethod
-    def from_fractional(cls, u: np.ndarray, eps: float = 1e-9) -> "RoundedMatrix":
-        uu = u.copy()
-        uu[np.abs(uu) <= eps] = 0.0
-        uu[np.abs(uu - 1.0) <= eps] = 1.0
-        lower = np.tril(uu >= 0.5, -1)  # x > y: printed rule
+    def from_fractional(cls, u: np.ndarray) -> "RoundedMatrix":
+        lower = np.tril(u >= 0.5, -1)  # x > y: printed rule
         return cls((lower | np.triu(~lower.T, 1)).astype(np.int8))
 
 

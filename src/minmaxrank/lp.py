@@ -5,7 +5,10 @@ Two programs are built here:
 * the Kendall/Kemeny relaxation over pairwise order variables u[x][y] in
   [0,1] with pairing equalities u[x][y] + u[y][x] = 1 and triangle
   constraints, minimizing the epigraph variable q of the weighted class
-  costs (tied pairs inside a class contribute the constant weight*T_k/2);
+  costs (tied pairs inside a class contribute the constant weight*T_k/2).
+  It starts from the triangles of triples the classes dispute; ``solve``
+  appends every other triangle its optimum violates and solves again, so
+  the optimum it returns satisfies all of them;
 * the footrule program over free positions u(1..n), reformulated exactly
   as an LP by splitting the absolute deviations into nonnegative slacks.
 
@@ -23,9 +26,9 @@ from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
-from .distances import pair_signs
+from .distances import BLOCK_ELEMENTS, pair_signs
 from .rankings import Instance, twice_positions
 
 
@@ -50,10 +53,11 @@ class LinearProgram:
     """A minimization LP in ``linprog`` form plus what reads its solution back.
 
     Column 0 is the epigraph variable q.  A pairwise program (``kind`` is
-    "pairwise") keeps u[x][y] at column ``1 + x(n-1) + y - [y > x]`` and the
-    float class weights ``wf`` (C, n, n) and tie shifts (C,).  A positional
-    program keeps the positions u(h) at columns 1..n and, per class, the
-    member positions (m, n) and lambda/m.
+    "pairwise") keeps u[x][y] at column ``1 + x(n-1) + y - [y > x]``, the
+    float class weights ``wf`` (C, n, n) and tie shifts (C,), and the ids
+    of its triangle rows (see ``_triangle_ids``) in row order after the C
+    class rows.  A positional program keeps the positions u(h) at columns
+    1..n and, per class, the member positions (m, n) and lambda/m.
     """
 
     c: np.ndarray
@@ -66,6 +70,7 @@ class LinearProgram:
     n: int
     wf: np.ndarray | None = None
     shifts: np.ndarray | None = None
+    triangles: np.ndarray | None = None
     class_pos: tuple[np.ndarray, ...] = ()
     lam_over_m: tuple[float, ...] = ()
 
@@ -160,8 +165,100 @@ def _sparse(rows, cols, data, shape) -> csr_matrix | None:
     )
 
 
+#: a triangle row counts as violated when its sum is below 1 by more than this
+_VIOLATION = 1e-9
+
+
+def _pair_columns(n: int) -> np.ndarray:
+    """(n, n) array: the column of u[x][y] (the diagonal is unused)."""
+    x = np.arange(n)[:, None]
+    y = np.arange(n)[None, :]
+    return 1 + x * (n - 1) + y - (y > x)
+
+
+def _triple_blocks(n: int):
+    """Blocks of x, each with the mask of its triples x < y < z.
+
+    Yields a slice ``xs`` of x values and a (len(xs), n, n) bool mask over
+    (x, y, z).  A block takes as many x as keep it within BLOCK_ELEMENTS
+    values (at least one), so no array of all C(n, 3) triples is built.
+    """
+    step = max(1, BLOCK_ELEMENTS // (n * n))
+    idx = np.arange(n)
+    upper = idx[:, None] < idx  # y < z
+    for x0 in range(0, n - 2, step):
+        xs = slice(x0, min(x0 + step, n - 2))
+        yield xs, upper & (idx[xs, None, None] < idx[:, None])
+
+
+def _triangle_ids(n: int, xs: slice, keep: np.ndarray) -> np.ndarray:
+    """Ids of the triangles a (len(xs), n, n, 2) mask ``keep`` marks.
+
+    The last axis is the orientation o.  Orientation o of triple (x, y, z)
+    has id 2 * ((x * n + y) * n + z) + o: the flat index into ``keep``
+    plus 2 n^2 xs.start.  So ids ascend in (triple, orientation) order.
+    """
+    return np.flatnonzero(keep) + 2 * n * n * xs.start
+
+
+def _triangle_rows(ids: np.ndarray, col: np.ndarray, row0: int):
+    """COO rows, columns and values of the triangle rows ``ids`` from row0.
+
+    ``col`` is ``_pair_columns(n)``.  Orientation 0 of (x, y, z) is
+    -(u[x][y] + u[y][z] + u[z][x]) <= -1 and orientation 1 the reverse
+    cycle -(u[y][x] + u[z][y] + u[x][z]) <= -1.
+    """
+    n = len(col)
+    t, o = np.divmod(ids, 2)
+    xy, z = np.divmod(t, n)
+    x, y = np.divmod(xy, n)
+    cycle = np.stack([x, y, z, x], axis=1)
+    a, b = cycle[:, :3], cycle[:, 1:]
+    cols = np.where(o[:, None] == 0, col[a, b], col[b, a])
+    return (row0 + np.repeat(np.arange(len(ids)), 3), cols.ravel(),
+            np.full(cols.size, -1.0))
+
+
+def _seed_triangles(wf: np.ndarray) -> np.ndarray:
+    """Both triangles of every triple with at least two disputed pairs.
+
+    A pair is undisputed when every class strictly prefers the same one of
+    its two orders.  When every pair is disputed this is every triangle.
+    """
+    n = wf.shape[1]
+    unanimous = (wf > wf.transpose(0, 2, 1)).all(axis=0)
+    disputed = (~(unanimous | unanimous.T)).astype(np.int8)
+    ids = [np.empty(0, dtype=np.int64)]
+    for xs, triples in _triple_blocks(n):
+        # disputed pairs among (x, y), (y, z) and (x, z)
+        count = disputed[xs][:, :, None] + disputed + disputed[xs][:, None, :]
+        seed = triples & (count >= 2)
+        ids.append(_triangle_ids(n, xs, np.stack([seed, seed], axis=-1)))
+    return np.concatenate(ids)
+
+
+def _violated_triangles(u: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Ids of the triangles u violates that are not among ``present``."""
+    n = len(u)
+    ut = u.T
+    below = 1.0 - _VIOLATION
+    ids = [np.empty(0, dtype=np.int64)]
+    for xs, triples in _triple_blocks(n):
+        fwd = u[xs][:, :, None] + u + ut[xs][:, None, :]  # u[x][y] + u[y][z] + u[z][x]
+        rev = ut[xs][:, :, None] + ut + u[xs][:, None, :]  # u[y][x] + u[z][y] + u[x][z]
+        low = np.stack([triples & (fwd < below), triples & (rev < below)], axis=-1)
+        ids.append(_triangle_ids(n, xs, low))
+    ids = np.concatenate(ids)
+    # np.isin's fixed cost is worth skipping on the usual empty result
+    return ids[~np.isin(ids, present)] if len(ids) else ids
+
+
 def build_kendall_lp(inst: Instance) -> LinearProgram:
-    """The pairwise-order relaxation of minmax Kendall/Kemeny aggregation."""
+    """The pairwise-order relaxation of minmax Kendall/Kemeny aggregation.
+
+    Only the seed triangles (``_seed_triangles``) are rows; ``solve`` adds
+    the violated rest.
+    """
     n, num_classes = inst.n, inst.num_classes
     ncols = 1 + n * (n - 1)
     # w[k][x][y] = count * weight / m, looked up in a per-class table of the
@@ -178,31 +275,19 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     shifts = np.array(
         [float(cls.weight * ties.t[k] / 2) for k, cls in enumerate(inst.classes)]
     )
-
-    x = np.arange(n)[:, None]
-    y = np.arange(n)[None, :]
-    col = 1 + x * (n - 1) + y - (y > x)  # column of u[x][y]
+    col = _pair_columns(n)
     off = ~np.eye(n, dtype=bool)
 
     # class cost epigraph: sum_{x!=y} w^k[x][y] u[y][x] - q <= -shift_k
     coef = wf.transpose(0, 2, 1)[:, off]  # coefficient of u[a][b] is w[b][a]
     k_idx, j_idx = np.nonzero(coef)
-    rows = [np.arange(num_classes), k_idx]
-    cols = [np.zeros(num_classes, dtype=np.intp), col[off][j_idx]]
-    data = [np.full(num_classes, -1.0), coef[k_idx, j_idx]]
-    # triangles, both cyclic orientations per unordered triple, as
-    # -(u[x][y] + u[y][z] + u[z][x]) <= -1
-    tri = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
-    tx, ty, tz = tri.T
-    tri_cols = np.stack(
-        [col[tx, ty], col[ty, tz], col[tz, tx], col[ty, tx], col[tz, ty], col[tx, tz]],
-        axis=1,
-    ).reshape(-1, 3)
-    rows.append(num_classes + np.repeat(np.arange(len(tri_cols)), 3))
-    cols.append(tri_cols.ravel())
-    data.append(np.full(tri_cols.size, -1.0))
-    n_ub = num_classes + len(tri_cols)
-    b_ub = np.concatenate([-shifts, np.full(len(tri_cols), -1.0)])
+    triangles = _seed_triangles(wf)
+    tri_rows, tri_cols, tri_data = _triangle_rows(triangles, col, num_classes)
+    rows = [np.arange(num_classes), k_idx, tri_rows]
+    cols = [np.zeros(num_classes, dtype=np.intp), col[off][j_idx], tri_cols]
+    data = [np.full(num_classes, -1.0), coef[k_idx, j_idx], tri_data]
+    n_ub = num_classes + len(triangles)
+    b_ub = np.concatenate([-shifts, np.full(len(triangles), -1.0)])
 
     # pairing: u[x][y] + u[y][x] = 1
     pairs = np.array(list(combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
@@ -230,6 +315,7 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
         n,
         wf=wf,
         shifts=shifts,
+        triangles=triangles,
     )
 
 
@@ -294,18 +380,20 @@ def _positional_objective(u: np.ndarray, lp: LinearProgram) -> float:
     return float(max(costs))
 
 
-def solve(lp: LinearProgram) -> FractionalSolution:
-    """Solve with HiGHS and read the structured solution back out."""
+def _highs(lp: LinearProgram, A_ub, b_ub) -> np.ndarray:
+    """HiGHS's optimum of ``lp`` with the given inequality rows."""
     res = linprog(
         lp.c,
-        A_ub=lp.A_ub,
-        b_ub=lp.b_ub,
+        A_ub=A_ub,
+        b_ub=b_ub,
         A_eq=lp.A_eq,
         b_eq=lp.b_eq,
         bounds=lp.bounds,
         method="highs",
     )
-    if res.status == 2:
+    # status 2 is also HiGHS's "Model error", a program it rejects outright;
+    # only its infeasibility verdict carries this message
+    if res.status == 2 and res.message.startswith("The problem is infeasible"):
         raise Infeasible(res.message)
     if res.status == 3:
         raise Unbounded(res.message)
@@ -313,14 +401,39 @@ def solve(lp: LinearProgram) -> FractionalSolution:
         raise IterationLimit(res.message)
     if res.status != 0:
         raise SolverError(res.message)
+    return res.x
 
+
+def solve(lp: LinearProgram) -> FractionalSolution:
+    """Solve with HiGHS and read the structured solution back out.
+
+    A pairwise program is solved again with every triangle row its optimum
+    violates appended, until it violates none that the program lacks.  The
+    rows come from a finite set, so this ends, and the returned optimum is
+    the optimum of the program with every triangle.
+    """
     if lp.kind == "pairwise":
-        u = np.zeros((lp.n, lp.n))
-        u[~np.eye(lp.n, dtype=bool)] = res.x[1:]
+        n = lp.n
+        every = n * (n - 1) * (n - 2) // 3  # 2 C(n, 3) triangles
+        A_ub, b_ub, present = lp.A_ub, lp.b_ub, lp.triangles
+        while True:
+            x = _highs(lp, A_ub, b_ub)
+            u = np.zeros((n, n))
+            u[~np.eye(n, dtype=bool)] = x[1:]
+            if len(present) == every:
+                break
+            new = _violated_triangles(u, present)
+            if not len(new):
+                break
+            rows, cols, data = _triangle_rows(new, _pair_columns(n), 0)
+            extra = _sparse([rows], [cols], [data], (len(new), len(lp.c)))
+            A_ub = vstack([A_ub, extra], format="csr")
+            b_ub = np.concatenate([b_ub, np.full(len(new), -1.0)])
+            present = np.concatenate([present, new])
         objective = _pairwise_objective(u, lp.wf, lp.shifts)
         return FractionalSolution("pairwise", objective, u_pair=u)
     if lp.kind == "positional":
-        u = res.x[1:1 + lp.n]
+        u = _highs(lp, lp.A_ub, lp.b_ub)[1:1 + lp.n]
         objective = _positional_objective(u, lp)
         return FractionalSolution("positional", objective, u_pos=u)
     raise SolverError(f"unknown program kind {lp.kind!r}")

@@ -1,10 +1,12 @@
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix, vstack
 
 from minmaxrank import (
     DistanceKind,
@@ -24,16 +26,20 @@ from minmaxrank import (
     minmax_objective,
     mmkt_conv,
     pairwise_weights,
+    restrict_to_min_witnesses,
     solve,
     tie_mass,
 )
+from minmaxrank import lp as lp_module
 from minmaxrank.cli import parse_gene_order_file
-from minmaxrank.lp import LinearProgram, _above_counts
+from minmaxrank.lp import LinearProgram, SolverError, _above_counts
+from minmaxrank.mallows import TwoLevelConfig, sample_instance
 from minmaxrank._rng import generator
 
 from conftest import random_instance, random_permutation
 
 TOL = 1e-6
+GENE_SAMPLE = Path(__file__).parents[1] / "data" / "sample_gene_orders.tsv"
 
 
 def gap_instance():
@@ -174,8 +180,7 @@ class TestKendallLP:
             )
 
     def test_gene_sample_size(self):
-        path = Path(__file__).parents[1] / "data" / "sample_gene_orders.tsv"
-        prog = build_kendall_lp(parse_gene_order_file(path.read_text()).instance)
+        prog = build_kendall_lp(parse_gene_order_file(GENE_SAMPLE.read_text()).instance)
         assert len(prog.c) == 1 + 36 * 35
         assert prog.A_ub.shape == (11 + 14_280, 1_261)
         assert prog.A_eq.shape == (630, 1_261)
@@ -204,6 +209,115 @@ class TestKendallLP:
             sol = solve(build_kendall_lp(inst))
             w = brute_force(inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN)
             assert sol.objective <= float(w.value) + TOL
+
+
+def full_triangle_optimum(prog):
+    """HiGHS's optimum of a pairwise program's class rows with every triangle.
+
+    Written out triple by triple, independently of the program's own
+    triangle rows.
+    """
+    n, num_classes = prog.n, len(prog.shifts)
+
+    def col(x, y):
+        return 1 + x * (n - 1) + y - (y > x)
+
+    tri_cols = []
+    for x, y, z in combinations(range(n), 3):
+        tri_cols.append([col(x, y), col(y, z), col(z, x)])
+        tri_cols.append([col(y, x), col(z, y), col(x, z)])
+    tri_cols = np.array(tri_cols, dtype=np.intp).reshape(-1, 3)
+    triangles = csr_matrix(
+        (np.full(tri_cols.size, -1.0),
+         (np.repeat(np.arange(len(tri_cols)), 3), tri_cols.ravel())),
+        shape=(len(tri_cols), len(prog.c)),
+    )
+    res = linprog(
+        prog.c,
+        A_ub=vstack([prog.A_ub[:num_classes], triangles]),
+        b_ub=np.concatenate([prog.b_ub[:num_classes], np.full(len(tri_cols), -1.0)]),
+        A_eq=prog.A_eq,
+        b_eq=prog.b_eq,
+        bounds=prog.bounds,
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun
+
+
+def assert_separation_exact(inst):
+    prog = build_kendall_lp(inst)
+    sol = solve(prog)
+    full = full_triangle_optimum(prog)
+    assert abs(sol.objective - full) <= 1e-7 * max(1.0, abs(full))
+    # every triangle, both orientations: u[x][y] + u[y][z] + u[z][x] >= 1
+    u = sol.u_pair
+    sums = u[:, :, None] + u[None, :, :] + u.T[:, None, :]
+    n = inst.n
+    idx = np.arange(n)
+    distinct = (
+        (idx[:, None, None] != idx[None, :, None])
+        & (idx[None, :, None] != idx[None, None, :])
+        & (idx[:, None, None] != idx[None, None, :])
+    )
+    assert (sums[distinct] >= 1.0 - TOL).all()
+
+
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """The inequality row count of every program handed to HiGHS."""
+    rows = []
+
+    def counting(*args, **kwargs):
+        rows.append(kwargs["A_ub"].shape[0])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "linprog", counting)
+    return rows
+
+
+class TestTriangleSeparation:
+    @pytest.mark.parametrize("n,trials", [(10, 6), (20, 2), (40, 1)])
+    def test_mallows_matches_full_program(self, n, trials):
+        for trial in range(trials):
+            inst = sample_instance(TwoLevelConfig.create(n, 3, 10, 0.7, 0.7), (12, trial))
+            assert_separation_exact(inst)
+            assert_separation_exact(restrict_to_min_witnesses(inst, DistanceKind.KENDALL_TAU))
+
+    def test_tied_unequal_weights_match_full_program(self, rng):
+        weights = (Fraction(3, 2), Fraction(2, 7), Fraction(5, 2))
+        for _ in range(20):
+            inst = random_instance(
+                rng, n_choices=(7,), m_choices=(2, 3, 4),
+                weight_choices=weights, allow_ties=True,
+            )
+            assert_separation_exact(inst)
+
+    def test_gene_sample_matches_full_program(self):
+        assert_separation_exact(parse_gene_order_file(GENE_SAMPLE.read_text()).instance)
+
+    def test_condorcet_cycle_adds_rows(self, highs_calls):
+        # one class, so every pair is undisputed and the seed is empty; the
+        # majority order without triangles is the cycle 1 > 2 > 3 > 1
+        members = tuple(make_permutation(p) for p in ([1, 2, 3], [2, 3, 1], [3, 1, 2]))
+        inst = Instance(3, (RankingClass(members, 1),))
+        prog = build_kendall_lp(inst)
+        assert prog.A_ub.shape[0] == 1
+        sol = solve(prog)
+        assert len(highs_calls) > 1
+        assert abs(sol.objective - full_triangle_optimum(prog)) < 1e-9
+        assert abs(sol.objective - 4 / 3) < TOL
+
+    def test_n_100_stays_far_below_full_program(self, highs_calls):
+        cfg = TwoLevelConfig.create(100, 3, 10, 0.7, 0.7)
+        inst = sample_instance(cfg, 5)
+        start = time.perf_counter()
+        res = mmkt_conv(inst)
+        elapsed = time.perf_counter() - start
+        assert float(res.objective) <= 2 * res.certificate + TOL
+        # the full program has 2 * C(100, 3) = 323,400 triangle rows
+        assert highs_calls and max(highs_calls) - 3 < 323_400 // 10
+        assert elapsed < 120
 
 
 class TestFootruleProgram:
@@ -280,3 +394,16 @@ class TestSolveErrors:
         )
         with pytest.raises(Unbounded):
             solve(prog)
+
+    def test_model_error_is_not_infeasible(self):
+        # HiGHS rejects a program with coefficients as large as 1e20
+        inst = Instance(
+            3,
+            (
+                RankingClass((Permutation.identity(3),), Fraction(10**20)),
+                RankingClass((make_permutation([3, 2, 1]),), Fraction(1)),
+            ),
+        )
+        with pytest.raises(SolverError) as err:
+            solve(build_kendall_lp(inst))
+        assert not isinstance(err.value, Infeasible)
