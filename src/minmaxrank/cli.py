@@ -14,21 +14,27 @@ Gene-order files have one genome per line: a name, a tab, and a signed
 permutation of 1..n.  Signs are stripped and each genome becomes its own
 singleton class with weight 1.
 
-Exit codes: 0 success, 2 usage error, parse error or unreadable file, 3
-incompatible flags, 4 instance too large for exact enumeration, 5 the LP
-solver rejected or failed on the program.
+Exit codes: 0 success, 2 usage error, parse error, unreadable file or
+unwritable ``benchmark --out`` path, 3 incompatible flags, 4 instance too
+large for exact enumeration, 5 the LP solver rejected or failed on the
+program.  Apart from argparse's usage errors and ``aggregate``'s flag check
+(exit 3), ``main`` is the one place where an error becomes an exit code:
+the ``_EXIT_CODES`` table maps each exception type to its code.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import functools
+import itertools
 import statistics
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import aggregators, exact, lp
 from .distances import DistanceKind, SetDistanceKind, effective_kind, set_distance
@@ -144,17 +150,12 @@ def parse_instance_file(text: str) -> ParsedFile:
                 line_no, f"ranking covers {len(covered)} of {n} elements"
             )
 
-    class_order: list[str] = []
     by_class: dict[str, list[tuple[int, Fraction, list[list[int]]]]] = {}
     for line_no, class_id, weight, buckets in entries:
-        if class_id not in by_class:
-            by_class[class_id] = []
-            class_order.append(class_id)
-        by_class[class_id].append((line_no, weight, buckets))
+        by_class.setdefault(class_id, []).append((line_no, weight, buckets))
 
     classes = []
-    for class_id in class_order:
-        rows = by_class[class_id]
+    for class_id, rows in by_class.items():
         weight = rows[0][1]
         for line_no, w, _ in rows[1:]:
             if w != weight:
@@ -170,15 +171,22 @@ def parse_instance_file(text: str) -> ParsedFile:
                 members.append(Permutation.from_order([b[0] for b in buckets]))
         classes.append(RankingClass(tuple(members), weight))
 
-    ordered_names = sorted(names, key=names.get)
-    return ParsedFile(
-        Instance(n, tuple(classes)), tuple(ordered_names), tuple(class_order)
-    )
+    # ids were given in first-seen order, so the keys are already sorted by id
+    return ParsedFile(Instance(n, tuple(classes)), tuple(names), tuple(by_class))
 
 
 def _format_weight(w: Fraction) -> str:
     decimal = repr(float(w))
     return decimal if Fraction(decimal) == w else str(w)
+
+
+def _format_ranking(ranking: Ranking, names: Sequence[str]) -> str:
+    """Names best to worst, with each tie group in braces."""
+    parts = []
+    for bucket in as_partial(ranking).buckets:
+        toks = [names[x - 1] for x in sorted(bucket)]
+        parts.append(toks[0] if len(toks) == 1 else "{ %s }" % " ".join(toks))
+    return " ".join(parts)
 
 
 def write_instance_file(
@@ -194,13 +202,9 @@ def write_instance_file(
     lines = ["elements: " + " ".join(element_names)]
     for k, cls in enumerate(inst.classes):
         for member in cls.members:
-            parts = []
-            for bucket in as_partial(member).buckets:
-                toks = [element_names[x - 1] for x in sorted(bucket)]
-                parts.append(toks[0] if len(bucket) == 1 else "{ %s }" % " ".join(toks))
             lines.append(
                 f"class={class_ids[k]} lambda={_format_weight(cls.weight)} : "
-                + " ".join(parts)
+                + _format_ranking(member, element_names)
             )
     return "\n".join(lines) + "\n"
 
@@ -319,37 +323,17 @@ def cmd_aggregate(args) -> int:
     if incompatible:
         print(f"error: {incompatible}", file=sys.stderr)
         return 3
-    try:
-        parsed = _read_parsed(args.file, args.gene_orders)
-    except (ParseError, OSError, UnicodeDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    parsed = _read_parsed(args.file, args.gene_orders)
     inst = parsed.instance
     kind = _DISTANCES[args.distance]
     set_kind = _SET_DISTANCES[args.setdist]
-    try:
-        result = run_algorithm(
-            args.algo, inst, kind, set_kind, args.seed, args.deterministic_ties
-        )
-    except lp.SolverError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 5
-    kind = effective_kind(inst, kind)
-    order = (
-        result.ranking.order()
-        if isinstance(result.ranking, Permutation)
-        else None
+    result = run_algorithm(
+        args.algo, inst, kind, set_kind, args.seed, args.deterministic_ties
     )
+    kind = effective_kind(inst, kind)
     print(f"algorithm: {args.algo}")
     print(f"distance: {kind.value}  setdist: {set_kind.value}")
-    if order is not None:
-        print("ranking: " + " ".join(parsed.element_names[x - 1] for x in order))
-    else:
-        parts = []
-        for bucket in result.ranking.buckets:
-            toks = [parsed.element_names[x - 1] for x in sorted(bucket)]
-            parts.append(toks[0] if len(toks) == 1 else "{ %s }" % " ".join(toks))
-        print("ranking: " + " ".join(parts))
+    print("ranking: " + _format_ranking(result.ranking, parsed.element_names))
     print(f"objective: {_fmt_rational(result.objective)}")
     for k, cls in enumerate(inst.classes):
         cost = set_distance(result.ranking, cls, kind, set_kind)
@@ -363,31 +347,16 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    try:
-        parsed = _read_parsed(args.file, args.gene_orders)
-    except (ParseError, OSError, UnicodeDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    parsed = _read_parsed(args.file, args.gene_orders)
     inst = parsed.instance
     kind = effective_kind(inst, _DISTANCES[args.distance])
     set_kind = _SET_DISTANCES[args.setdist]
-    try:
-        opt = exact.brute_force(inst, kind, set_kind, n_limit=args.n_limit)
-    except exact.TooLarge as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
+    opt = exact.brute_force(inst, kind, set_kind, n_limit=args.n_limit)
     print(f"n: {inst.n}")
     print(f"W: {_fmt_rational(opt.value)}")
-    print(
-        "optimal: "
-        + " ".join(parsed.element_names[x - 1] for x in opt.ranking.order())
-    )
+    print("optimal: " + _format_ranking(opt.ranking, parsed.element_names))
     if set_kind is SetDistanceKind.MEDIAN:
-        try:
-            gap = exact.lp_gap(inst, kind, n_limit=args.n_limit)
-        except lp.SolverError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 5
+        gap = exact.lp_gap(inst, kind, n_limit=args.n_limit)
         print(f"lp-gap: {gap:.6f}")
     return 0
 
@@ -409,9 +378,10 @@ class BenchmarkRow:
     seconds: float
 
 
-def _run_trial(task) -> list[BenchmarkRow]:
-    (trial, phi1, n, num_classes, per_class, phi2, seed, algos, dist_flag,
-     set_flag) = task
+def _run_trial(
+    n, num_classes, per_class, phi2, seed, algos, dist_flag, set_flag, point
+) -> list[BenchmarkRow]:
+    trial, phi1 = point
     cfg = TwoLevelConfig.create(n, num_classes, per_class, phi1, phi2)
     # keyed by (seed, trial) only: the same uniform stream serves every phi1,
     # coupling the sweeps and letting workers reproduce the serial run
@@ -452,20 +422,16 @@ def run_benchmark(
     """Run the two-level Mallows sweep; rows sorted by (trial, phi1, algo)."""
     if algos is None:
         algos = _BENCH_ALGOS[(set_flag, dist_flag)]
-    tasks = [
-        (trial, phi1, n, num_classes, per_class, phi2, seed, algos, dist_flag,
-         set_flag)
-        for trial in range(trials)
-        for phi1 in phi1_list
-    ]
-    rows: list[BenchmarkRow] = []
+    run = functools.partial(
+        _run_trial, n, num_classes, per_class, phi2, seed, algos, dist_flag, set_flag
+    )
+    points = itertools.product(range(trials), phi1_list)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_run_trial, tasks):
-                rows.extend(chunk)
+            chunks = list(pool.map(run, points))
     else:
-        for task in tasks:
-            rows.extend(_run_trial(task))
+        chunks = list(map(run, points))
+    rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r.trial, r.phi1, r.algo))
     return rows
 
@@ -489,25 +455,17 @@ def format_benchmark_csv(rows: list[BenchmarkRow], phi1_list, algos) -> str:
 
 def cmd_benchmark(args) -> int:
     algos = _BENCH_ALGOS[(args.setdist, args.distance)]
-    rows = run_benchmark(
-        args.n,
-        args.classes,
-        args.per_class,
-        args.phi1_list,
-        args.phi2,
-        args.trials,
-        args.seed,
-        args.distance,
-        args.setdist,
-        args.workers,
-        algos,
-    )
-    text = format_benchmark_csv(rows, args.phi1_list, algos)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # opened first, so an unwritable path fails before any trial runs
+    with (
+        open(args.out, "w", encoding="utf-8")
+        if args.out
+        else contextlib.nullcontext(sys.stdout)
+    ) as out:
+        rows = run_benchmark(
+            args.n, args.classes, args.per_class, args.phi1_list, args.phi2,
+            args.trials, args.seed, args.distance, args.setdist, args.workers, algos,
+        )
+        out.write(format_benchmark_csv(rows, args.phi1_list, algos))
     return 0
 
 
@@ -552,15 +510,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    agg = sub.add_parser("aggregate", help="aggregate a ranking instance file")
-    agg.add_argument("file")
-    agg.add_argument("--distance", choices=sorted(_DISTANCES), default="kt")
-    agg.add_argument("--setdist", choices=sorted(_SET_DISTANCES), default="med")
+    # the flags shared by the two commands that read an instance file
+    file_flags = argparse.ArgumentParser(add_help=False)
+    file_flags.add_argument("file")
+    file_flags.add_argument("--distance", choices=sorted(_DISTANCES), default="kt")
+    file_flags.add_argument("--setdist", choices=sorted(_SET_DISTANCES), default="med")
+    file_flags.add_argument("--gene-orders", action="store_true",
+                            help="parse the file as signed gene orders")
+
+    agg = sub.add_parser("aggregate", parents=[file_flags],
+                         help="aggregate a ranking instance file")
     agg.add_argument("--algo", choices=sorted(_ALGORITHMS), default="mmkt")
     agg.add_argument("--seed", type=_seed, default=0)
     agg.add_argument("--deterministic-ties", action="store_true")
-    agg.add_argument("--gene-orders", action="store_true",
-                     help="parse the file as signed gene orders")
     agg.set_defaults(func=cmd_aggregate)
 
     ben = sub.add_parser("benchmark", help="two-level Mallows benchmark sweep")
@@ -577,20 +539,31 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--out", default=None)
     ben.set_defaults(func=cmd_benchmark)
 
-    exa = sub.add_parser("exact", help="brute-force optimum (small instances)")
-    exa.add_argument("file")
-    exa.add_argument("--distance", choices=sorted(_DISTANCES), default="kt")
-    exa.add_argument("--setdist", choices=sorted(_SET_DISTANCES), default="med")
+    exa = sub.add_parser("exact", parents=[file_flags],
+                         help="brute-force optimum (small instances)")
     exa.add_argument("--n-limit", type=_positive_int, default=8)
-    exa.add_argument("--gene-orders", action="store_true")
     exa.set_defaults(func=cmd_exact)
 
     return parser
 
 
+# the exit code of each error a command may end in
+_EXIT_CODES = {
+    ParseError: 2,
+    OSError: 2,
+    UnicodeDecodeError: 2,
+    exact.TooLarge: 4,
+    lp.SolverError: 5,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_EXIT_CODES) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
 
 
 def entry_point() -> None:

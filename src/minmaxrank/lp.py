@@ -86,14 +86,6 @@ class PairwiseWeights:
 
     w: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.w)
-
-    @property
-    def n(self) -> int:
-        return len(self.w[0])
-
 
 @dataclass(frozen=True)
 class TieMass:

@@ -288,10 +288,3 @@ class Instance:
         for k, cls in enumerate(self.classes):
             for i, member in enumerate(cls.members):
                 yield k, i, member
-
-
-def make_instance(classes: Iterable[RankingClass]) -> Instance:
-    classes = tuple(classes)
-    if not classes:
-        raise RankingError("instance must have at least one class")
-    return Instance(classes[0].n, classes)

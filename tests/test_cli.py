@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import minmaxrank
+from minmaxrank import cli
 from minmaxrank import Instance, Permutation, RankingClass, make_partial_ranking
 from minmaxrank.cli import (
     ParseError,
@@ -256,6 +257,51 @@ class TestCommands:
         assert main(["exact", str(path)]) == 4
 
 
+@pytest.fixture
+def tied_file(tmp_path):
+    path = tmp_path / "tied.txt"
+    path.write_text(TIED_FILE)
+    return str(path)
+
+
+_TIED_KEMENY_REPORT = """\
+distance: kemeny  setdist: median
+ranking: z y x w
+objective: 5/2 (2.5)
+class 1: weight=0.5 cost=5 (5) weighted=5/2 (2.5)
+class 2: weight=2.0 cost=0 (0) weighted=0 (0)
+"""
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--algo", "mmkt"],
+         "algorithm: mmkt\n" + _TIED_KEMENY_REPORT + "certificate: 2.068966\n"),
+        (["--algo", "min-mmsp", "--distance", "sf", "--setdist", "min"],
+         "algorithm: min-mmsp\n"
+         "distance: partial-footrule  setdist: minimum\n"
+         "ranking: z x y w\n"
+         "objective: 4 (4)\n"
+         "class 1: weight=0.5 cost=6 (6) weighted=3 (3)\n"
+         "class 2: weight=2.0 cost=2 (2) weighted=4 (4)\n"),
+        (["--algo", "pick-opt"], "algorithm: pick-opt\n" + _TIED_KEMENY_REPORT),
+    ],
+)
+def test_aggregate_golden_output(flags, expected, tied_file, capsys):
+    assert main(["aggregate", tied_file, *flags]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
+def test_exact_golden_output(gap_file, capsys):
+    assert main(["exact", gap_file, "--setdist", "med"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "n: 4\nW: 1 (1)\noptimal: 1 2 3 4\nlp-gap: 2.000000\n"
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -357,6 +403,19 @@ class TestBenchmark:
         parallel = run_benchmark(**kwargs, workers=2)
         strip = lambda rows: [(r.trial, r.phi1, r.algo, r.objective) for r in rows]
         assert strip(serial) == strip(parallel)
+
+    def test_unwritable_out_fails_before_any_trial(self, tmp_path, monkeypatch,
+                                                   capsys):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_benchmark", no_trials)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["benchmark", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_summary_footer_layout(self):
         rows = run_benchmark(n=4, num_classes=2, per_class=1, phi1_list=[0.5, 0.9],
