@@ -26,6 +26,7 @@ from .distances import (
     doubled_distances,
     effective_kind,
     minmax_objective,
+    scaled_class_costs,
 )
 from .lp import _above_counts, build_footrule_program, build_kendall_lp, solve
 from .rankings import Instance, Permutation, Ranking, RankingClass, twice_positions
@@ -245,49 +246,35 @@ def pick_rnd_perm(
     return AggregationResult(chosen, minmax_objective(chosen, inst, kind, set_kind))
 
 
+def _best_member(inst: Instance, candidates: list, kind: DistanceKind,
+                 set_kind: SetDistanceKind) -> tuple[tuple, Fraction]:
+    """The first (class, index, member) of least objective, and its objective."""
+    rows = [inst.class_starts[k] + i for k, i, _ in candidates]
+    costs, scale = scaled_class_costs(inst.member_tw[rows], inst, kind, set_kind)
+    worst = costs.max(axis=1).tolist()
+    j = worst.index(min(worst))
+    return candidates[j], Fraction(worst[j], scale)
+
+
 def pick_opt_perm(
     inst: Instance, kind: DistanceKind, set_kind: SetDistanceKind
 ) -> AggregationResult:
     """Best member of the heaviest classes; ties keep the first (class, index)."""
     kind = effective_kind(inst, kind)
-    best = None
-    best_obj = None
-    for _, _, member in max_weight_members(inst):
-        obj = minmax_objective(member, inst, kind, set_kind)
-        if best_obj is None or obj < best_obj:
-            best, best_obj = member, obj
-    return AggregationResult(best, best_obj)
-
-
-def _min_pick_indices(inst: Instance, kind: DistanceKind) -> tuple[int, int]:
-    """(class, index) of the member with the smallest cross-class min score."""
-    if inst.num_classes == 1:
-        return 0, 0
-    index = list(inst.iter_members())
-    tw = twice_positions([member for _, _, member in index])
-    starts = np.cumsum([0] + [cls.m for cls in inst.classes[:-1]])
-    # nearest[g][j]: twice the distance from member g to its nearest in class j
-    nearest = np.minimum.reduceat(
-        doubled_distances(tw, tw, kind.positional), starts, axis=1
-    ).tolist()
-    scores = [
-        max(cls.weight * row[j] for j, cls in enumerate(inst.classes) if j != k)
-        for (k, _, _), row in zip(index, nearest)
-    ]
-    k, i, _ = index[scores.index(min(scores))]
-    return k, i
+    (_, _, best), obj = _best_member(inst, max_weight_members(inst), kind, set_kind)
+    return AggregationResult(best, obj)
 
 
 def min_pick_perm(inst: Instance, kind: DistanceKind) -> AggregationResult:
     """Member selection for the minimum set-distance problem (2-approx).
 
-    With a single class every member is optimal and the first is returned
-    (the cross-class score is vacuous).
+    Ties keep the first (class, index).  A member's own class costs it 0,
+    so with a single class every member is optimal and the first is returned.
     """
     kind = effective_kind(inst, kind)
-    k, i = _min_pick_indices(inst, kind)
-    member = inst.classes[k].members[i]
-    objective = minmax_objective(member, inst, kind, SetDistanceKind.MINIMUM)
+    (_, _, member), objective = _best_member(
+        inst, list(inst.iter_members()), kind, SetDistanceKind.MINIMUM
+    )
     return AggregationResult(member, objective)
 
 
@@ -300,20 +287,15 @@ def restrict_to_min_witnesses(inst: Instance, kind: DistanceKind) -> Instance:
     approximates the original minimum-distance problem.
     """
     kind = effective_kind(inst, kind)
-    k_star, i_star = _min_pick_indices(inst, kind)
-    anchor = inst.classes[k_star].members[i_star]
-    anchor_tw = twice_positions([anchor])
+    (k_star, _, anchor), _ = _best_member(
+        inst, list(inst.iter_members()), kind, SetDistanceKind.MINIMUM
+    )
+    d2 = doubled_distances(twice_positions([anchor]), inst.member_tw, kind.positional)
+    lows = np.minimum.reduceat(d2[0], inst.class_starts)
     classes = []
-    for j, cls in enumerate(inst.classes):
-        if j == k_star:
-            classes.append(RankingClass((anchor,), cls.weight))
-            continue
-        d2 = doubled_distances(
-            anchor_tw, twice_positions(cls.members), kind.positional
-        )[0]
-        lo = d2.min()
-        kept = tuple(s for s, d in zip(cls.members, d2) if d == lo)
-        classes.append(RankingClass(kept, cls.weight))
+    for j, (cls, start, lo) in enumerate(zip(inst.classes, inst.class_starts, lows)):
+        kept = [s for s, d in zip(cls.members, d2[0, start:]) if d == lo]
+        classes.append(RankingClass((anchor,) if j == k_star else kept, cls.weight))
     return Instance(inst.n, tuple(classes))
 
 
@@ -378,7 +360,7 @@ def median_footrule_matching_baseline(
     Minimizes the pooled (unweighted) footrule exactly; no minmax guarantee.
     """
     kind = effective_kind(inst, kind or DistanceKind.SPEARMAN_FOOTRULE)
-    tw = twice_positions([member for _, _, member in inst.iter_members()])
+    tw = inst.member_tw
     # cost[x][t - 1]: pooled |2 * position - 2t| of element x + 1 at rank t
     cost = np.abs(tw[:, :, None] - 2 * np.arange(1, inst.n + 1)).sum(axis=0)
     _, cols = linear_sum_assignment(cost)

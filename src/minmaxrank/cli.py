@@ -352,11 +352,13 @@ def cmd_exact(args) -> int:
     kind = effective_kind(inst, _DISTANCES[args.distance])
     set_kind = _SET_DISTANCES[args.setdist]
     opt = exact.brute_force(inst, kind, set_kind, n_limit=args.n_limit)
+    # the gap comes first, so a solver failure leaves stdout empty
+    median = set_kind is SetDistanceKind.MEDIAN
+    gap = exact.lp_gap(inst, kind, n_limit=args.n_limit) if median else None
     print(f"n: {inst.n}")
     print(f"W: {_fmt_rational(opt.value)}")
     print("optimal: " + _format_ranking(opt.ranking, parsed.element_names))
-    if set_kind is SetDistanceKind.MEDIAN:
-        gap = exact.lp_gap(inst, kind, n_limit=args.n_limit)
+    if median:
         print(f"lp-gap: {gap:.6f}")
     return 0
 

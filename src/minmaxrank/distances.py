@@ -14,13 +14,15 @@ twice each distance is an L1 distance between rows of twice-positions
 (footrule) or of pair signs (Kemeny, counting tied-in-one pairs as 1/2 as
 in Fagin et al., "Comparing and aggregating rankings with ties", PODS 2004).
 Values are exact: integers for the permutation distances, half-integer
-Fractions for the partial-ranking ones.  Rank-set distances aggregate a
-class either by averaging (median) or by taking the best member (minimum),
-and the minmax objective is the weighted worst class.
+Fractions for the partial-ranking ones.  A class costs the mean (median) or
+the least (minimum) distance to its members, times its weight; the minmax
+objective is the worst class.  ``scaled_class_costs`` gives these costs for
+any candidate rows in one kernel call against the instance's member view.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -164,14 +166,31 @@ def set_distance(
     kind: DistanceKind,
     set_kind: SetDistanceKind,
 ) -> Fraction:
-    """Distance from a ranking to a class: mean or minimum over members."""
-    _check(p, cls.members[0], kind)
-    d2 = doubled_distances(
-        twice_positions([p]), twice_positions(cls.members), kind.positional
-    )
+    """Distance to a class: mean or minimum over members, one pair at a time."""
+    ds = [distance(p, member, kind) for member in cls.members]
     if set_kind is SetDistanceKind.MEDIAN:
-        return Fraction(int(d2.sum()), 2 * cls.m)
-    return Fraction(int(d2.min()), 2)
+        return Fraction(sum(ds), cls.m)
+    return Fraction(min(ds))
+
+
+def scaled_class_costs(
+    rows: np.ndarray, inst: Instance, kind: DistanceKind, set_kind: SetDistanceKind
+) -> tuple[np.ndarray, int]:
+    """Exact weighted class costs of twice-position rows, and their scale.
+
+    Entry [g, k] of the (len rows, C) object array, over the scale, is
+    weight_k * set_distance(row g, class k).  The scale is the least common
+    denominator of the factors weight / 2m (median) or weight / 2 (minimum)
+    that turn twice the distances into costs, and the entries are Python
+    ints, so no weight can overflow them.
+    """
+    d2 = doubled_distances(rows, inst.member_tw, kind.positional)
+    median = set_kind is SetDistanceKind.MEDIAN
+    reduce = np.add.reduceat if median else np.minimum.reduceat
+    factors = [cls.weight / (2 * cls.m if median else 2) for cls in inst.classes]
+    scale = math.lcm(*(f.denominator for f in factors))
+    int_factors = np.array([int(f * scale) for f in factors], dtype=object)
+    return reduce(d2, inst.class_starts, axis=1).astype(object) * int_factors, scale
 
 
 def minmax_objective(
@@ -181,9 +200,10 @@ def minmax_objective(
     set_kind: SetDistanceKind,
 ) -> Fraction:
     """max over classes of weight * set_distance -- the quantity minimized."""
-    return max(
-        cls.weight * set_distance(p, cls, kind, set_kind) for cls in inst.classes
-    )
+    for cls in inst.classes:
+        _check(p, cls.members[0], kind)
+    costs, scale = scaled_class_costs(twice_positions([p]), inst, kind, set_kind)
+    return Fraction(costs.max(), scale)
 
 
 def effective_kind(inst: Instance, kind: DistanceKind) -> DistanceKind:

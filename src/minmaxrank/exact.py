@@ -1,11 +1,11 @@
 """Brute-force minmax optimum by full enumeration of the output space.
 
 Used as the ground-truth oracle when checking approximation ratios.
-Candidates are scored in blocks of rows, one distance-kernel call per class
-and block, so memory stays bounded however large n! is.  Objectives are
-compared in scaled integers (twice the distance, times the least common
-denominator of the class factors), held as Python ints so no weight can
-overflow them; the reported value is an exact Fraction.
+Candidates are scored in blocks of rows, one ``scaled_class_costs`` call
+(one distance-kernel call against the instance's member view) per block,
+so memory stays bounded however large n! is.  Objectives are compared as
+the scaled Python ints that function returns, so no weight can overflow
+them; the reported value is an exact Fraction.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from itertools import islice, permutations
 
 import numpy as np
 
-from .distances import BLOCK_ELEMENTS, DistanceKind, SetDistanceKind, doubled_distances
+from .distances import BLOCK_ELEMENTS, DistanceKind, SetDistanceKind, scaled_class_costs
 from .lp import build_footrule_program, build_kendall_lp, solve
-from .rankings import Instance, Permutation, twice_positions
+from .rankings import Instance, Permutation
 
 
 class TooLarge(ValueError):
@@ -49,31 +49,14 @@ def brute_force(
     if n > n_limit:
         raise TooLarge(f"n={n} exceeds enumeration limit {n_limit}")
 
-    # Exact integer scaling: objective * scale is integral for every class.
-    if set_kind is SetDistanceKind.MEDIAN:
-        factors = [cls.weight / (2 * cls.m) for cls in inst.classes]
-        aggregate = np.sum
-    else:
-        factors = [cls.weight / 2 for cls in inst.classes]
-        aggregate = np.min
-    scale = math.lcm(*(f.denominator for f in factors))
-    int_factors = [int(f * scale) for f in factors]
-    class_tw = [twice_positions(cls.members) for cls in inst.classes]
-
     candidates = permutations(range(1, n + 1))  # lexicographic rank arrays
     rows = max(1, BLOCK_ELEMENTS // (n * n))  # a block's pair signs stay in budget
     best_scaled = None
     optima: list[tuple[int, ...]] = []
     while block := list(islice(candidates, rows)):
         tw = 2 * np.array(block, dtype=np.int64)
-        scaled = np.max(
-            [
-                aggregate(doubled_distances(tw, members, kind.positional), axis=1)
-                .astype(object) * f
-                for f, members in zip(int_factors, class_tw)
-            ],
-            axis=0,
-        )
+        costs, scale = scaled_class_costs(tw, inst, kind, set_kind)
+        scaled = costs.max(axis=1)
         lo = scaled.min()
         hits = [block[i] for i in np.flatnonzero(scaled == lo)]
         if best_scaled is None or lo < best_scaled:

@@ -104,11 +104,10 @@ class FractionalSolution:
 
 def _above_counts(inst: Instance) -> np.ndarray:
     """(C, n, n) int array: members of class k ranking x+1 strictly above y+1."""
-    counts = []
-    for cls in inst.classes:
-        tw = twice_positions(cls.members)
-        counts.append((tw[:, :, None] < tw[:, None, :]).sum(axis=0))
-    return np.stack(counts)
+    return np.stack([
+        (tw[:, :, None] < tw[:, None, :]).sum(axis=0)
+        for tw in np.split(inst.member_tw, inst.class_starts[1:])
+    ])
 
 
 def pairwise_weights(inst: Instance) -> PairwiseWeights:
@@ -122,12 +121,9 @@ def pairwise_weights(inst: Instance) -> PairwiseWeights:
 
 def tie_mass(inst: Instance) -> TieMass:
     """Average tied-pair count per class (the constant part of its cost)."""
-    return TieMass(
-        tuple(
-            Fraction(int((pair_signs(twice_positions(cls.members)) == 0).sum()), cls.m)
-            for cls in inst.classes
-        )
-    )
+    tied = (pair_signs(inst.member_tw) == 0).sum(axis=1)
+    counts = np.add.reduceat(tied, inst.class_starts).tolist()
+    return TieMass(tuple(Fraction(c, cls.m) for c, cls in zip(counts, inst.classes)))
 
 
 def kendall_class_costs(inst: Instance, perm) -> list[Fraction]:
@@ -320,9 +316,9 @@ def build_footrule_program(inst: Instance) -> LinearProgram:
     rows, cols, data, b_ub = [], [], [], []
     class_pos, lam_over_m = [], []
     row0, col0 = 0, 1 + n
-    for cls in inst.classes:
+    for cls, tw in zip(inst.classes, np.split(inst.member_tw, inst.class_starts[1:])):
         lam = float(cls.weight) / cls.m
-        pos = twice_positions(cls.members) / 2
+        pos = tw / 2
         lam_over_m.append(lam)
         class_pos.append(pos)
         size = pos.size

@@ -11,13 +11,16 @@ half-integers (``Fraction`` with denominator 1 or 2) so comparisons never
 hit floating-point ties.
 
 All types are immutable after construction and validate their invariants in
-``__post_init__``; they are safe to share across threads or processes.
+``__post_init__``; they are safe to share across threads or processes.  The
+member view ``Instance.member_tw`` is built on first use and is read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -270,6 +273,18 @@ class Instance:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def member_tw(self) -> np.ndarray:
+        """(M, n) read-only ``twice_positions`` of all members, class by class."""
+        tw = twice_positions([member for _, _, member in self.iter_members()])
+        tw.flags.writeable = False
+        return tw
+
+    @cached_property
+    def class_starts(self) -> tuple[int, ...]:
+        """The ``member_tw`` row of each class's first member."""
+        return tuple(accumulate((cls.m for cls in self.classes[:-1]), initial=0))
 
     def max_weight(self) -> Fraction:
         return max(cls.weight for cls in self.classes)

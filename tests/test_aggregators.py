@@ -18,6 +18,7 @@ from minmaxrank import (
     brute_force,
     build_footrule_program,
     build_kendall_lp,
+    effective_kind,
     make_partial_ranking,
     make_permutation,
     max_weight_members,
@@ -33,6 +34,7 @@ from minmaxrank import (
     pick_rnd_perm,
     pivot_rounding,
     restrict_to_min_witnesses,
+    set_distance,
     solve,
 )
 from minmaxrank.aggregators import _pivot_costs, positions_to_order
@@ -390,7 +392,10 @@ class TestPickAlgorithms:
             3,
             (RankingClass((Permutation.identity(3), make_permutation([3, 2, 1])), 1),),
         )
-        assert pick_opt_perm(inst, KT, MED).objective == Fraction(3, 2)
+        res = pick_opt_perm(inst, KT, MED)
+        assert res.objective == Fraction(3, 2)
+        # both members cost 3/2; the first (class, index) wins
+        assert res.ranking is inst.classes[0].members[0]
 
     def test_expected_pick_rnd_within_two_w(self, rng):
         for _ in range(15):
@@ -408,6 +413,54 @@ class TestPickAlgorithms:
         a = pick_rnd_perm(inst, KT, MED, rng_seed=123)
         b = pick_rnd_perm(inst, KT, MED, rng_seed=123)
         assert a == b
+
+
+def reference_objective(p, inst, kind, set_kind, skip=None):
+    """Weighted worst class over the per-member ``set_distance``, in Fractions."""
+    return max(
+        (
+            cls.weight * set_distance(p, cls, kind, set_kind)
+            for k, cls in enumerate(inst.classes)
+            if k != skip
+        ),
+        default=Fraction(0),
+    )
+
+
+@pytest.mark.parametrize("set_kind", [MED, MIN])
+@pytest.mark.parametrize("family", [KT, SF])
+@pytest.mark.parametrize("ties", [False, True])
+def test_objective_and_picks_match_set_distance_reference(ties, family, set_kind):
+    rng = generator(7 + 2 * ties)
+    for _ in range(25):
+        inst = random_instance(
+            rng, n_choices=(3, 4, 5, 6, 7), c_choices=(1, 2, 3),
+            m_choices=(1, 2, 3, 4), allow_ties=ties,
+            weight_choices=(Fraction(1, 3), Fraction(7, 5), Fraction(0.1)),
+        )
+        kind = effective_kind(inst, family)
+        members = list(inst.iter_members())
+        for p in [m for _, _, m in members] + [random_permutation(rng, inst.n)]:
+            assert minmax_objective(p, inst, kind, set_kind) == reference_objective(
+                p, inst, kind, set_kind
+            )
+
+        # pick-opt: the first heaviest-class member of least objective
+        candidates = max_weight_members(inst)
+        scores = [
+            reference_objective(m, inst, kind, set_kind) for _, _, m in candidates
+        ]
+        res = pick_opt_perm(inst, family, set_kind)
+        assert res.ranking is candidates[scores.index(min(scores))][2]
+        assert res.objective == min(scores)
+
+        # min-pick: the first member of least score over the other classes
+        scores = [
+            reference_objective(m, inst, kind, MIN, skip=k) for k, _, m in members
+        ]
+        res = min_pick_perm(inst, family)
+        assert res.ranking is members[scores.index(min(scores))][2]
+        assert res.objective == min(scores)
 
 
 class TestMinPick:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -346,7 +347,9 @@ def test_extreme_lambda_exits_with_message(argv, weight, code, tmp_path, capsys)
     path = tmp_path / "extreme.txt"
     path.write_text(f"class=a lambda={weight} : 1 2 3\nclass=b lambda=1 : 3 2 1\n")
     assert main([argv[0], str(path), *argv[1:]]) == code
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["aggregate", "exact"])
@@ -416,6 +419,28 @@ class TestBenchmark:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "set_flag, dist_flag, digest",
+        [
+            ("med", "kt",
+             "4e645d8797fb9953e834daf855fac7d97d22cda8f452d43546f7779601b38cb0"),
+            ("med", "sf",
+             "f887c76ecd1b3685d5827b356e68b82b3206af99c459eb0d4b91e30f787ff489"),
+            ("min", "kt",
+             "eb1164e6e48bde787ddbfaf837b538f25c4becc69a433cd1ac3a0e4eb2e72ebc"),
+            ("min", "sf",
+             "8bc06e8919a204cfeb1db369565bc7d5595a0b7ac849295d846d43b1808b5b9d"),
+        ],
+    )
+    def test_golden_sweep(self, set_flag, dist_flag, digest):
+        # a change that moves any row must update the digest and say why
+        rows = run_benchmark(n=8, num_classes=3, per_class=10,
+                             phi1_list=[0.5, 0.7, 0.9, 1.0], phi2=0.7, trials=3,
+                             seed=0, dist_flag=dist_flag, set_flag=set_flag)
+        text = "".join(f"{r.trial},{r.phi1!r},{r.algo},{r.objective!r}\n"
+                       for r in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_summary_footer_layout(self):
         rows = run_benchmark(n=4, num_classes=2, per_class=1, phi1_list=[0.5, 0.9],

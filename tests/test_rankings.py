@@ -181,3 +181,34 @@ class TestClassesAndInstances:
     def test_instance_size_check(self):
         with pytest.raises(RankingError):
             Instance(3, (RankingClass((Permutation.identity(2),), 1),))
+
+
+class TestMemberView:
+    def instance(self):
+        return Instance(
+            3,
+            (
+                RankingClass((Permutation.identity(3), make_permutation([3, 1, 2])), 2),
+                RankingClass((make_partial_ranking([{1, 2}, {3}]),), Fraction(1, 3)),
+            ),
+        )
+
+    def test_rows_follow_classes(self):
+        inst = self.instance()
+        members = [m for _, _, m in inst.iter_members()]
+        assert inst.member_tw.tolist() == twice_positions(members).tolist()
+        assert inst.class_starts == (0, 2)
+
+    def test_view_is_read_only(self):
+        inst = self.instance()
+        with pytest.raises(ValueError):
+            inst.member_tw[0, 0] = 0
+        assert inst.member_tw[0, 0] == 2
+
+    def test_built_view_leaves_equality_hash_and_repr(self):
+        built, fresh = self.instance(), self.instance()
+        built.member_tw
+        assert "member_tw" in vars(built) and "member_tw" not in vars(fresh)
+        assert built == fresh
+        assert hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh)
