@@ -28,7 +28,7 @@ from .distances import (
     minmax_objective,
     scaled_class_costs,
 )
-from .lp import _above_counts, build_footrule_program, build_kendall_lp, solve
+from .lp import build_footrule_program, build_kendall_lp, solve
 from .rankings import Instance, Permutation, Ranking, RankingClass, twice_positions
 from ._rng import generator
 
@@ -341,7 +341,7 @@ def median_pivot_baseline(
     """
     kind = effective_kind(inst, kind or DistanceKind.KENDALL_TAU)
     # maj[x][y]: members of all classes pooled ranking x + 1 above y + 1
-    maj = _above_counts(inst).sum(axis=0)
+    maj = inst.above_counts.sum(axis=0)
     rng = generator(rng_seed)
     order = _pivot_sort(
         maj > maj.T, lambda active: active[int(rng.integers(len(active)))]

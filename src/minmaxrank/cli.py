@@ -354,7 +354,7 @@ def cmd_exact(args) -> int:
     opt = exact.brute_force(inst, kind, set_kind, n_limit=args.n_limit)
     # the gap comes first, so a solver failure leaves stdout empty
     median = set_kind is SetDistanceKind.MEDIAN
-    gap = exact.lp_gap(inst, kind, n_limit=args.n_limit) if median else None
+    gap = exact.relaxation_gap(inst, kind, opt.value) if median else None
     print(f"n: {inst.n}")
     print(f"W: {_fmt_rational(opt.value)}")
     print("optimal: " + _format_ranking(opt.ranking, parsed.element_names))

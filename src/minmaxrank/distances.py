@@ -87,10 +87,16 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def pair_signs(tw: np.ndarray) -> np.ndarray:
     """(len, n(n-1)/2) int8 array of sign(tw[:, x] - tw[:, y]) over pairs x < y.
 
-    -1 means x is ranked above y, 1 below, 0 tied.
+    -1 means x is ranked above y, 1 below, 0 tied.  The pair columns are
+    gathered in the narrowest dtype that holds twice-positions (at most
+    2n) and compared, not subtracted, so no int64 temporary of the result's
+    size is built.
     """
-    x, y = _pairs(tw.shape[1])
-    return np.sign(tw[:, x] - tw[:, y]).astype(np.int8)
+    n = tw.shape[1]
+    x, y = _pairs(n)
+    narrow = tw.astype(np.min_scalar_type(2 * n))
+    first, second = narrow.take(x, axis=1), narrow.take(y, axis=1)
+    return (first > second).view(np.int8) - (first < second).view(np.int8)
 
 
 def doubled_distances(p: np.ndarray, q: np.ndarray, positional: bool) -> np.ndarray:

@@ -69,16 +69,21 @@ def brute_force(
     return OptimalSolution(Permutation(optima[0]), value, all_optima)
 
 
-def lp_gap(inst: Instance, kind: DistanceKind, n_limit: int = 8) -> float:
-    """Exact optimum over the relaxation optimum (1.0 when both are zero)."""
-    opt = brute_force(inst, kind, SetDistanceKind.MEDIAN, n_limit=n_limit)
+def relaxation_gap(inst: Instance, kind: DistanceKind, optimum: Fraction) -> float:
+    """A known median optimum over the relaxation optimum (1.0 when both are zero)."""
     if kind.positional:
         prog = build_footrule_program(inst)
     else:
         prog = build_kendall_lp(inst)
     relaxed = solve(prog).objective
-    w = float(opt.value)
+    w = float(optimum)
     tol = 1e-9
     if relaxed < tol:
         return 1.0 if w < tol else math.inf
     return w / relaxed
+
+
+def lp_gap(inst: Instance, kind: DistanceKind, n_limit: int = 8) -> float:
+    """Exact optimum over the relaxation optimum (1.0 when both are zero)."""
+    opt = brute_force(inst, kind, SetDistanceKind.MEDIAN, n_limit=n_limit)
+    return relaxation_gap(inst, kind, opt.value)

@@ -12,23 +12,25 @@ Two programs are built here:
 * the footrule program over free positions u(1..n), reformulated exactly
   as an LP by splitting the absolute deviations into nonnegative slacks.
 
-Both are assembled directly as the sparse arrays scipy's HiGHS backend
-takes.  Fractional solutions keep the raw variable values; the reported
-objective is recomputed from the variables so it always equals the worst
-class cost implied by them.
+The Kendall program's class weights, the tie mass, ``pairwise_weights``
+and ``kendall_class_costs`` all read the instance's pairwise-count view
+``Instance.above_counts``; members' pairwise orders are counted nowhere
+else.  Both programs are assembled directly as the sparse arrays scipy's
+HiGHS backend takes.  Fractional solutions keep the raw variable values;
+the reported objective is recomputed from the variables so it always
+equals the worst class cost implied by them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix, vstack
 
-from .distances import BLOCK_ELEMENTS, pair_signs
+from .distances import BLOCK_ELEMENTS
 from .rankings import Instance, twice_positions
 
 
@@ -102,28 +104,26 @@ class FractionalSolution:
     u_pos: np.ndarray | None = None  # (n,) real positions
 
 
-def _above_counts(inst: Instance) -> np.ndarray:
-    """(C, n, n) int array: members of class k ranking x+1 strictly above y+1."""
-    return np.stack([
-        (tw[:, :, None] < tw[:, None, :]).sum(axis=0)
-        for tw in np.split(inst.member_tw, inst.class_starts[1:])
-    ])
-
-
 def pairwise_weights(inst: Instance) -> PairwiseWeights:
     """Weighted fraction of each class ranking x strictly above y."""
     out = []
-    for cls, counts in zip(inst.classes, _above_counts(inst).tolist()):
+    for cls, counts in zip(inst.classes, inst.above_counts.tolist()):
         unit = cls.weight / cls.m
         out.append(tuple(tuple(unit * c for c in row) for row in counts))
     return PairwiseWeights(tuple(out))
 
 
 def tie_mass(inst: Instance) -> TieMass:
-    """Average tied-pair count per class (the constant part of its cost)."""
-    tied = (pair_signs(inst.member_tw) == 0).sum(axis=1)
-    counts = np.add.reduceat(tied, inst.class_starts).tolist()
-    return TieMass(tuple(Fraction(c, cls.m) for c, cls in zip(counts, inst.classes)))
+    """Average tied-pair count per class (the constant part of its cost).
+
+    A member orders each of the C(n, 2) pairs one way or ties it, so a
+    class's tied pairs are m C(n, 2) less its ordered ones.
+    """
+    pairs = inst.n * (inst.n - 1) // 2
+    ordered = inst.above_counts.sum(axis=(1, 2)).tolist()
+    return TieMass(tuple(
+        Fraction(cls.m * pairs - o, cls.m) for o, cls in zip(ordered, inst.classes)
+    ))
 
 
 def kendall_class_costs(inst: Instance, perm) -> list[Fraction]:
@@ -136,7 +136,7 @@ def kendall_class_costs(inst: Instance, perm) -> list[Fraction]:
     tw = twice_positions([perm])[0]
     # below[x][y]: pi ranks y + 1 above x + 1, i.e. u[y][x] = 1
     below = tw[None, :] < tw[:, None]
-    sums = (_above_counts(inst) * below).sum(axis=(1, 2)).tolist()
+    sums = (inst.above_counts * below).sum(axis=(1, 2)).tolist()
     return [
         cls.weight * ties.t[k] / 2 + cls.weight * s / cls.m
         for k, (cls, s) in enumerate(zip(inst.classes, sums))
@@ -260,7 +260,7 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
             c * cls.weight.numerator / (cls.weight.denominator * cls.m)
             for c in range(cls.m + 1)
         ])[counts]
-        for cls, counts in zip(inst.classes, _above_counts(inst))
+        for cls, counts in zip(inst.classes, inst.above_counts)
     ])
     ties = tie_mass(inst)
     shifts = np.array(
@@ -281,13 +281,12 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     b_ub = np.concatenate([-shifts, np.full(len(triangles), -1.0)])
 
     # pairing: u[x][y] + u[y][x] = 1
-    pairs = np.array(list(combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
-    lo, hi = pairs.T
+    lo, hi = np.triu_indices(n, 1)  # pairs in combinations order
     A_eq = _sparse(
-        [np.repeat(np.arange(len(pairs)), 2)],
+        [np.repeat(np.arange(len(lo)), 2)],
         [np.stack([col[lo, hi], col[hi, lo]], axis=1).ravel()],
-        [np.ones(2 * len(pairs))],
-        (len(pairs), ncols),
+        [np.ones(2 * len(lo))],
+        (len(lo), ncols),
     )
 
     c_vec = np.zeros(ncols)
@@ -300,7 +299,7 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
         _sparse(rows, cols, data, (n_ub, ncols)),
         b_ub,
         A_eq,
-        np.ones(len(pairs)) if len(pairs) else None,
+        np.ones(len(lo)) if len(lo) else None,
         bounds,
         "pairwise",
         n,

@@ -11,8 +11,11 @@ half-integers (``Fraction`` with denominator 1 or 2) so comparisons never
 hit floating-point ties.
 
 All types are immutable after construction and validate their invariants in
-``__post_init__``; they are safe to share across threads or processes.  The
-member view ``Instance.member_tw`` is built on first use and is read-only.
+``__post_init__``; they are safe to share across threads or processes.  An
+instance carries two read-only array views, each built on first use: the
+member view ``Instance.member_tw`` of twice-positions, and from it the
+pairwise-count view ``Instance.above_counts``, the one place members'
+pairwise orders are counted.
 """
 
 from __future__ import annotations
@@ -280,6 +283,20 @@ class Instance:
         tw = twice_positions([member for _, _, member in self.iter_members()])
         tw.flags.writeable = False
         return tw
+
+    @cached_property
+    def above_counts(self) -> np.ndarray:
+        """(C, n, n) read-only int64 array: members of class k ranking x+1
+        strictly above y+1, so tied pairs count in neither direction.
+
+        It is counted one class at a time, so no (M, n, n) temporary is built.
+        """
+        counts = np.stack([
+            (tw[:, :, None] < tw[:, None, :]).sum(axis=0, dtype=np.int64)
+            for tw in np.split(self.member_tw, self.class_starts[1:])
+        ])
+        counts.flags.writeable = False
+        return counts
 
     @cached_property
     def class_starts(self) -> tuple[int, ...]:

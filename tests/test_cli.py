@@ -303,6 +303,20 @@ def test_exact_golden_output(gap_file, capsys):
     assert captured.err == ""
 
 
+def test_exact_enumerates_once(gap_file, monkeypatch, capsys):
+    calls = []
+    brute_force = minmaxrank.exact.brute_force
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return brute_force(*args, **kwargs)
+
+    monkeypatch.setattr(minmaxrank.exact, "brute_force", counted)
+    assert main(["exact", gap_file]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.endswith("lp-gap: 2.000000\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from minmaxrank import distances
@@ -303,3 +304,24 @@ class TestDoubledDistances:
         # the 8 MB result plus bounded temporaries; one unblocked broadcast
         # would hold 1000 * 1000 * 45 pair signs
         assert peak < 12 * 2**20
+
+    def test_pair_signs_memory_is_a_few_times_the_result(self):
+        rng = generator(6)
+        tw = twice_positions([random_permutation(rng, 200) for _ in range(30)])
+        distances.pair_signs(tw)  # build the cached pair indices first
+        tracemalloc.start()
+        try:
+            signs = distances.pair_signs(tw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert signs.dtype == np.int8 and signs.shape == (30, 200 * 199 // 2)
+        # int64 gathers and their difference take about 24 bytes per sign
+        assert peak <= 10 * signs.nbytes
+
+    def test_pair_signs_match_signs_of_differences(self, rng):
+        for n in (1, 2, 5, 127, 128, 130):
+            tw = twice_positions([random_partial_ranking(rng, n) for _ in range(4)])
+            x, y = zip(*combinations(range(n), 2)) if n > 1 else ((), ())
+            want = np.sign(tw[:, list(x)] - tw[:, list(y)])
+            assert distances.pair_signs(tw).tolist() == want.tolist()

@@ -32,11 +32,11 @@ from minmaxrank import (
 )
 from minmaxrank import lp as lp_module
 from minmaxrank.cli import parse_gene_order_file
-from minmaxrank.lp import LinearProgram, SolverError, _above_counts
+from minmaxrank.lp import LinearProgram, SolverError
 from minmaxrank.mallows import TwoLevelConfig, sample_instance
 from minmaxrank._rng import generator
 
-from conftest import random_instance, random_permutation
+from conftest import random_instance, random_partial_ranking, random_permutation
 
 TOL = 1e-6
 GENE_SAMPLE = Path(__file__).parents[1] / "data" / "sample_gene_orders.tsv"
@@ -97,7 +97,7 @@ class TestPairwiseWeights:
     def test_above_counts_match_member_loop(self, rng):
         for _ in range(20):
             inst = random_instance(rng, allow_ties=True)
-            counts = _above_counts(inst)
+            counts = inst.above_counts
             for k, cls in enumerate(inst.classes):
                 for x, y in permutations(range(1, inst.n + 1), 2):
                     expect = sum(
@@ -130,6 +130,22 @@ class TestTieMass:
             1,
         )
         assert tie_mass(Instance(3, (cls,))).t[0] == Fraction(3, 2)
+
+    def test_matches_tied_pair_count_with_unequal_class_sizes(self):
+        rng = generator(31)
+        for _ in range(40):
+            n = int(rng.integers(2, 8))
+            classes = tuple(
+                RankingClass(
+                    tuple(random_partial_ranking(rng, n) for _ in range(m)),
+                    Fraction(int(rng.integers(1, 5)), 3),
+                )
+                for m in (1, 2, 5)
+            )
+            inst = Instance(n, classes)
+            for k, cls in enumerate(inst.classes):
+                tied = sum(as_partial(m).tied_pair_count() for m in cls.members)
+                assert tie_mass(inst).t[k] == Fraction(tied, cls.m)
 
 
 class TestKendallLP:
@@ -197,7 +213,7 @@ class TestKendallLP:
         prog = build_kendall_lp(inst)
         want = [
             [float(Fraction(c * weight, m)) for c in row]
-            for row in _above_counts(inst)[0].tolist()
+            for row in inst.above_counts[0].tolist()
         ]
         assert prog.wf[0].tolist() == want
         res = mmkt_conv(inst)

@@ -201,14 +201,17 @@ class TestMemberView:
 
     def test_view_is_read_only(self):
         inst = self.instance()
-        with pytest.raises(ValueError):
-            inst.member_tw[0, 0] = 0
-        assert inst.member_tw[0, 0] == 2
+        for view in (inst.member_tw, inst.above_counts):
+            before = view[0, 0].copy()
+            with pytest.raises(ValueError):
+                view[0, 0] = 7
+            assert (view[0, 0] == before).all()
 
     def test_built_view_leaves_equality_hash_and_repr(self):
-        built, fresh = self.instance(), self.instance()
-        built.member_tw
-        assert "member_tw" in vars(built) and "member_tw" not in vars(fresh)
-        assert built == fresh
-        assert hash(built) == hash(fresh)
-        assert repr(built) == repr(fresh)
+        for view in ("member_tw", "above_counts"):
+            built, fresh = self.instance(), self.instance()
+            getattr(built, view)
+            assert view in vars(built) and view not in vars(fresh)
+            assert built == fresh
+            assert hash(built) == hash(fresh)
+            assert repr(built) == repr(fresh)
