@@ -6,19 +6,20 @@ Two programs are built here:
   [0,1] with pairing equalities u[x][y] + u[y][x] = 1 and triangle
   constraints, minimizing the epigraph variable q of the weighted class
   costs (tied pairs inside a class contribute the constant weight*T_k/2).
-  It starts from the triangles of triples the classes dispute; ``solve``
-  appends every other triangle its optimum violates and solves again, so
-  the optimum it returns satisfies all of them;
+  It holds its class and pairing rows only; ``solve`` keeps one HiGHS
+  model of it (scipy's private binding, scipy >= 1.15) and adds the
+  triangles its optima violate as cuts, re-solving from the last basis;
 * the footrule program over free positions u(1..n), reformulated exactly
-  as an LP by splitting the absolute deviations into nonnegative slacks.
+  as an LP by splitting the absolute deviations into nonnegative slacks
+  and solved by one ``linprog`` call.
 
 The Kendall program's class weights, the tie mass, ``pairwise_weights``
 and ``kendall_class_costs`` all read the instance's pairwise-count view
 ``Instance.above_counts``; members' pairwise orders are counted nowhere
-else.  Both programs are assembled directly as the sparse arrays scipy's
-HiGHS backend takes.  Fractional solutions keep the raw variable values;
-the reported objective is recomputed from the variables so it always
-equals the worst class cost implied by them.
+else.  Both programs are assembled directly as sparse arrays.  Fractional
+solutions keep the raw variable values and the solve counts; the reported
+objective is recomputed from the variables so it always equals the worst
+class cost implied by them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix, vstack
+from scipy.optimize._highspy import _core as highspy
+from scipy.sparse import csr_matrix
 
 from .distances import BLOCK_ELEMENTS
 from .rankings import Instance, twice_positions
@@ -56,10 +58,10 @@ class LinearProgram:
 
     Column 0 is the epigraph variable q.  A pairwise program (``kind`` is
     "pairwise") keeps u[x][y] at column ``1 + x(n-1) + y - [y > x]``, the
-    float class weights ``wf`` (C, n, n) and tie shifts (C,), and the ids
-    of its triangle rows (see ``_triangle_ids``) in row order after the C
-    class rows.  A positional program keeps the positions u(h) at columns
-    1..n and, per class, the member positions (m, n) and lambda/m.
+    float class weights ``wf`` (C, n, n) and tie shifts (C,); its rows are
+    the C class rows and the pairing rows, and ``solve`` adds triangles.  A
+    positional program keeps the positions u(h) at columns 1..n and, per
+    class, the member positions (m, n) and lambda/m.
     """
 
     c: np.ndarray
@@ -72,7 +74,6 @@ class LinearProgram:
     n: int
     wf: np.ndarray | None = None
     shifts: np.ndarray | None = None
-    triangles: np.ndarray | None = None
     class_pos: tuple[np.ndarray, ...] = ()
     lam_over_m: tuple[float, ...] = ()
 
@@ -102,6 +103,9 @@ class FractionalSolution:
     objective: float
     u_pair: np.ndarray | None = None  # (n, n) in [0, 1], diagonal 0
     u_pos: np.ndarray | None = None  # (n,) real positions
+    runs: int = 0  # HiGHS solves of the program
+    rows: int = 0  # rows HiGHS held at its last solve
+    iterations: int = 0  # simplex iterations over all the solves
 
 
 def pairwise_weights(inst: Instance) -> PairwiseWeights:
@@ -143,10 +147,8 @@ def kendall_class_costs(inst: Instance, perm) -> list[Fraction]:
     ]
 
 
-def _sparse(rows, cols, data, shape) -> csr_matrix | None:
-    """CSR matrix from COO parts, or None when it has no rows."""
-    if shape[0] == 0:
-        return None
+def _sparse(rows, cols, data, shape) -> csr_matrix:
+    """CSR matrix from COO parts."""
     return csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=shape,
@@ -164,37 +166,11 @@ def _pair_columns(n: int) -> np.ndarray:
     return 1 + x * (n - 1) + y - (y > x)
 
 
-def _triple_blocks(n: int):
-    """Blocks of x, each with the mask of its triples x < y < z.
+def _triangle_rows(ids: np.ndarray, col: np.ndarray) -> csr_matrix:
+    """The triangle rows ``ids`` over the columns of ``_pair_columns(n)``.
 
-    Yields a slice ``xs`` of x values and a (len(xs), n, n) bool mask over
-    (x, y, z).  A block takes as many x as keep it within BLOCK_ELEMENTS
-    values (at least one), so no array of all C(n, 3) triples is built.
-    """
-    step = max(1, BLOCK_ELEMENTS // (n * n))
-    idx = np.arange(n)
-    upper = idx[:, None] < idx  # y < z
-    for x0 in range(0, n - 2, step):
-        xs = slice(x0, min(x0 + step, n - 2))
-        yield xs, upper & (idx[xs, None, None] < idx[:, None])
-
-
-def _triangle_ids(n: int, xs: slice, keep: np.ndarray) -> np.ndarray:
-    """Ids of the triangles a (len(xs), n, n, 2) mask ``keep`` marks.
-
-    The last axis is the orientation o.  Orientation o of triple (x, y, z)
-    has id 2 * ((x * n + y) * n + z) + o: the flat index into ``keep``
-    plus 2 n^2 xs.start.  So ids ascend in (triple, orientation) order.
-    """
-    return np.flatnonzero(keep) + 2 * n * n * xs.start
-
-
-def _triangle_rows(ids: np.ndarray, col: np.ndarray, row0: int):
-    """COO rows, columns and values of the triangle rows ``ids`` from row0.
-
-    ``col`` is ``_pair_columns(n)``.  Orientation 0 of (x, y, z) is
-    -(u[x][y] + u[y][z] + u[z][x]) <= -1 and orientation 1 the reverse
-    cycle -(u[y][x] + u[z][y] + u[x][z]) <= -1.
+    Orientation 0 of (x, y, z) is -(u[x][y] + u[y][z] + u[z][x]) <= -1 and
+    orientation 1 the reverse cycle -(u[y][x] + u[z][y] + u[x][z]) <= -1.
     """
     n = len(col)
     t, o = np.divmod(ids, 2)
@@ -202,53 +178,41 @@ def _triangle_rows(ids: np.ndarray, col: np.ndarray, row0: int):
     x, y = np.divmod(xy, n)
     cycle = np.stack([x, y, z, x], axis=1)
     a, b = cycle[:, :3], cycle[:, 1:]
-    cols = np.where(o[:, None] == 0, col[a, b], col[b, a])
-    return (row0 + np.repeat(np.arange(len(ids)), 3), cols.ravel(),
-            np.full(cols.size, -1.0))
-
-
-def _seed_triangles(wf: np.ndarray) -> np.ndarray:
-    """Both triangles of every triple with at least two disputed pairs.
-
-    A pair is undisputed when every class strictly prefers the same one of
-    its two orders.  When every pair is disputed this is every triangle.
-    """
-    n = wf.shape[1]
-    unanimous = (wf > wf.transpose(0, 2, 1)).all(axis=0)
-    disputed = (~(unanimous | unanimous.T)).astype(np.int8)
-    ids = [np.empty(0, dtype=np.int64)]
-    for xs, triples in _triple_blocks(n):
-        # disputed pairs among (x, y), (y, z) and (x, z)
-        count = disputed[xs][:, :, None] + disputed + disputed[xs][:, None, :]
-        seed = triples & (count >= 2)
-        ids.append(_triangle_ids(n, xs, np.stack([seed, seed], axis=-1)))
-    return np.concatenate(ids)
+    cols = np.where(o[:, None] == 0, col[a, b], col[b, a]).ravel()
+    return csr_matrix((np.full(cols.size, -1.0), cols, np.arange(0, cols.size + 1, 3)),
+                      shape=(len(ids), 1 + n * (n - 1)))
 
 
 def _violated_triangles(u: np.ndarray, present: np.ndarray) -> np.ndarray:
     """Ids of the triangles u violates that are not among ``present``.
 
-    The ids are unique, and so are those of ``present``, since a program
-    never holds a row twice.
+    Orientation o of triple x < y < z has id 2 * ((x * n + y) * n + z) + o,
+    the flat index of (x - x0, y, z, o) in the mask of a block starting at
+    x0, plus 2 n^2 x0.  A block stays within BLOCK_ELEMENTS values (at least
+    one x), so no array of all C(n, 3) triples is built.  No row is added
+    twice, so the ids are unique, and so are those of ``present``.
     """
     n = len(u)
     ut = u.T
     below = 1.0 - _VIOLATION
+    idx = np.arange(n)
+    upper = idx[:, None] < idx  # y < z
+    step = max(1, BLOCK_ELEMENTS // (n * n))
     ids = [np.empty(0, dtype=np.int64)]
-    for xs, triples in _triple_blocks(n):
+    for x0 in range(0, n - 2, step):
+        xs = slice(x0, min(x0 + step, n - 2))
+        triples = upper & (idx[xs, None, None] < idx[:, None])
         fwd = u[xs][:, :, None] + u + ut[xs][:, None, :]  # u[x][y] + u[y][z] + u[z][x]
         rev = ut[xs][:, :, None] + ut + u[xs][:, None, :]  # u[y][x] + u[z][y] + u[x][z]
         low = np.stack([triples & (fwd < below), triples & (rev < below)], axis=-1)
-        ids.append(_triangle_ids(n, xs, low))
-    ids = np.concatenate(ids)
-    return np.setdiff1d(ids, present, assume_unique=True)
+        ids.append(np.flatnonzero(low) + 2 * n * n * x0)
+    return np.setdiff1d(np.concatenate(ids), present, assume_unique=True)
 
 
 def build_kendall_lp(inst: Instance) -> LinearProgram:
     """The pairwise-order relaxation of minmax Kendall/Kemeny aggregation.
 
-    Only the seed triangles (``_seed_triangles``) are rows; ``solve`` adds
-    the violated rest.
+    It holds the class and pairing rows only; ``solve`` adds the triangles.
     """
     n, num_classes = inst.n, inst.num_classes
     ncols = 1 + n * (n - 1)
@@ -272,13 +236,9 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     # class cost epigraph: sum_{x!=y} w^k[x][y] u[y][x] - q <= -shift_k
     coef = wf.transpose(0, 2, 1)[:, off]  # coefficient of u[a][b] is w[b][a]
     k_idx, j_idx = np.nonzero(coef)
-    triangles = _seed_triangles(wf)
-    tri_rows, tri_cols, tri_data = _triangle_rows(triangles, col, num_classes)
-    rows = [np.arange(num_classes), k_idx, tri_rows]
-    cols = [np.zeros(num_classes, dtype=np.intp), col[off][j_idx], tri_cols]
-    data = [np.full(num_classes, -1.0), coef[k_idx, j_idx], tri_data]
-    n_ub = num_classes + len(triangles)
-    b_ub = np.concatenate([-shifts, np.full(len(triangles), -1.0)])
+    rows = [np.arange(num_classes), k_idx]
+    cols = [np.zeros(num_classes, dtype=np.intp), col[off][j_idx]]
+    data = [np.full(num_classes, -1.0), coef[k_idx, j_idx]]
 
     # pairing: u[x][y] + u[y][x] = 1
     lo, hi = np.triu_indices(n, 1)  # pairs in combinations order
@@ -296,16 +256,15 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     bounds[1:, 1] = 1.0
     return LinearProgram(
         c_vec,
-        _sparse(rows, cols, data, (n_ub, ncols)),
-        b_ub,
+        _sparse(rows, cols, data, (num_classes, ncols)),
+        -shifts,
         A_eq,
-        np.ones(len(lo)) if len(lo) else None,
+        np.ones(len(lo)),
         bounds,
         "pairwise",
         n,
         wf=wf,
         shifts=shifts,
-        triangles=triangles,
     )
 
 
@@ -370,12 +329,12 @@ def _positional_objective(u: np.ndarray, lp: LinearProgram) -> float:
     return float(max(costs))
 
 
-def _highs(lp: LinearProgram, A_ub, b_ub) -> np.ndarray:
-    """HiGHS's optimum of ``lp`` with the given inequality rows."""
+def _highs(lp: LinearProgram):
+    """``linprog``'s HiGHS result for ``lp``, which must be optimal."""
     res = linprog(
         lp.c,
-        A_ub=A_ub,
-        b_ub=b_ub,
+        A_ub=lp.A_ub,
+        b_ub=lp.b_ub,
         A_eq=lp.A_eq,
         b_eq=lp.b_eq,
         bounds=lp.bounds,
@@ -391,36 +350,76 @@ def _highs(lp: LinearProgram, A_ub, b_ub) -> np.ndarray:
         raise IterationLimit(res.message)
     if res.status != 0:
         raise SolverError(res.message)
-    return res.x
+    return res
+
+
+#: the error a model status other than optimal raises; the rest raise SolverError
+_STATUS_ERRORS = {
+    highspy.HighsModelStatus.kInfeasible: Infeasible,
+    highspy.HighsModelStatus.kUnbounded: Unbounded,
+    highspy.HighsModelStatus.kUnboundedOrInfeasible: Unbounded,
+    highspy.HighsModelStatus.kIterationLimit: IterationLimit,
+}
+
+
+def _loaded(highs, status) -> None:
+    """Raise SolverError if HiGHS rejected the data it was passed."""
+    if status == highspy.HighsStatus.kError:
+        raise SolverError(highs.modelStatusToString(highspy.HighsModelStatus.kModelError))
+
+
+def _add_rows(highs, lower: np.ndarray, upper: np.ndarray, A: csr_matrix) -> None:
+    """Append the rows lower <= A x <= upper to the model."""
+    _loaded(highs, highs.addRows(A.shape[0], lower, upper, A.nnz, A.indptr, A.indices, A.data))
+
+
+def _solve_pairwise(lp: LinearProgram) -> FractionalSolution:
+    """Solve a pairwise program on one HiGHS model, adding triangles as cuts.
+
+    The model starts from the class rows and the pairing rows.  After each
+    solve the triangle rows its optimum violates are appended and the model
+    is solved again, warm from its last basis, until no triangle is
+    violated.  The rows come from a finite set, so this ends, and the
+    returned optimum is the optimum of the program with every triangle.
+    """
+    n = lp.n
+    highs = highspy._Highs()
+    highs.setOptionValue("output_flag", False)
+    lower, upper = lp.bounds.T  # np.inf is kHighsInf
+    _loaded(highs, highs.addCols(len(lp.c), lp.c, lower, upper, 0, [], [], []))
+    _add_rows(highs, np.full(len(lp.b_ub), -highspy.kHighsInf), lp.b_ub, lp.A_ub)
+    _add_rows(highs, lp.b_eq, lp.b_eq, lp.A_eq)
+    present = np.empty(0, dtype=np.int64)
+    runs = iterations = 0
+    while True:
+        highs.run()
+        status = highs.getModelStatus()
+        if status != highspy.HighsModelStatus.kOptimal:
+            raise _STATUS_ERRORS.get(status, SolverError)(highs.modelStatusToString(status))
+        runs += 1
+        iterations += highs.getInfo().simplex_iteration_count
+        u = np.zeros((n, n))
+        u[~np.eye(n, dtype=bool)] = highs.getSolution().col_value[1:]
+        new = _violated_triangles(u, present)
+        if not len(new):
+            break
+        _add_rows(highs, np.full(len(new), -highspy.kHighsInf), np.full(len(new), -1.0),
+                  _triangle_rows(new, _pair_columns(n)))
+        present = np.concatenate([present, new])
+    objective = _pairwise_objective(u, lp.wf, lp.shifts)
+    return FractionalSolution("pairwise", objective, u_pair=u, runs=runs,
+                              rows=highs.getNumRow(), iterations=iterations)
 
 
 def solve(lp: LinearProgram) -> FractionalSolution:
-    """Solve with HiGHS and read the structured solution back out.
-
-    A pairwise program is solved again with every triangle row its optimum
-    violates appended, until it violates none that the program lacks.  The
-    rows come from a finite set, so this ends, and the returned optimum is
-    the optimum of the program with every triangle.
-    """
+    """Solve with HiGHS and read the structured solution back out."""
     if lp.kind == "pairwise":
-        n = lp.n
-        A_ub, b_ub, present = lp.A_ub, lp.b_ub, lp.triangles
-        while True:
-            x = _highs(lp, A_ub, b_ub)
-            u = np.zeros((n, n))
-            u[~np.eye(n, dtype=bool)] = x[1:]
-            new = _violated_triangles(u, present)
-            if not len(new):
-                break
-            rows, cols, data = _triangle_rows(new, _pair_columns(n), 0)
-            extra = _sparse([rows], [cols], [data], (len(new), len(lp.c)))
-            A_ub = vstack([A_ub, extra], format="csr")
-            b_ub = np.concatenate([b_ub, np.full(len(new), -1.0)])
-            present = np.concatenate([present, new])
-        objective = _pairwise_objective(u, lp.wf, lp.shifts)
-        return FractionalSolution("pairwise", objective, u_pair=u)
+        return _solve_pairwise(lp)
     if lp.kind == "positional":
-        u = _highs(lp, lp.A_ub, lp.b_ub)[1:1 + lp.n]
+        res = _highs(lp)
+        u = res.x[1:1 + lp.n]
         objective = _positional_objective(u, lp)
-        return FractionalSolution("positional", objective, u_pos=u)
+        rows = sum(a.shape[0] for a in (lp.A_ub, lp.A_eq) if a is not None)
+        return FractionalSolution("positional", objective, u_pos=u, runs=1,
+                                  rows=rows, iterations=res.nit)
     raise SolverError(f"unknown program kind {lp.kind!r}")

@@ -441,8 +441,10 @@ class TestBenchmark:
              "4e645d8797fb9953e834daf855fac7d97d22cda8f452d43546f7779601b38cb0"),
             ("med", "sf",
              "f887c76ecd1b3685d5827b356e68b82b3206af99c459eb0d4b91e30f787ff489"),
+            # 2 of 36 min-mmkt rows moved (4 -> 5 and 5 -> 4) when the Kendall
+            # model stopped starting from the disputed-pair triangles
             ("min", "kt",
-             "eb1164e6e48bde787ddbfaf837b538f25c4becc69a433cd1ac3a0e4eb2e72ebc"),
+             "26d628bd8cec07f2c7957a4415205fe987e4abcbf2a8f5cb8e2d47b713d9bf63"),
             ("min", "sf",
              "8bc06e8919a204cfeb1db369565bc7d5595a0b7ac849295d846d43b1808b5b9d"),
         ],
