@@ -10,8 +10,11 @@ Two programs are built here:
   model of it (scipy's private binding, scipy >= 1.15) and adds the
   triangles its optima violate as cuts, re-solving from the last basis;
 * the footrule program over free positions u(1..n), reformulated exactly
-  as an LP by splitting the absolute deviations into nonnegative slacks
-  and solved by one ``linprog`` call.
+  as an LP with one epigraph column per class and element: the sum of that
+  element's absolute deviations from the class's member positions is
+  convex and piecewise linear, so it is the max of d + 1 affine pieces,
+  d being the number of distinct member positions of that element.  It is
+  solved by one ``linprog`` call.
 
 The Kendall program's class weights, the tie mass, ``pairwise_weights``
 and ``kendall_class_costs`` all read the instance's pairwise-count view
@@ -60,8 +63,10 @@ class LinearProgram:
     "pairwise") keeps u[x][y] at column ``1 + x(n-1) + y - [y > x]``, the
     float class weights ``wf`` (C, n, n) and tie shifts (C,); its rows are
     the C class rows and the pairing rows, and ``solve`` adds triangles.  A
-    positional program keeps the positions u(h) at columns 1..n and, per
-    class, the member positions (m, n) and lambda/m.
+    positional program keeps the positions u(h) at columns 1..n, class k's
+    epigraph t_kh of element h at column 1 + n + kn + h and, per class, the
+    member positions (m, n) and lambda/m; its rows are each class's piece
+    rows followed by its cost row.
     """
 
     c: np.ndarray
@@ -269,7 +274,13 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
 
 
 def build_footrule_program(inst: Instance) -> LinearProgram:
-    """Minmax weighted L1 distance to the member positions, split into an LP."""
+    """Minmax weighted L1 distance to the member positions, as an exact LP.
+
+    Column t_kh is the epigraph of class k's sum_g |u(h) - p_gh|, the max over
+    r = 0..m of the pieces (m - 2r) u(h) + 2 S_r - S_m, where S_r sums the r
+    largest member positions of h.  It gets a row for r = 0, r = m and each r
+    whose r-th and (r+1)-th largest positions differ, by element, then r.
+    """
     n = inst.n
     rows, cols, data, b_ub = [], [], [], []
     class_pos, lam_over_m = [], []
@@ -279,41 +290,29 @@ def build_footrule_program(inst: Instance) -> LinearProgram:
         pos = tw / 2
         lam_over_m.append(lam)
         class_pos.append(pos)
-        size = pos.size
-        # slack e_{g,h} per member g and element h, in (g, h) order:
-        # e >= u(h) - target and e >= target - u(h)
-        u_cols = 1 + np.tile(np.arange(n), cls.m)
-        e_cols = col0 + np.arange(size)
-        rows.append(row0 + np.repeat(np.arange(2 * size), 2))
-        cols.append(np.tile(np.stack([u_cols, e_cols], axis=1), 2).ravel())
-        data.append(np.tile([1.0, -1.0, -1.0, -1.0], size))
-        target = pos.ravel()
-        b_ub.append(np.stack([target, -target], axis=1).ravel())
-        # class cost: lambda/m * sum e - q <= 0
-        rows.append(np.full(size + 1, row0 + 2 * size))
-        cols.append(np.concatenate([[0], e_cols]))
-        data.append(np.concatenate([[-1.0], np.full(size, lam)]))
-        b_ub.append([0.0])
-        row0 += 2 * size + 1
-        col0 += size
+        s = np.sort(pos, axis=0)[::-1]
+        top = np.cumsum(np.vstack([np.zeros(n), s]), axis=0)  # S_r
+        keep = np.ones((cls.m + 1, n), dtype=bool)
+        keep[1:-1] = s[:-1] > s[1:]
+        h, r = np.nonzero(keep.T)
+        t_cols = col0 + np.arange(n)
+        # pieces: slope u(h) - t_kh <= -intercept; class: lambda/m sum_h t_kh - q <= 0
+        rows += [row0 + np.repeat(np.arange(len(h)), 2), np.full(n + 1, row0 + len(h))]
+        cols += [np.stack([1 + h, t_cols[h]], axis=1).ravel(), np.r_[0, t_cols]]
+        data += [np.stack([cls.m - 2.0 * r, -np.ones(len(h))], axis=1).ravel(),
+                 np.r_[-1.0, np.full(n, lam)]]
+        b_ub += [top[-1, h] - 2 * top[r, h], [0.0]]
+        row0 += len(h) + 1
+        col0 += n
 
     c_vec = np.zeros(col0)
     c_vec[0] = 1.0
     bounds = np.zeros((col0, 2))
     bounds[:, 1] = np.inf
     bounds[1:1 + n, 0] = -np.inf
-    return LinearProgram(
-        c_vec,
-        _sparse(rows, cols, data, (row0, col0)),
-        np.concatenate(b_ub),
-        None,
-        None,
-        bounds,
-        "positional",
-        n,
-        class_pos=tuple(class_pos),
-        lam_over_m=tuple(lam_over_m),
-    )
+    return LinearProgram(c_vec, _sparse(rows, cols, data, (row0, col0)), np.concatenate(b_ub),
+                         None, None, bounds, "positional", n,
+                         class_pos=tuple(class_pos), lam_over_m=tuple(lam_over_m))
 
 
 def _pairwise_objective(u: np.ndarray, wf: np.ndarray, shifts: np.ndarray) -> float:

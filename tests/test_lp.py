@@ -32,10 +32,16 @@ from minmaxrank import (
 )
 from minmaxrank.cli import parse_gene_order_file
 from minmaxrank.lp import LinearProgram, SolverError
+from minmaxrank.rankings import twice_positions
 from minmaxrank.mallows import TwoLevelConfig, sample_instance
 from minmaxrank._rng import generator
 
-from conftest import random_instance, random_partial_ranking, random_permutation
+from conftest import (
+    random_instance,
+    random_partial_ranking,
+    random_permutation,
+    tied_instance,
+)
 
 TOL = 1e-6
 GENE_SAMPLE = Path(__file__).parents[1] / "data" / "sample_gene_orders.tsv"
@@ -364,13 +370,115 @@ class TestHighsBinding:
         assert info.simplex_iteration_count >= 1
 
 
+def slack_footrule_program(inst: Instance) -> LinearProgram:
+    """Reference footrule LP: one slack e_gh >= |u(h) - p_gh| per member and element."""
+    n = inst.n
+    rows, cols, data, b_ub = [], [], [], []
+    class_pos, lam_over_m = [], []
+    row0, col0 = 0, 1 + n
+    for cls in inst.classes:
+        lam = float(cls.weight) / cls.m
+        pos = twice_positions(cls.members) / 2
+        lam_over_m.append(lam)
+        class_pos.append(pos)
+        size = pos.size
+        # slack e_{g,h} per member g and element h, in (g, h) order:
+        # e >= u(h) - target and e >= target - u(h)
+        u_cols = 1 + np.tile(np.arange(n), cls.m)
+        e_cols = col0 + np.arange(size)
+        rows.append(row0 + np.repeat(np.arange(2 * size), 2))
+        cols.append(np.tile(np.stack([u_cols, e_cols], axis=1), 2).ravel())
+        data.append(np.tile([1.0, -1.0, -1.0, -1.0], size))
+        target = pos.ravel()
+        b_ub.append(np.stack([target, -target], axis=1).ravel())
+        # class cost: lambda/m * sum e - q <= 0
+        rows.append(np.full(size + 1, row0 + 2 * size))
+        cols.append(np.concatenate([[0], e_cols]))
+        data.append(np.concatenate([[-1.0], np.full(size, lam)]))
+        b_ub.append([0.0])
+        row0 += 2 * size + 1
+        col0 += size
+    c_vec = np.zeros(col0)
+    c_vec[0] = 1.0
+    bounds = np.zeros((col0, 2))
+    bounds[:, 1] = np.inf
+    bounds[1:1 + n, 0] = -np.inf
+    A_ub = csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row0, col0),
+    )
+    return LinearProgram(c_vec, A_ub, np.concatenate(b_ub), None, None, bounds,
+                         "positional", n, class_pos=tuple(class_pos),
+                         lam_over_m=tuple(lam_over_m))
+
+
+def program_bytes(prog: LinearProgram) -> list[bytes]:
+    a = prog.A_ub
+    return [x.tobytes() for x in (prog.c, a.indptr, a.indices, a.data, prog.b_ub,
+                                  prog.bounds)]
+
+
+REFERENCE_WEIGHTS = (Fraction(1, 3), Fraction(7, 5), Fraction(0.1))
+
+
+def reference_instance(seed: int) -> Instance:
+    return tied_instance(generator(seed), n_choices=(3, 5, 7), m_choices=(1, 2, 5),
+                         weight_choices=REFERENCE_WEIGHTS)
+
+
 class TestFootruleProgram:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_slack_reference(self, seed):
+        inst = reference_instance(seed)
+        ours = solve(build_footrule_program(inst)).objective
+        ref = solve(slack_footrule_program(inst)).objective
+        assert abs(ours - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    def test_reference_sweep_covers_ties_sizes_and_weights(self):
+        sizes, weights, tied = set(), set(), 0
+        for seed in range(40):
+            inst = reference_instance(seed)
+            sizes |= {cls.m for cls in inst.classes}
+            weights |= {cls.weight for cls in inst.classes}
+            tied += inst.has_ties
+        assert sizes == {1, 2, 5}
+        assert weights == set(REFERENCE_WEIGHTS)
+        assert tied >= 10
+
+    @pytest.mark.parametrize("name", ["gene", "gap"])
+    def test_one_member_classes_keep_the_slack_arrays(self, name):
+        # each element of a one-member class has one piece per slack row
+        inst = (parse_gene_order_file(GENE_SAMPLE.read_text()).instance
+                if name == "gene" else gap_instance())
+        assert all(cls.m == 1 for cls in inst.classes)
+        assert program_bytes(build_footrule_program(inst)) == program_bytes(
+            slack_footrule_program(inst))
+
+    def test_size_counts_distinct_member_positions(self, rng):
+        for _ in range(10):
+            inst = tied_instance(rng, m_choices=(1, 2, 5))
+            prog = build_footrule_program(inst)
+            n, num_classes = inst.n, inst.num_classes
+            distinct = sum(len(set(col)) for cls in inst.classes
+                           for col in twice_positions(cls.members).T.tolist())
+            assert prog.A_ub.shape == (distinct + n * num_classes + num_classes,
+                                       1 + n + num_classes * n)
+
+    def test_agreeing_members_cost_two_rows_per_element(self):
+        identity = Permutation.identity(4)
+        inst = Instance(4, (
+            RankingClass((identity,) * 3, Fraction(1)),
+            RankingClass((identity, make_permutation([4, 3, 2, 1])), Fraction(1)),
+        ))
+        # 2 pieces per element and a cost row, then 3 per element and a cost row
+        assert build_footrule_program(inst).A_ub.shape[0] == (2 * 4 + 1) + (3 * 4 + 1)
+
     def test_gap_instance_size(self):
         inst = gap_instance()
         prog = build_footrule_program(inst)
         n = inst.n
         assert len(prog.c) == 1 + n + sum(cls.m * n for cls in inst.classes)
-        # two rows per slack plus one cost row per class
+        # two pieces per element of a one-member class plus one cost row per class
         assert prog.A_ub.shape[0] == 2 * 2 * n + 2
         assert prog.A_eq is None
         sol = solve(prog)
