@@ -20,6 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .distances import (
+    BLOCK_ELEMENTS,
     DistanceKind,
     KindMismatch,
     SetDistanceKind,
@@ -148,21 +149,12 @@ def pivot_rounding(
     return [x + 1 for x in _pivot_sort(h == 1, choose)], trace
 
 
-def _tau_kind(inst: Instance, kind: DistanceKind | None) -> DistanceKind:
-    if kind is None:
-        kind = DistanceKind.KENDALL_TAU
-    kind = effective_kind(inst, kind)
-    if kind not in (DistanceKind.KENDALL_TAU, DistanceKind.KEMENY):
-        raise KindMismatch(f"{kind} is not a Kendall-type distance")
-    return kind
-
-
-def _footrule_kind(inst: Instance, kind: DistanceKind | None) -> DistanceKind:
-    if kind is None:
-        kind = DistanceKind.SPEARMAN_FOOTRULE
-    kind = effective_kind(inst, kind)
-    if kind not in (DistanceKind.SPEARMAN_FOOTRULE, DistanceKind.PARTIAL_FOOTRULE):
-        raise KindMismatch(f"{kind} is not a footrule-type distance")
+def _family_kind(inst: Instance, kind: DistanceKind | None,
+                 default: DistanceKind) -> DistanceKind:
+    kind = effective_kind(inst, kind or default)
+    if kind.positional != default.positional:
+        family = "footrule" if default.positional else "Kendall"
+        raise KindMismatch(f"{kind} is not a {family}-type distance")
     return kind
 
 
@@ -172,7 +164,7 @@ def mmkt_conv(inst: Instance, kind: DistanceKind | None = None) -> AggregationRe
     The returned permutation costs at most twice the relaxation optimum,
     which is reported as the certificate.
     """
-    kind = _tau_kind(inst, kind)
+    kind = _family_kind(inst, kind, DistanceKind.KENDALL_TAU)
     prog = build_kendall_lp(inst)
     sol = solve(prog)
     order, _ = pivot_rounding(sol.u_pair, prog.wf)
@@ -217,7 +209,7 @@ def mmsp_conv(
     therefore an L1-closest permutation to them; its cost is at most twice
     the program optimum (the certificate), for every tie-break.
     """
-    kind = _footrule_kind(inst, kind)
+    kind = _family_kind(inst, kind, DistanceKind.SPEARMAN_FOOTRULE)
     prog = build_footrule_program(inst)
     sol = solve(prog)
     order = positions_to_order(sol.u_pos, rng_seed, deterministic_ties)
@@ -307,7 +299,7 @@ def min_mmkt_conv(
     The objective is evaluated against the original instance under the
     minimum set-distance; the reduction guarantees a factor of 4.
     """
-    kind = _tau_kind(inst, kind)
+    kind = _family_kind(inst, kind, DistanceKind.KENDALL_TAU)
     inner = mmkt_conv(restrict_to_min_witnesses(inst, kind), kind)
     objective = minmax_objective(inner.ranking, inst, kind, SetDistanceKind.MINIMUM)
     return AggregationResult(inner.ranking, objective)
@@ -320,7 +312,7 @@ def min_mmsp_conv(
     deterministic_ties: bool = False,
 ) -> AggregationResult:
     """Sort-rounding on the witness-restricted instance (min set-distance)."""
-    kind = _footrule_kind(inst, kind)
+    kind = _family_kind(inst, kind, DistanceKind.SPEARMAN_FOOTRULE)
     inner = mmsp_conv(
         restrict_to_min_witnesses(inst, kind), kind, rng_seed, deterministic_ties
     )
@@ -360,9 +352,14 @@ def median_footrule_matching_baseline(
     Minimizes the pooled (unweighted) footrule exactly; no minmax guarantee.
     """
     kind = effective_kind(inst, kind or DistanceKind.SPEARMAN_FOOTRULE)
-    tw = inst.member_tw
-    # cost[x][t - 1]: pooled |2 * position - 2t| of element x + 1 at rank t
-    cost = np.abs(tw[:, :, None] - 2 * np.arange(1, inst.n + 1)).sum(axis=0)
+    tw, twice_ranks = inst.member_tw, 2 * np.arange(1, inst.n + 1)
+    # cost[x][t - 1]: pooled |2 * position - 2t| of element x + 1 at rank t,
+    # summed over member blocks whose (m, n, n) temporary stays in budget
+    step = max(1, BLOCK_ELEMENTS // inst.n**2)
+    cost = sum(
+        np.abs(tw[i:i + step, :, None] - twice_ranks).sum(axis=0)
+        for i in range(0, len(tw), step)
+    )
     _, cols = linear_sum_assignment(cost)
     perm = Permutation(tuple(int(c) + 1 for c in cols))
     return AggregationResult(perm, minmax_objective(perm, inst, kind, set_kind))

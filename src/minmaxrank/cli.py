@@ -17,9 +17,9 @@ singleton class with weight 1.
 Exit codes: 0 success, 2 usage error, parse error, unreadable file or
 unwritable ``benchmark --out`` path, 3 incompatible flags, 4 instance too
 large for exact enumeration, 5 the LP solver rejected or failed on the
-program.  Apart from argparse's usage errors and ``aggregate``'s flag check
-(exit 3), ``main`` is the one place where an error becomes an exit code:
-the ``_EXIT_CODES`` table maps each exception type to its code.
+program.  Apart from argparse's usage errors, ``main`` is the one place
+where an error becomes an exit code: the ``_EXIT_CODES`` table maps each
+exception type to its code.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import aggregators, exact, lp
-from .distances import DistanceKind, SetDistanceKind, effective_kind, set_distance
+from .distances import DistanceKind, SetDistanceKind, effective_kind, scaled_class_costs
 from .mallows import TwoLevelConfig, sample_instance
 from .rankings import (
     Instance,
@@ -46,6 +46,7 @@ from .rankings import (
     Ranking,
     RankingClass,
     as_partial,
+    twice_positions,
 )
 
 
@@ -189,16 +190,31 @@ def _format_ranking(ranking: Ranking, names: Sequence[str]) -> str:
     return " ".join(parts)
 
 
+def _check_labels(what: str, labels: Sequence[str], count: int, banned: str) -> None:
+    if len(labels) != count:
+        raise ValueError(f"{len(labels)} {what}s given for {count}")
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise ValueError(f"duplicate {what} {label!r}")
+        if not label or any(ch.isspace() or ch in banned for ch in label):
+            raise ValueError(f"{what} {label!r} is empty or holds whitespace or "
+                             f"one of {' '.join(banned)}")
+        seen.add(label)
+
+
 def write_instance_file(
     inst: Instance,
     element_names: tuple[str, ...] | None = None,
     class_ids: tuple[str, ...] | None = None,
 ) -> str:
-    """Serialize so that parsing the result reproduces the instance."""
+    """Serialize so parsing gives the instance back; bad labels raise ValueError."""
     if element_names is None:
         element_names = tuple(str(x) for x in range(1, inst.n + 1))
     if class_ids is None:
         class_ids = tuple(str(k) for k in range(1, inst.num_classes + 1))
+    _check_labels("element name", element_names, inst.n, "{}")
+    _check_labels("class id", class_ids, inst.num_classes, "{}:")
     lines = ["elements: " + " ".join(element_names)]
     for k, cls in enumerate(inst.classes):
         for member in cls.members:
@@ -299,13 +315,16 @@ def run_algorithm(
     return _ALGORITHMS[algo].run(inst, kind, set_kind, seed, deterministic_ties)
 
 
-def _check_compatible(algo: str, dist_flag: str, set_flag: str) -> str | None:
+class IncompatibleFlags(ValueError):
+    """The algorithm needs another --distance or --setdist."""
+
+
+def _check_compatible(algo: str, dist_flag: str, set_flag: str) -> None:
     need = _ALGORITHMS[algo]
-    if need.distance is not None and dist_flag != need.distance:
-        return f"algorithm {algo} requires --distance {need.distance}"
-    if need.setdist is not None and set_flag != need.setdist:
-        return f"algorithm {algo} requires --setdist {need.setdist}"
-    return None
+    for flag, given, needed in (("distance", dist_flag, need.distance),
+                                ("setdist", set_flag, need.setdist)):
+        if needed is not None and given != needed:
+            raise IncompatibleFlags(f"algorithm {algo} requires --{flag} {needed}")
 
 
 def _read_parsed(path: str, gene_orders: bool) -> ParsedFile:
@@ -319,10 +338,7 @@ def _fmt_rational(value: Fraction) -> str:
 
 
 def cmd_aggregate(args) -> int:
-    incompatible = _check_compatible(args.algo, args.distance, args.setdist)
-    if incompatible:
-        print(f"error: {incompatible}", file=sys.stderr)
-        return 3
+    _check_compatible(args.algo, args.distance, args.setdist)
     parsed = _read_parsed(args.file, args.gene_orders)
     inst = parsed.instance
     kind = _DISTANCES[args.distance]
@@ -335,11 +351,14 @@ def cmd_aggregate(args) -> int:
     print(f"distance: {kind.value}  setdist: {set_kind.value}")
     print("ranking: " + _format_ranking(result.ranking, parsed.element_names))
     print(f"objective: {_fmt_rational(result.objective)}")
-    for k, cls in enumerate(inst.classes):
-        cost = set_distance(result.ranking, cls, kind, set_kind)
+    rows = twice_positions([result.ranking])
+    costs, scale = scaled_class_costs(rows, inst, kind, set_kind)
+    for class_id, cls, cost in zip(parsed.class_ids, inst.classes, costs[0]):
+        weighted = Fraction(cost, scale)
         print(
-            f"class {parsed.class_ids[k]}: weight={_format_weight(cls.weight)} "
-            f"cost={_fmt_rational(cost)} weighted={_fmt_rational(cls.weight * cost)}"
+            f"class {class_id}: weight={_format_weight(cls.weight)} "
+            f"cost={_fmt_rational(weighted / cls.weight)} "
+            f"weighted={_fmt_rational(weighted)}"
         )
     if result.certificate is not None:
         print(f"certificate: {result.certificate:.6f}")
@@ -554,6 +573,7 @@ _EXIT_CODES = {
     ParseError: 2,
     OSError: 2,
     UnicodeDecodeError: 2,
+    IncompatibleFlags: 3,
     exact.TooLarge: 4,
     lp.SolverError: 5,
 }

@@ -16,8 +16,8 @@ Two programs are built here:
   d being the number of distinct member positions of that element.  It is
   solved by one ``linprog`` call.
 
-The Kendall program's class weights, the tie mass, ``pairwise_weights``
-and ``kendall_class_costs`` all read the instance's pairwise-count view
+The Kendall program's class weights, the tie mass and
+``pairwise_weights`` all read the instance's pairwise-count view
 ``Instance.above_counts``; members' pairwise orders are counted nowhere
 else.  Both programs are assembled directly as sparse arrays.  Fractional
 solutions keep the raw variable values and the solve counts; the reported
@@ -36,7 +36,7 @@ from scipy.optimize._highspy import _core as highspy
 from scipy.sparse import csr_matrix
 
 from .distances import BLOCK_ELEMENTS
-from .rankings import Instance, twice_positions
+from .rankings import Instance
 
 
 class SolverError(RuntimeError):
@@ -133,23 +133,6 @@ def tie_mass(inst: Instance) -> TieMass:
     return TieMass(tuple(
         Fraction(cls.m * pairs - o, cls.m) for o, cls in zip(ordered, inst.classes)
     ))
-
-
-def kendall_class_costs(inst: Instance, perm) -> list[Fraction]:
-    """Exact per-class cost of the Kendall program at an integral solution.
-
-    For a permutation pi this equals weight * median Kemeny distance to the
-    class (weight * median Kendall tau when the class has no ties).
-    """
-    ties = tie_mass(inst)
-    tw = twice_positions([perm])[0]
-    # below[x][y]: pi ranks y + 1 above x + 1, i.e. u[y][x] = 1
-    below = tw[None, :] < tw[:, None]
-    sums = (inst.above_counts * below).sum(axis=(1, 2)).tolist()
-    return [
-        cls.weight * ties.t[k] / 2 + cls.weight * s / cls.m
-        for k, (cls, s) in enumerate(zip(inst.classes, sums))
-    ]
 
 
 def _sparse(rows, cols, data, shape) -> csr_matrix:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -38,10 +39,11 @@ from minmaxrank import (
     solve,
 )
 from minmaxrank.aggregators import _pivot_costs, positions_to_order
+from minmaxrank.distances import BLOCK_ELEMENTS
 from minmaxrank._rng import generator
 from minmaxrank.mallows import TwoLevelConfig, sample_instance
 
-from conftest import random_instance, random_permutation
+from conftest import random_instance, random_permutation, tied_instance
 
 KT = DistanceKind.KENDALL_TAU
 SF = DistanceKind.SPEARMAN_FOOTRULE
@@ -613,3 +615,31 @@ class TestBaselines:
         base = median_footrule_matching_baseline(inst)
         conv = mmsp_conv(inst, rng_seed=0, deterministic_ties=True)
         assert base.objective > conv.objective
+
+    def test_matching_baseline_blocks_match_unblocked_cost(self, rng):
+        # M * n^2 exceeds BLOCK_ELEMENTS on each, so the pooled cost is
+        # summed over several member blocks
+        instances = [
+            sample_instance(TwoLevelConfig.create(40, 3, 15, 0.7, 0.7), (seed, 0))
+            for seed in range(3)
+        ] + [tied_instance(rng, n_choices=(30,), c_choices=(3,), m_choices=(25,))
+             for _ in range(3)]
+        for inst in instances:
+            tw = inst.member_tw
+            assert len(tw) * inst.n**2 > BLOCK_ELEMENTS
+            cost = np.abs(tw[:, :, None] - 2 * np.arange(1, inst.n + 1)).sum(axis=0)
+            _, cols = linear_sum_assignment(cost)
+            expected = Permutation(tuple(int(c) + 1 for c in cols))
+            assert median_footrule_matching_baseline(inst).ranking == expected
+
+    def test_matching_baseline_memory_stays_within_budget(self):
+        inst = sample_instance(TwoLevelConfig.create(400, 3, 10, 0.7, 0.7), (0, 0))
+        inst.member_tw  # build the cached member view first
+        tracemalloc.start()
+        try:
+            median_footrule_matching_baseline(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one unblocked (30, 400, 400) int64 temporary alone is 38 MB
+        assert peak < 8 * 2**20

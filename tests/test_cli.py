@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -10,7 +11,15 @@ from hypothesis import given, strategies as st
 
 import minmaxrank
 from minmaxrank import cli
-from minmaxrank import Instance, Permutation, RankingClass, make_partial_ranking
+from minmaxrank import (
+    Instance,
+    Permutation,
+    RankingClass,
+    as_partial,
+    effective_kind,
+    make_partial_ranking,
+    set_distance,
+)
 from minmaxrank.cli import (
     ParseError,
     format_benchmark_csv,
@@ -20,6 +29,10 @@ from minmaxrank.cli import (
     run_benchmark,
     write_instance_file,
 )
+from minmaxrank.distances import scaled_class_costs
+from minmaxrank._rng import generator
+
+from conftest import random_instance
 
 GAP_FILE = """\
 # the two-class integrality-gap instance
@@ -182,6 +195,41 @@ def test_write_parse_round_trip(case):
     )
 
 
+_TWO_CLASSES = Instance(
+    3,
+    (
+        RankingClass((Permutation.identity(3),), 1),
+        RankingClass((Permutation((2, 1, 3)),), 1),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "names, ids, message",
+    [
+        # equal weights: the file would parse back as one two-member class
+        (None, ("a", "a"), "duplicate class id 'a'"),
+        (("x", "x", "y"), None, "duplicate element name 'x'"),
+        (("x y", "b", "c"), None, "element name 'x y' is empty or holds whitespace"),
+        (("a", "b\tc", "d"), None, "element name 'b\\tc' is empty"),
+        (("a", "{b", "c"), None, "element name '{b' is empty"),
+        (("a", "b", "c}"), None, "element name 'c}' is empty"),
+        (("a", "", "c"), None, "element name '' is empty"),
+        (None, ("a b", "c"), "class id 'a b' is empty"),
+        (None, ("a{", "c"), "class id 'a{' is empty"),
+        (None, ("a", "c:d"), "class id 'c:d' is empty or holds whitespace or one of"),
+        (None, ("", "c"), "class id '' is empty"),
+        (("a", "b"), None, "2 element names given for 3"),
+        (None, ("a",), "1 class ids given for 2"),
+        (("a", "b", "c", "d"), None, "4 element names given for 3"),
+    ],
+)
+def test_write_rejects_labels_that_do_not_round_trip(names, ids, message):
+    with pytest.raises(ValueError) as info:
+        write_instance_file(_TWO_CLASSES, names, ids)
+    assert str(info.value).startswith(message)
+
+
 class TestGeneOrders:
     def test_signs_stripped_and_singleton_classes(self):
         text = "mouse\t-3 1 -2\nfrog\t2 -1 3\n"
@@ -233,10 +281,21 @@ class TestCommands:
         main(["aggregate", gap_file, "--algo", "pick-rnd", "--seed", "4"])
         assert capsys.readouterr().out == first
 
-    def test_incompatible_flags_exit_3(self, gap_file, capsys):
+    def test_incompatible_flags_exit_3(self, gap_file, tmp_path, capsys):
         assert main(["aggregate", gap_file, "--algo", "mmkt", "--setdist", "min"]) == 3
         assert main(["aggregate", gap_file, "--algo", "mmsp"]) == 3
         assert main(["aggregate", gap_file, "--algo", "min-mmkt"]) == 3
+        # the flags are checked before the file is read
+        absent = str(tmp_path / "absent.txt")
+        assert main(["aggregate", absent, "--algo", "mmsp"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: algorithm mmkt requires --setdist med\n"
+            "error: algorithm mmsp requires --distance sf\n"
+            "error: algorithm min-mmkt requires --setdist min\n"
+            "error: algorithm mmsp requires --distance sf\n"
+        )
 
     def test_parse_error_exit_2_with_line(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -294,6 +353,68 @@ def test_aggregate_golden_output(flags, expected, tied_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == expected
     assert captured.err == ""
+
+
+def _class_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("class ")]
+
+
+def test_aggregate_class_lines_match_set_distance(tmp_path, capsys):
+    rng = generator(11)
+    weights = (Fraction(0.1), Fraction(1, 3), Fraction(1), Fraction(7, 5))
+    instances = [
+        random_instance(rng, m_choices=(1, 2, 3, 4, 5), weight_choices=weights,
+                        allow_ties=True)
+        for _ in range(10)
+    ]
+    classes = [cls for inst in instances for cls in inst.classes]
+    assert {cls.m for cls in classes} == {1, 2, 3, 4, 5}
+    assert {cls.weight for cls in classes} == set(weights)
+    tied = [any(len(b) > 1 for m in cls.members for b in as_partial(m).buckets)
+            for cls in classes]
+    assert set(tied) == {True, False}
+    flag_pairs = list(itertools.product(cli._DISTANCES, cli._SET_DISTANCES))
+    for j, inst in enumerate(instances):
+        path = tmp_path / f"inst{j}.txt"
+        path.write_text(write_instance_file(inst))
+        for algo, (dist, setdist) in itertools.product(cli._ALGORITHMS, flag_pairs):
+            need = cli._ALGORITHMS[algo]
+            if need.distance not in (None, dist) or need.setdist not in (None, setdist):
+                continue
+            argv = ["aggregate", str(path), "--algo", algo, "--distance", dist,
+                    "--setdist", setdist]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            # the printed ranking is in the file syntax, over the names 1..n
+            ranking_text = out.split("ranking: ", 1)[1].split("\n", 1)[0]
+            header = "elements: " + " ".join(map(str, range(1, inst.n + 1)))
+            ranking = parse_instance_file(
+                f"{header}\nclass=r lambda=1 : {ranking_text}\n"
+            ).instance.classes[0].members[0]
+            kind = effective_kind(inst, cli._DISTANCES[dist])
+            set_kind = cli._SET_DISTANCES[setdist]
+            expected = []
+            for k, cls in enumerate(inst.classes, start=1):
+                cost = set_distance(ranking, cls, kind, set_kind)
+                expected.append(
+                    f"class {k}: weight={cli._format_weight(cls.weight)} "
+                    f"cost={cli._fmt_rational(cost)} "
+                    f"weighted={cli._fmt_rational(cls.weight * cost)}"
+                )
+            assert _class_lines(out) == expected, argv
+
+
+def test_aggregate_makes_one_class_cost_call(tied_file, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return scaled_class_costs(*args)
+
+    monkeypatch.setattr(cli, "scaled_class_costs", counted)
+    assert main(["aggregate", tied_file, "--algo", "pick-opt"]) == 0
+    assert len(calls) == 1
+    assert len(_class_lines(capsys.readouterr().out)) == 2
 
 
 def test_exact_golden_output(gap_file, capsys):

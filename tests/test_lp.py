@@ -20,7 +20,6 @@ from minmaxrank import (
     brute_force,
     build_footrule_program,
     build_kendall_lp,
-    kendall_class_costs,
     make_partial_ranking,
     make_permutation,
     minmax_objective,
@@ -151,6 +150,23 @@ class TestTieMass:
             for k, cls in enumerate(inst.classes):
                 tied = sum(as_partial(m).tied_pair_count() for m in cls.members)
                 assert tie_mass(inst).t[k] == Fraction(tied, cls.m)
+
+
+def kendall_class_costs(inst: Instance, perm) -> list[Fraction]:
+    """Reference: exact per-class cost of the Kendall program at an integral point.
+
+    For a permutation pi this equals weight * median Kemeny distance to the
+    class (weight * median Kendall tau when the class has no ties).
+    """
+    ties = tie_mass(inst)
+    tw = twice_positions([perm])[0]
+    # below[x][y]: pi ranks y + 1 above x + 1, i.e. u[y][x] = 1
+    below = tw[None, :] < tw[:, None]
+    sums = (inst.above_counts * below).sum(axis=(1, 2)).tolist()
+    return [
+        cls.weight * ties.t[k] / 2 + cls.weight * s / cls.m
+        for k, (cls, s) in enumerate(zip(inst.classes, sums))
+    ]
 
 
 class TestKendallLP:
