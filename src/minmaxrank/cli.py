@@ -150,6 +150,16 @@ def parse_instance_file(text: str) -> ParsedFile:
             raise ParseError(
                 line_no, f"ranking covers {len(covered)} of {n} elements"
             )
+    # no distance of any kind exceeds n^2/2, so this bounds every class cost
+    for line_no, _, weight, _ in entries:
+        try:
+            float(weight * n * n / 2)
+        except OverflowError:
+            raise ParseError(
+                line_no,
+                f"lambda={_format_weight(weight)} times n^2/2 (n={n}) "
+                "is outside float64 range",
+            )
 
     by_class: dict[str, list[tuple[int, Fraction, list[list[int]]]]] = {}
     for line_no, class_id, weight, buckets in entries:

@@ -13,6 +13,8 @@ All four are computed by one exact integer kernel, ``doubled_distances``:
 twice each distance is an L1 distance between rows of twice-positions
 (footrule) or of pair signs (Kemeny, counting tied-in-one pairs as 1/2 as
 in Fagin et al., "Comparing and aggregating rankings with ties", PODS 2004).
+The footrule is summed as a broadcast; the pair-sign L1 distance is taken
+as an inner product of lifted sign rows, one float64 product per block.
 Values are exact: integers for the permutation distances, half-integer
 Fractions for the partial-ranking ones.  A class costs the mean (median) or
 the least (minimum) distance to its members, times its weight; the minmax
@@ -29,10 +31,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rankings import Instance, Permutation, Ranking, RankingClass, twice_positions
-
-#: element budget of the distance kernel's broadcast temporary
-BLOCK_ELEMENTS = 1 << 16
+from .rankings import (
+    BLOCK_ELEMENTS,
+    Instance,
+    Permutation,
+    Ranking,
+    RankingClass,
+    twice_positions,
+)
 
 
 class DistanceError(ValueError):
@@ -103,25 +109,51 @@ def doubled_distances(p: np.ndarray, q: np.ndarray, positional: bool) -> np.ndar
     """(len p, len q) int64 array of twice the distance between rows.
 
     ``p`` and ``q`` are twice-position arrays (``rankings.twice_positions``).
-    Twice the footrule is the L1 distance between them; twice the Kemeny
-    distance is the L1 distance between their pair signs, since an opposite
-    pair differs by 2 and a pair tied in exactly one ranking by 1.  Rows are
-    taken in blocks so the broadcast temporary never exceeds BLOCK_ELEMENTS
-    elements, however many rows there are.
+    Twice the footrule is the L1 distance between them, summed as a
+    broadcast.  Twice the Kemeny distance is the L1 distance between their
+    pair signs, since an opposite pair differs by 2 and a pair tied in
+    exactly one ranking by 1.  For signs a, b in {-1, 0, 1},
+    |a - b| = |a| + |b| - (ab + |a||b|), so that is
+    nnz(s_p) + nnz(s_q) - [s_p, |s_p|] . [s_q, |s_q|]: one float64 inner
+    product per block, exact because every partial sum is an integer of
+    magnitude at most n(n - 1).  Rows are taken in blocks, and the pairs in
+    chunks once a block of lifted rows would not fit, so no temporary
+    exceeds BLOCK_ELEMENTS elements, however many rows there are.
     """
-    if not positional:
-        p, q = pair_signs(p), pair_signs(q)
-    out = np.empty((len(p), len(q)), dtype=np.int64)
-    width = max(1, p.shape[1])
-    q_rows = max(1, min(len(q), BLOCK_ELEMENTS // width))
-    p_rows = max(1, BLOCK_ELEMENTS // (q_rows * width))
+    if positional:
+        out = np.empty((len(p), len(q)), dtype=np.int64)
+        width = max(1, p.shape[1])
+        q_rows = max(1, min(len(q), BLOCK_ELEMENTS // width))
+        p_rows = max(1, BLOCK_ELEMENTS // (q_rows * width))
+        for j in range(0, len(q), q_rows):
+            q_block = q[None, j:j + q_rows]
+            for i in range(0, len(p), p_rows):
+                out[i:i + p_rows, j:j + q_rows] = np.abs(
+                    p[i:i + p_rows, None] - q_block
+                ).sum(axis=2)
+        return out
+    p, q = pair_signs(p), pair_signs(q)
+    nnz = np.count_nonzero(p, axis=1)[:, None] + np.count_nonzero(q, axis=1)
+    out = nnz.astype(np.int64, copy=False)
+    width = p.shape[1]
+    # a block of rows x cols signs lifts to rows x 2 cols floats, and the
+    # product of a p block and a q block is p_rows x q_rows
+    q_rows = max(1, min(len(q), math.isqrt(BLOCK_ELEMENTS)))
+    cols = max(1, min(width, BLOCK_ELEMENTS // (2 * q_rows)))
+    p_rows = max(1, min(BLOCK_ELEMENTS // (2 * cols), BLOCK_ELEMENTS // q_rows))
     for j in range(0, len(q), q_rows):
-        q_block = q[None, j:j + q_rows]
-        for i in range(0, len(p), p_rows):
-            out[i:i + p_rows, j:j + q_rows] = np.abs(
-                p[i:i + p_rows, None] - q_block
-            ).sum(axis=2)
+        for c in range(0, width, cols):
+            q_block = _lift(q[j:j + q_rows, c:c + cols])
+            for i in range(0, len(p), p_rows):
+                dot = _lift(p[i:i + p_rows, c:c + cols]) @ q_block.T
+                block = out[i:i + p_rows, j:j + q_rows]
+                np.subtract(block, dot, out=block, casting="unsafe")
     return out
+
+
+def _lift(signs: np.ndarray) -> np.ndarray:
+    """[s, |s|] of an int8 sign block, as float64 for the inner product."""
+    return np.concatenate([signs, np.abs(signs)], axis=1, dtype=np.float64)
 
 
 def _doubled(p: Ranking, q: Ranking, kind: DistanceKind) -> int:

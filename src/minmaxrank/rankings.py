@@ -28,6 +28,9 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
+#: element budget of an array kernel's temporaries (distances, counts, LP blocks)
+BLOCK_ELEMENTS = 1 << 16
+
 
 class RankingError(ValueError):
     """Base class for ranking construction/lookup errors."""
@@ -289,12 +292,16 @@ class Instance:
         """(C, n, n) read-only int64 array: members of class k ranking x+1
         strictly above y+1, so tied pairs count in neither direction.
 
-        It is counted one class at a time, so no (M, n, n) temporary is built.
+        It is summed over blocks of members whose (members, n, n) comparison
+        stays within BLOCK_ELEMENTS (one member once n² is larger).
         """
-        counts = np.stack([
-            (tw[:, :, None] < tw[:, None, :]).sum(axis=0, dtype=np.int64)
-            for tw in np.split(self.member_tw, self.class_starts[1:])
-        ])
+        n = self.n
+        step = max(1, BLOCK_ELEMENTS // (n * n))
+        counts = np.zeros((self.num_classes, n, n), dtype=np.int64)
+        for k, tw in enumerate(np.split(self.member_tw, self.class_starts[1:])):
+            for i in range(0, len(tw), step):
+                block = tw[i:i + step]
+                counts[k] += (block[:, :, None] < block[:, None, :]).sum(axis=0)
         counts.flags.writeable = False
         return counts
 

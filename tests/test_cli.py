@@ -474,11 +474,14 @@ def test_bad_benchmark_flag_exit_2(argv, capsys):
         (["aggregate"], "1e-400", 2),
         (["aggregate", "--algo", "mmsp", "--distance", "sf"], "1e20", 5),
         (["exact"], "1e20", 5),
+        (["aggregate", "--algo", "pick-opt"], "1e308", 2),
+        (["exact"], "1e308", 2),
     ],
 )
 def test_extreme_lambda_exits_with_message(argv, weight, code, tmp_path, capsys):
     # 1e400 overflows float64 and 1e-400 rounds to 0; at 1e20 HiGHS
-    # rejects the program's coefficients
+    # rejects the program's coefficients; 1e308 is in range, but a class
+    # cost of up to 1e308 * n²/2 is not
     path = tmp_path / "extreme.txt"
     path.write_text(f"class=a lambda={weight} : 1 2 3\nclass=b lambda=1 : 3 2 1\n")
     assert main([argv[0], str(path), *argv[1:]]) == code

@@ -276,8 +276,8 @@ class TestDoubledDistances:
     def test_matches_pair_oracles(self, rng, monkeypatch, ties, block):
         monkeypatch.setattr(distances, "BLOCK_ELEMENTS", block)
         make = random_partial_ranking if ties else random_permutation
-        for _ in range(30):
-            n = int(rng.integers(1, 9))
+        # 130 is past the uint8/uint16 switch of pair_signs' gathers
+        for n in [*rng.integers(1, 9, size=30).tolist(), 45, 130]:
             rows = int(rng.integers(1, 5))
             p = [make(rng, n) for _ in range(rows)]
             q = [make(rng, n) for _ in range(rows + int(rng.integers(1, 4)))]
@@ -304,6 +304,24 @@ class TestDoubledDistances:
         # the 8 MB result plus bounded temporaries; one unblocked broadcast
         # would hold 1000 * 1000 * 45 pair signs
         assert peak < 12 * 2**20
+
+    def test_kemeny_memory_stays_within_budget_past_one_lifted_row(self):
+        rng = generator(7)
+        perms = [random_permutation(rng, 300) for _ in range(30)]
+        tw = twice_positions(perms)
+        distances.pair_signs(tw)  # build the cached pair indices first
+        tracemalloc.start()
+        try:
+            out = doubled_distances(tw, tw, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.diagonal().tolist() == [0] * 30
+        assert out[0, 1] == 2 * pair_count_kendall(perms[0], perms[1])
+        # pair_signs' uint16 gathers take about 8 MB and each lifted block
+        # at most 0.5 MB; lifting one side's 30 rows of 44,850 pairs whole
+        # would add 21 MB
+        assert peak < 16 * 2**20
 
     def test_pair_signs_memory_is_a_few_times_the_result(self):
         rng = generator(6)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -144,6 +145,24 @@ def test_optima_across_blocks_in_lexicographic_order():
     assert opt.value == 14
     assert opt.ranking == Permutation.identity(8)
     assert [p.ranks for p in opt.all_optima] == list(permutations(range(1, 9)))
+
+
+@pytest.mark.parametrize("kind", [DistanceKind.KEMENY, DistanceKind.PARTIAL_FOOTRULE])
+def test_memory_stays_within_a_few_mb_at_n8(kind):
+    inst = random_instance(
+        generator(8), n_choices=(8,), c_choices=(3,), m_choices=(4,), allow_ties=True
+    )
+    inst.member_tw  # built before tracing: the instance's view, not the oracle's
+    tracemalloc.start()
+    try:
+        opt = brute_force(inst, kind, SetDistanceKind.MEDIAN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert opt.value == minmax_objective(opt.ranking, inst, kind, SetDistanceKind.MEDIAN)
+    # one block of candidates at a time; all 8! rank arrays as int64 alone
+    # would take 2.6 MB, and as tuples about 4 MB
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("weight", [Fraction(0.1), Fraction(1, 3)])

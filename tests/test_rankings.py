@@ -1,5 +1,7 @@
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +21,10 @@ from minmaxrank import (
     make_permutation,
     position,
 )
-from minmaxrank.rankings import twice_positions
+from minmaxrank._rng import generator
+from minmaxrank.rankings import BLOCK_ELEMENTS, twice_positions
 
-from conftest import random_partial_ranking
+from conftest import random_partial_ranking, tied_instance
 
 perm_strategy = st.integers(1, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -206,6 +209,33 @@ class TestMemberView:
             with pytest.raises(ValueError):
                 view[0, 0] = 7
             assert (view[0, 0] == before).all()
+
+    def test_blocked_counts_match_unblocked_formula(self):
+        rng = generator(12)
+        for n in (20, 30, 70):
+            inst = tied_instance(rng, n_choices=(n,), m_choices=(1, 90, 200))
+            assert inst.n**2 * max(cls.m for cls in inst.classes) > BLOCK_ELEMENTS
+            whole = [
+                (tw[:, :, None] < tw[:, None, :]).sum(axis=0)
+                for tw in np.split(inst.member_tw, inst.class_starts[1:])
+            ]
+            assert inst.above_counts.tolist() == np.stack(whole).tolist()
+
+    def test_counts_memory_stays_within_budget(self):
+        rng = generator(13)
+        members = tuple(random_partial_ranking(rng, 300) for _ in range(400))
+        inst = Instance(300, (RankingClass(members, 1),))
+        inst.member_tw  # built before the count is traced
+        tracemalloc.start()
+        try:
+            counts = inst.above_counts
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (1, 300, 300)
+        # the 0.7 MB result plus one member's 0.7 MB count and comparison;
+        # all 400 members' (400, 300, 300) comparison at once takes 36 MB
+        assert peak < 4 * 2**20
 
     def test_built_view_leaves_equality_hash_and_repr(self):
         for view in ("member_tw", "above_counts"):
