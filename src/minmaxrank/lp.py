@@ -6,23 +6,22 @@ Two programs are built here:
   [0,1] with pairing equalities u[x][y] + u[y][x] = 1 and triangle
   constraints, minimizing the epigraph variable q of the weighted class
   costs (tied pairs inside a class contribute the constant weight*T_k/2).
-  It holds its class and pairing rows only; ``solve`` keeps one HiGHS
-  model of it (scipy's private binding, scipy >= 1.15) and adds the
-  triangles its optima violate as cuts, re-solving from the last basis;
+  It holds its class and pairing rows only; ``solve`` adds the triangles
+  its optima violate as cuts, re-solving from the last basis;
 * the footrule program over free positions u(1..n), reformulated exactly
   as an LP with one epigraph column per class and element: the sum of that
   element's absolute deviations from the class's member positions is
   convex and piecewise linear, so it is the max of d + 1 affine pieces,
-  d being the number of distinct member positions of that element.  It is
-  solved by one ``linprog`` call.
+  d being the number of distinct member positions of that element.
 
-The Kendall program's class weights, the tie mass and
-``pairwise_weights`` all read the instance's pairwise-count view
-``Instance.above_counts``; members' pairwise orders are counted nowhere
-else.  Both programs are assembled directly as sparse arrays.  Fractional
-solutions keep the raw variable values and the solve counts; the reported
-objective is recomputed from the variables so it always equals the worst
-class cost implied by them.
+``solve`` loads either program into one HiGHS model the same way, through
+scipy's private binding (scipy >= 1.15), and maps its model status to one
+set of errors.  The Kendall program's class weights and the tie mass read
+the instance's pairwise-count view ``Instance.above_counts``; members'
+pairwise orders are counted nowhere else.  Both programs are assembled
+directly as sparse arrays.  Fractional solutions keep the raw variable
+values and the solve counts; the reported objective is recomputed from the
+variables so it always equals the worst class cost implied by them.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highspy
 from scipy.sparse import csr_matrix
 
@@ -57,7 +55,12 @@ class IterationLimit(SolverError):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """A minimization LP in ``linprog`` form plus what reads its solution back.
+    """A minimization LP plus what reads its solution back.
+
+    The arrays keep the argument form of scipy's LP front end (``A_ub``,
+    ``b_ub``, ``A_eq``, ``b_eq``, ``bounds``) only so that tests can hand a
+    program to it as an independent reference; ``solve`` loads them into its
+    own HiGHS model.
 
     Column 0 is the epigraph variable q.  A pairwise program (``kind`` is
     "pairwise") keeps u[x][y] at column ``1 + x(n-1) + y - [y > x]``, the
@@ -84,25 +87,6 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
-class PairwiseWeights:
-    """Per-class weighted pairwise preference counts.
-
-    ``w[k][x][y]`` (0-based indices, elements x+1 and y+1) is the class
-    weight over class size times the number of members ranking x+1 strictly
-    above y+1, as an exact Fraction.  Ties contribute to neither direction.
-    """
-
-    w: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-
-@dataclass(frozen=True)
-class TieMass:
-    """Per-class average number of tied pairs; zero for permutation classes."""
-
-    t: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class FractionalSolution:
     kind: str  # "pairwise" or "positional"
     objective: float
@@ -113,26 +97,18 @@ class FractionalSolution:
     iterations: int = 0  # simplex iterations over all the solves
 
 
-def pairwise_weights(inst: Instance) -> PairwiseWeights:
-    """Weighted fraction of each class ranking x strictly above y."""
-    out = []
-    for cls, counts in zip(inst.classes, inst.above_counts.tolist()):
-        unit = cls.weight / cls.m
-        out.append(tuple(tuple(unit * c for c in row) for row in counts))
-    return PairwiseWeights(tuple(out))
-
-
-def tie_mass(inst: Instance) -> TieMass:
+def tie_mass(inst: Instance) -> tuple[Fraction, ...]:
     """Average tied-pair count per class (the constant part of its cost).
 
     A member orders each of the C(n, 2) pairs one way or ties it, so a
-    class's tied pairs are m C(n, 2) less its ordered ones.
+    class's tied pairs are m C(n, 2) less its ordered ones; a class of
+    permutations has none.
     """
     pairs = inst.n * (inst.n - 1) // 2
     ordered = inst.above_counts.sum(axis=(1, 2)).tolist()
-    return TieMass(tuple(
+    return tuple(
         Fraction(cls.m * pairs - o, cls.m) for o, cls in zip(ordered, inst.classes)
-    ))
+    )
 
 
 def _sparse(rows, cols, data, shape) -> csr_matrix:
@@ -216,7 +192,7 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     ])
     ties = tie_mass(inst)
     shifts = np.array(
-        [float(cls.weight * ties.t[k] / 2) for k, cls in enumerate(inst.classes)]
+        [float(cls.weight * t / 2) for t, cls in zip(ties, inst.classes)]
     )
     col = _pair_columns(n)
     off = ~np.eye(n, dtype=bool)
@@ -311,30 +287,6 @@ def _positional_objective(u: np.ndarray, lp: LinearProgram) -> float:
     return float(max(costs))
 
 
-def _highs(lp: LinearProgram):
-    """``linprog``'s HiGHS result for ``lp``, which must be optimal."""
-    res = linprog(
-        lp.c,
-        A_ub=lp.A_ub,
-        b_ub=lp.b_ub,
-        A_eq=lp.A_eq,
-        b_eq=lp.b_eq,
-        bounds=lp.bounds,
-        method="highs",
-    )
-    # status 2 is also HiGHS's "Model error", a program it rejects outright;
-    # only its infeasibility verdict carries this message
-    if res.status == 2 and res.message.startswith("The problem is infeasible"):
-        raise Infeasible(res.message)
-    if res.status == 3:
-        raise Unbounded(res.message)
-    if res.status == 1:
-        raise IterationLimit(res.message)
-    if res.status != 0:
-        raise SolverError(res.message)
-    return res
-
-
 #: the error a model status other than optimal raises; the rest raise SolverError
 _STATUS_ERRORS = {
     highspy.HighsModelStatus.kInfeasible: Infeasible,
@@ -355,22 +307,27 @@ def _add_rows(highs, lower: np.ndarray, upper: np.ndarray, A: csr_matrix) -> Non
     _loaded(highs, highs.addRows(A.shape[0], lower, upper, A.nnz, A.indptr, A.indices, A.data))
 
 
-def _solve_pairwise(lp: LinearProgram) -> FractionalSolution:
-    """Solve a pairwise program on one HiGHS model, adding triangles as cuts.
+def solve(lp: LinearProgram) -> FractionalSolution:
+    """Solve ``lp`` on one HiGHS model and read the structured solution back out.
 
-    The model starts from the class rows and the pairing rows.  After each
-    solve the triangle rows its optimum violates are appended and the model
-    is solved again, warm from its last basis, until no triangle is
-    violated.  The rows come from a finite set, so this ends, and the
-    returned optimum is the optimum of the program with every triangle.
+    The model holds the columns with their bounds, the ``A_ub`` rows as
+    (-inf, b_ub] and the ``A_eq`` rows as [b_eq, b_eq].  A pairwise program
+    then appends the triangle rows its optimum violates and is solved again,
+    warm from its last basis, until no triangle is violated.  The rows come
+    from a finite set, so this ends, and the returned optimum is the optimum
+    of the program with every triangle.
     """
+    if lp.kind not in ("pairwise", "positional"):
+        raise SolverError(f"unknown program kind {lp.kind!r}")
     n = lp.n
     highs = highspy._Highs()
     highs.setOptionValue("output_flag", False)
     lower, upper = lp.bounds.T  # np.inf is kHighsInf
     _loaded(highs, highs.addCols(len(lp.c), lp.c, lower, upper, 0, [], [], []))
-    _add_rows(highs, np.full(len(lp.b_ub), -highspy.kHighsInf), lp.b_ub, lp.A_ub)
-    _add_rows(highs, lp.b_eq, lp.b_eq, lp.A_eq)
+    if lp.A_ub is not None:
+        _add_rows(highs, np.full(len(lp.b_ub), -highspy.kHighsInf), lp.b_ub, lp.A_ub)
+    if lp.A_eq is not None:
+        _add_rows(highs, lp.b_eq, lp.b_eq, lp.A_eq)
     present = np.empty(0, dtype=np.int64)
     runs = iterations = 0
     while True:
@@ -380,28 +337,18 @@ def _solve_pairwise(lp: LinearProgram) -> FractionalSolution:
             raise _STATUS_ERRORS.get(status, SolverError)(highs.modelStatusToString(status))
         runs += 1
         iterations += highs.getInfo().simplex_iteration_count
+        x = np.array(highs.getSolution().col_value)
+        if lp.kind == "positional":
+            u = x[1:1 + n]
+            return FractionalSolution("positional", _positional_objective(u, lp), u_pos=u,
+                                      runs=runs, rows=highs.getNumRow(), iterations=iterations)
         u = np.zeros((n, n))
-        u[~np.eye(n, dtype=bool)] = highs.getSolution().col_value[1:]
+        u[~np.eye(n, dtype=bool)] = x[1:]
         new = _violated_triangles(u, present)
         if not len(new):
-            break
+            return FractionalSolution("pairwise", _pairwise_objective(u, lp.wf, lp.shifts),
+                                      u_pair=u, runs=runs, rows=highs.getNumRow(),
+                                      iterations=iterations)
         _add_rows(highs, np.full(len(new), -highspy.kHighsInf), np.full(len(new), -1.0),
                   _triangle_rows(new, _pair_columns(n)))
         present = np.concatenate([present, new])
-    objective = _pairwise_objective(u, lp.wf, lp.shifts)
-    return FractionalSolution("pairwise", objective, u_pair=u, runs=runs,
-                              rows=highs.getNumRow(), iterations=iterations)
-
-
-def solve(lp: LinearProgram) -> FractionalSolution:
-    """Solve with HiGHS and read the structured solution back out."""
-    if lp.kind == "pairwise":
-        return _solve_pairwise(lp)
-    if lp.kind == "positional":
-        res = _highs(lp)
-        u = res.x[1:1 + lp.n]
-        objective = _positional_objective(u, lp)
-        rows = sum(a.shape[0] for a in (lp.A_ub, lp.A_eq) if a is not None)
-        return FractionalSolution("positional", objective, u_pos=u, runs=1,
-                                  rows=rows, iterations=res.nit)
-    raise SolverError(f"unknown program kind {lp.kind!r}")

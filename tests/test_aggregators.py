@@ -563,6 +563,41 @@ class TestMinConvVariants:
             assert min_mmsp_conv(inst, rng_seed=t).objective <= 4 * w_sf
 
 
+ONE, UP, DOWN = Permutation.identity(1), Permutation.identity(2), make_permutation([2, 1])
+
+#: one- and two-element instances; "n2-rounding" rounds u12 of about 0.355 to
+#: 2 > 1 at cost 21/10 where 1 > 2 costs 2, so rounding is not optimal at n=2
+DEGENERATE = {
+    "n1": Instance(1, (RankingClass((ONE,), 1),)),
+    "n1-two-classes": Instance(1, (
+        RankingClass((ONE,), 1), RankingClass((ONE, ONE), Fraction(5, 2)))),
+    "n2": Instance(2, (RankingClass((UP,), 1), RankingClass((DOWN,), 1))),
+    "n2-rounding": Instance(2, (
+        RankingClass((DOWN,) * 2 + (UP,), 3),
+        RankingClass((UP,), Fraction(21, 10)))),
+    "n2-tied": Instance(2, (
+        RankingClass((make_partial_ranking([{1, 2}]), make_partial_ranking([{2}, {1}])), 1),
+        RankingClass((make_partial_ranking([{1}, {2}]),), 2))),
+}
+
+
+@pytest.mark.parametrize("name", list(DEGENERATE))
+class TestDegenerateSizes:
+    def test_median_algorithms_meet_their_certificates(self, name):
+        inst = DEGENERATE[name]
+        for algo, family in ((mmkt_conv, KT), (mmsp_conv, SF)):
+            res = algo(inst)
+            optimum = brute_force(inst, effective_kind(inst, family), MED).value
+            assert res.certificate <= optimum + 1e-9
+            assert res.objective <= 2 * res.certificate + 1e-9
+
+    def test_min_variants_within_four(self, name):
+        inst = DEGENERATE[name]
+        for algo, family in ((min_mmkt_conv, KT), (min_mmsp_conv, SF)):
+            optimum = brute_force(inst, effective_kind(inst, family), MIN).value
+            assert algo(inst).objective <= 4 * optimum
+
+
 class TestBaselines:
     def test_pivot_baseline_singleton(self):
         p = make_permutation([3, 1, 2])

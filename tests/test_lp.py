@@ -24,7 +24,6 @@ from minmaxrank import (
     make_permutation,
     minmax_objective,
     mmkt_conv,
-    pairwise_weights,
     restrict_to_min_witnesses,
     solve,
     tie_mass,
@@ -56,10 +55,24 @@ def gap_instance():
     )
 
 
+def class_weights(inst: Instance) -> list:
+    """Exact w[k][x][y] = count * weight / m from ``Instance.above_counts``.
+
+    count is the number of class k's members ranking x+1 strictly above
+    y+1.  It also checks that the Kendall program's float class weights
+    ``wf`` are these values as floats.
+    """
+    w = [[[c * cls.weight / cls.m for c in row] for row in counts]
+         for cls, counts in zip(inst.classes, inst.above_counts.tolist())]
+    assert build_kendall_lp(inst).wf.tolist() == [
+        [[float(v) for v in row] for row in wk] for wk in w]
+    return w
+
+
 class TestPairwiseWeights:
     def test_single_identity_class(self):
         inst = Instance(3, (RankingClass((Permutation.identity(3),), 1),))
-        w = pairwise_weights(inst).w
+        w = class_weights(inst)
         for x in range(3):
             for y in range(3):
                 expect = 1 if x < y else 0
@@ -69,7 +82,7 @@ class TestPairwiseWeights:
         cls = RankingClass(
             (Permutation.identity(3), make_permutation([3, 2, 1])), Fraction(1)
         )
-        w = pairwise_weights(Instance(3, (cls,))).w
+        w = class_weights(Instance(3, (cls,)))
         for x in range(3):
             for y in range(3):
                 assert w[0][x][y] == (Fraction(1, 2) if x != y else 0)
@@ -78,7 +91,7 @@ class TestPairwiseWeights:
         inst = Instance(
             3, (RankingClass((make_partial_ranking([{1, 2}, {3}]),), 1),)
         )
-        w = pairwise_weights(inst).w
+        w = class_weights(inst)
         assert w[0][0][1] == 0 and w[0][1][0] == 0
         assert w[0][0][2] == 1 and w[0][1][2] == 1
         assert w[0][2][0] == 0 and w[0][2][1] == 0
@@ -86,16 +99,16 @@ class TestPairwiseWeights:
     def test_permutation_class_pair_sums(self, rng):
         for _ in range(20):
             inst = random_instance(rng)
-            pw = pairwise_weights(inst)
+            w = class_weights(inst)
             for k, cls in enumerate(inst.classes):
                 total = Fraction(0)
                 for x in range(inst.n):
                     for y in range(inst.n):
                         if x != y:
-                            total += pw.w[k][x][y]
+                            total += w[k][x][y]
                         if x < y:
-                            assert pw.w[k][x][y] + pw.w[k][y][x] == cls.weight
-                        assert 0 <= pw.w[k][x][y] <= cls.weight
+                            assert w[k][x][y] + w[k][y][x] == cls.weight
+                        assert 0 <= w[k][x][y] <= cls.weight
                 assert total == cls.weight * inst.n * (inst.n - 1) / 2
 
     def test_above_counts_match_member_loop(self, rng):
@@ -113,9 +126,9 @@ class TestPairwiseWeights:
     def test_triangle_property(self, rng):
         for _ in range(20):
             inst = random_instance(rng, allow_ties=True)
-            pw = pairwise_weights(inst)
+            w = class_weights(inst)
             for k in range(inst.num_classes):
-                wk = pw.w[k]
+                wk = w[k]
                 for x, y, z in permutations(range(inst.n), 3):
                     assert wk[x][y] + wk[y][z] >= wk[x][z]
 
@@ -123,7 +136,7 @@ class TestPairwiseWeights:
 class TestTieMass:
     def test_zero_for_permutations(self, rng):
         inst = random_instance(rng)
-        assert all(t == 0 for t in tie_mass(inst).t)
+        assert all(t == 0 for t in tie_mass(inst))
 
     def test_partial_average(self):
         cls = RankingClass(
@@ -133,7 +146,7 @@ class TestTieMass:
             ),
             1,
         )
-        assert tie_mass(Instance(3, (cls,))).t[0] == Fraction(3, 2)
+        assert tie_mass(Instance(3, (cls,)))[0] == Fraction(3, 2)
 
     def test_matches_tied_pair_count_with_unequal_class_sizes(self):
         rng = generator(31)
@@ -149,7 +162,7 @@ class TestTieMass:
             inst = Instance(n, classes)
             for k, cls in enumerate(inst.classes):
                 tied = sum(as_partial(m).tied_pair_count() for m in cls.members)
-                assert tie_mass(inst).t[k] == Fraction(tied, cls.m)
+                assert tie_mass(inst)[k] == Fraction(tied, cls.m)
 
 
 def kendall_class_costs(inst: Instance, perm) -> list[Fraction]:
@@ -164,7 +177,7 @@ def kendall_class_costs(inst: Instance, perm) -> list[Fraction]:
     below = tw[None, :] < tw[:, None]
     sums = (inst.above_counts * below).sum(axis=(1, 2)).tolist()
     return [
-        cls.weight * ties.t[k] / 2 + cls.weight * s / cls.m
+        cls.weight * ties[k] / 2 + cls.weight * s / cls.m
         for k, (cls, s) in enumerate(zip(inst.classes, sums))
     ]
 
@@ -350,7 +363,7 @@ class TestTriangleSeparation:
 
 class TestHighsBinding:
     def test_rows_added_to_a_solved_model_are_solved_warm(self):
-        # lp.solve keeps one model of the Kendall program through scipy's
+        # lp.solve loads both programs into one model through scipy's
         # private HiGHS binding; a scipy release that moves or changes the
         # calls it makes fails here by name
         from scipy.optimize._highspy._core import (
@@ -461,6 +474,19 @@ class TestFootruleProgram:
         assert weights == set(REFERENCE_WEIGHTS)
         assert tied >= 10
 
+    @pytest.mark.parametrize("seed", [*range(40), "gene"])
+    def test_solve_matches_linprog(self, seed):
+        # linprog loads and solves the same arrays apart from lp.solve
+        inst = (parse_gene_order_file(GENE_SAMPLE.read_text()).instance
+                if seed == "gene" else reference_instance(seed))
+        prog = build_footrule_program(inst)
+        sol = solve(prog)
+        res = linprog(prog.c, A_ub=prog.A_ub, b_ub=prog.b_ub, bounds=prog.bounds,
+                      method="highs")
+        assert res.status == 0
+        assert np.allclose(sol.u_pos, res.x[1:1 + inst.n], rtol=0, atol=1e-9)
+        assert (sol.iterations, sol.rows) == (res.nit, prog.A_ub.shape[0])
+
     @pytest.mark.parametrize("name", ["gene", "gap"])
     def test_one_member_classes_keep_the_slack_arrays(self, name):
         # each element of a one-member class has one piece per slack row
@@ -566,7 +592,7 @@ class TestSolveErrors:
             solve(prog)
 
     def test_pairwise_model_statuses_raise_the_same_errors(self):
-        # the pairwise path solves on its own HiGHS model, not linprog
+        # pairwise programs share the one status mapping with positional ones
         def pairwise(A_ub, b_ub, bounds):
             return LinearProgram(
                 c=np.array([1.0]), A_ub=csr_matrix(A_ub), b_ub=np.array(b_ub),
@@ -580,7 +606,8 @@ class TestSolveErrors:
             solve(pairwise([[0.0]], [0.0], [-np.inf, np.inf]))
 
     def test_model_error_is_not_infeasible(self):
-        # HiGHS rejects a program with coefficients as large as 1e20
+        # HiGHS rejects a program with coefficients as large as 1e20; both
+        # programs reach it through the same loader and status mapping
         inst = Instance(
             3,
             (
@@ -588,6 +615,7 @@ class TestSolveErrors:
                 RankingClass((make_permutation([3, 2, 1]),), Fraction(1)),
             ),
         )
-        with pytest.raises(SolverError) as err:
-            solve(build_kendall_lp(inst))
-        assert not isinstance(err.value, Infeasible)
+        for build in (build_kendall_lp, build_footrule_program):
+            with pytest.raises(SolverError) as err:
+                solve(build(inst))
+            assert not isinstance(err.value, Infeasible)
