@@ -167,7 +167,7 @@ def mmkt_conv(inst: Instance, kind: DistanceKind | None = None) -> AggregationRe
     kind = _family_kind(inst, kind, DistanceKind.KENDALL_TAU)
     prog = build_kendall_lp(inst)
     sol = solve(prog)
-    order, _ = pivot_rounding(sol.u_pair, prog.wf)
+    order, _ = pivot_rounding(sol.u, prog.wf)
     perm = Permutation.from_order(order)
     objective = minmax_objective(perm, inst, kind, SetDistanceKind.MEDIAN)
     return AggregationResult(perm, objective, certificate=sol.objective)
@@ -212,7 +212,7 @@ def mmsp_conv(
     kind = _family_kind(inst, kind, DistanceKind.SPEARMAN_FOOTRULE)
     prog = build_footrule_program(inst)
     sol = solve(prog)
-    order = positions_to_order(sol.u_pos, rng_seed, deterministic_ties)
+    order = positions_to_order(sol.u, rng_seed, deterministic_ties)
     perm = Permutation.from_order(order)
     objective = minmax_objective(perm, inst, kind, SetDistanceKind.MEDIAN)
     return AggregationResult(perm, objective, certificate=sol.objective)
@@ -252,7 +252,6 @@ def pick_opt_perm(
     inst: Instance, kind: DistanceKind, set_kind: SetDistanceKind
 ) -> AggregationResult:
     """Best member of the heaviest classes; ties keep the first (class, index)."""
-    kind = effective_kind(inst, kind)
     (_, _, best), obj = _best_member(inst, max_weight_members(inst), kind, set_kind)
     return AggregationResult(best, obj)
 
@@ -263,7 +262,6 @@ def min_pick_perm(inst: Instance, kind: DistanceKind) -> AggregationResult:
     Ties keep the first (class, index).  A member's own class costs it 0,
     so with a single class every member is optimal and the first is returned.
     """
-    kind = effective_kind(inst, kind)
     (_, _, member), objective = _best_member(
         inst, list(inst.iter_members()), kind, SetDistanceKind.MINIMUM
     )
@@ -278,7 +276,6 @@ def restrict_to_min_witnesses(inst: Instance, kind: DistanceKind) -> Instance:
     weights are unchanged.  A median aggregate of the restricted instance
     approximates the original minimum-distance problem.
     """
-    kind = effective_kind(inst, kind)
     (k_star, _, anchor), _ = _best_member(
         inst, list(inst.iter_members()), kind, SetDistanceKind.MINIMUM
     )

@@ -378,7 +378,7 @@ def cmd_aggregate(args) -> int:
 def cmd_exact(args) -> int:
     parsed = _read_parsed(args.file, args.gene_orders)
     inst = parsed.instance
-    kind = effective_kind(inst, _DISTANCES[args.distance])
+    kind = _DISTANCES[args.distance]
     set_kind = _SET_DISTANCES[args.setdist]
     opt = exact.brute_force(inst, kind, set_kind, n_limit=args.n_limit)
     # the gap comes first, so a solver failure leaves stdout empty

@@ -15,13 +15,14 @@ Two programs are built here:
   d being the number of distinct member positions of that element.
 
 ``solve`` loads either program into one HiGHS model the same way, through
-scipy's private binding (scipy >= 1.15), and maps its model status to one
-set of errors.  The Kendall program's class weights and the tie mass read
-the instance's pairwise-count view ``Instance.above_counts``; members'
-pairwise orders are counted nowhere else.  Both programs are assembled
-directly as sparse arrays.  Fractional solutions keep the raw variable
-values and the solve counts; the reported objective is recomputed from the
-variables so it always equals the worst class cost implied by them.
+scipy's private binding (scipy >= 1.15), and raises ``SolverError`` with
+HiGHS's model-status text for any status other than optimal.  The Kendall
+program's class weights and the tie mass read the instance's pairwise-count
+view ``Instance.above_counts``; members' pairwise orders are counted nowhere
+else.  Both programs are assembled directly as sparse arrays.  Fractional
+solutions keep u (the pair orders or the positions) and the solve counts;
+the reported objective is recomputed from u, so it always equals the worst
+class cost implied by it.
 """
 
 from __future__ import annotations
@@ -38,19 +39,7 @@ from .rankings import Instance
 
 
 class SolverError(RuntimeError):
-    pass
-
-
-class Infeasible(SolverError):
-    pass
-
-
-class Unbounded(SolverError):
-    pass
-
-
-class IterationLimit(SolverError):
-    pass
+    """HiGHS rejected a program or ended with a status other than optimal."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +53,12 @@ class LinearProgram:
 
     Column 0 is the epigraph variable q.  A pairwise program (``kind`` is
     "pairwise") keeps u[x][y] at column ``1 + x(n-1) + y - [y > x]``, the
-    float class weights ``wf`` (C, n, n) and tie shifts (C,); its rows are
-    the C class rows and the pairing rows, and ``solve`` adds triangles.  A
-    positional program keeps the positions u(h) at columns 1..n, class k's
-    epigraph t_kh of element h at column 1 + n + kn + h and, per class, the
-    member positions (m, n) and lambda/m; its rows are each class's piece
-    rows followed by its cost row.
+    float class weights ``wf`` (C, n, n); its rows are the C class rows,
+    whose ``-b_ub`` are the classes' tie shifts, and the pairing rows, and
+    ``solve`` adds triangles.  A positional program keeps the positions
+    u(h) at columns 1..n, class k's epigraph t_kh of element h at column
+    1 + n + kn + h and, per class, the member positions (m, n) and
+    lambda/m; its rows are each class's piece rows followed by its cost row.
     """
 
     c: np.ndarray
@@ -81,20 +70,17 @@ class LinearProgram:
     kind: str  # "pairwise" or "positional"
     n: int
     wf: np.ndarray | None = None
-    shifts: np.ndarray | None = None
     class_pos: tuple[np.ndarray, ...] = ()
     lam_over_m: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    kind: str  # "pairwise" or "positional"
     objective: float
-    u_pair: np.ndarray | None = None  # (n, n) in [0, 1], diagonal 0
-    u_pos: np.ndarray | None = None  # (n,) real positions
-    runs: int = 0  # HiGHS solves of the program
-    rows: int = 0  # rows HiGHS held at its last solve
-    iterations: int = 0  # simplex iterations over all the solves
+    u: np.ndarray  # pairwise: (n, n) in [0, 1], diagonal 0; positional: (n,)
+    runs: int  # HiGHS solves of the program
+    rows: int  # rows HiGHS held at its last solve
+    iterations: int  # simplex iterations over all the solves
 
 
 def tie_mass(inst: Instance) -> tuple[Fraction, ...]:
@@ -228,7 +214,6 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
         "pairwise",
         n,
         wf=wf,
-        shifts=shifts,
     )
 
 
@@ -274,8 +259,8 @@ def build_footrule_program(inst: Instance) -> LinearProgram:
                          class_pos=tuple(class_pos), lam_over_m=tuple(lam_over_m))
 
 
-def _pairwise_objective(u: np.ndarray, wf: np.ndarray, shifts: np.ndarray) -> float:
-    costs = shifts + (wf * u.T[None, :, :]).sum(axis=(1, 2))
+def _pairwise_objective(u: np.ndarray, lp: LinearProgram) -> float:
+    costs = -lp.b_ub + (lp.wf * u.T[None, :, :]).sum(axis=(1, 2))
     return float(costs.max())
 
 
@@ -285,15 +270,6 @@ def _positional_objective(u: np.ndarray, lp: LinearProgram) -> float:
         for lam, pos in zip(lp.lam_over_m, lp.class_pos)
     ]
     return float(max(costs))
-
-
-#: the error a model status other than optimal raises; the rest raise SolverError
-_STATUS_ERRORS = {
-    highspy.HighsModelStatus.kInfeasible: Infeasible,
-    highspy.HighsModelStatus.kUnbounded: Unbounded,
-    highspy.HighsModelStatus.kUnboundedOrInfeasible: Unbounded,
-    highspy.HighsModelStatus.kIterationLimit: IterationLimit,
-}
 
 
 def _loaded(highs, status) -> None:
@@ -334,21 +310,20 @@ def solve(lp: LinearProgram) -> FractionalSolution:
         highs.run()
         status = highs.getModelStatus()
         if status != highspy.HighsModelStatus.kOptimal:
-            raise _STATUS_ERRORS.get(status, SolverError)(highs.modelStatusToString(status))
+            raise SolverError(highs.modelStatusToString(status))
         runs += 1
         iterations += highs.getInfo().simplex_iteration_count
         x = np.array(highs.getSolution().col_value)
         if lp.kind == "positional":
             u = x[1:1 + n]
-            return FractionalSolution("positional", _positional_objective(u, lp), u_pos=u,
-                                      runs=runs, rows=highs.getNumRow(), iterations=iterations)
+            return FractionalSolution(_positional_objective(u, lp), u, runs,
+                                      highs.getNumRow(), iterations)
         u = np.zeros((n, n))
         u[~np.eye(n, dtype=bool)] = x[1:]
         new = _violated_triangles(u, present)
         if not len(new):
-            return FractionalSolution("pairwise", _pairwise_objective(u, lp.wf, lp.shifts),
-                                      u_pair=u, runs=runs, rows=highs.getNumRow(),
-                                      iterations=iterations)
+            return FractionalSolution(_pairwise_objective(u, lp), u, runs,
+                                      highs.getNumRow(), iterations)
         _add_rows(highs, np.full(len(new), -highspy.kHighsInf), np.full(len(new), -1.0),
                   _triangle_rows(new, _pair_columns(n)))
         present = np.concatenate([present, new])

@@ -65,7 +65,7 @@ def sweep():
 
         sol_sf = mr.solve(mr.build_footrule_program(inst))
         rec["lp_sf"] = sol_sf.objective
-        rec["u_pos"] = sol_sf.u_pos
+        rec["u_sf"] = sol_sf.u
         res_sf = mr.mmsp_conv(inst, rng_seed=i)
         rec["mmsp"] = res_sf.objective
         rec["mmsp_ranking"] = res_sf.ranking
@@ -101,7 +101,7 @@ def test_criterion_2_footrule_bound(sweep):
     records, _ = sweep
     for rec in records:
         assert float(rec["mmsp"]) <= 2 * rec["lp_sf"] + TOL
-        u = rec["u_pos"]
+        u = rec["u_sf"]
         n = len(u)
         cost = np.abs(u[:, None] - np.arange(1, n + 1)[None, :])
         rows, cols = linear_sum_assignment(cost)

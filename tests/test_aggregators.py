@@ -221,7 +221,7 @@ def test_pivot_rounding_matches_reference_on_lp_solutions():
     for trial in range(8):
         cfg = TwoLevelConfig.create(10, 3, 10, 0.7, 0.7)
         prog = build_kendall_lp(sample_instance(cfg, (4, trial)))
-        assert_same_rounding(solve(prog).u_pair, prog.wf)
+        assert_same_rounding(solve(prog).u, prog.wf)
 
 
 @contextmanager
@@ -275,7 +275,7 @@ class TestMmktConv:
             inst = random_instance(rng)
             prog = build_kendall_lp(inst)
             sol = solve(prog)
-            order, trace = pivot_rounding(sol.u_pair, prog.wf)
+            order, trace = pivot_rounding(sol.u, prog.wf)
             for level in trace:
                 for a, b in zip(level.a_costs, level.b_costs):
                     assert a <= 2 * b + TOL
@@ -342,13 +342,13 @@ class TestMmspConv:
             assert float(res.objective) <= 2 * sol.objective + TOL
             # membership in the set of L1-closest permutations, via assignment
             n = inst.n
-            cost = np.abs(sol.u_pos[:, None] - np.arange(1, n + 1)[None, :])
+            cost = np.abs(sol.u[:, None] - np.arange(1, n + 1)[None, :])
             rows, cols = linear_sum_assignment(cost)
             best = cost[rows, cols].sum()
-            mine = np.abs(sol.u_pos - np.array(res.ranking.ranks)).sum()
+            mine = np.abs(sol.u - np.array(res.ranking.ranks)).sum()
             assert mine <= best + TOL
             # adjacent-swap argument: fractional positions weakly increase
-            u_in_order = sol.u_pos[[x - 1 for x in res.ranking.order()]]
+            u_in_order = sol.u[[x - 1 for x in res.ranking.order()]]
             assert (np.diff(u_in_order) >= -1e-9).all()
 
     def test_deterministic_ties_mode(self):

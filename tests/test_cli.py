@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 import minmaxrank
 from minmaxrank import cli
 from minmaxrank import (
+    DistanceKind,
     Instance,
     Permutation,
     RankingClass,
@@ -488,6 +489,47 @@ def test_extreme_lambda_exits_with_message(argv, weight, code, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aggregate", "--algo", "mmkt"],
+        ["aggregate", "--algo", "mmsp", "--distance", "sf"],
+        ["exact"],
+        ["exact", "--distance", "sf"],
+    ],
+)
+def test_extreme_lambda_prints_highs_model_error(argv, tmp_path, capsys):
+    # both relaxations fail on loading, with HiGHS's own model-status text
+    path = tmp_path / "extreme.txt"
+    path.write_text("class=a lambda=1e20 : 1 2 3\nclass=b lambda=1 : 3 2 1\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Model error\n"
+
+
+def test_tied_instances_run_the_same_under_promoted_kinds():
+    # on tied input kt and sf are promoted to Kemeny and partial footrule,
+    # so passing either name gives the same run
+    rng = generator(14)
+    instances = []
+    while len(instances) < 10:
+        inst = random_instance(rng, allow_ties=True)
+        if inst.has_ties:
+            instances.append(inst)
+    promoted = {"kt": DistanceKind.KEMENY, "sf": DistanceKind.PARTIAL_FOOTRULE}
+    for i, inst in enumerate(instances):
+        for algo, need in cli._ALGORITHMS.items():
+            for dist, setdist in itertools.product(cli._DISTANCES, cli._SET_DISTANCES):
+                if need.distance not in (None, dist) or need.setdist not in (None, setdist):
+                    continue
+                set_kind = cli._SET_DISTANCES[setdist]
+                plain = cli.run_algorithm(algo, inst, cli._DISTANCES[dist], set_kind, i)
+                tied = cli.run_algorithm(algo, inst, promoted[dist], set_kind, i)
+                assert (plain.ranking, plain.objective) == (tied.ranking, tied.objective), (
+                    i, algo, dist, setdist)
 
 
 @pytest.mark.parametrize("command", ["aggregate", "exact"])
