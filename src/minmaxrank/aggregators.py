@@ -21,8 +21,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .distances import (
     BLOCK_ELEMENTS,
+    DistanceError,
     DistanceKind,
-    KindMismatch,
     SetDistanceKind,
     doubled_distances,
     effective_kind,
@@ -45,18 +45,6 @@ class AggregationResult:
 
 
 @dataclass(frozen=True)
-class RoundedMatrix:
-    """Deterministic 0/1 rounding of the pairwise fractional solution."""
-
-    h: np.ndarray
-
-    @classmethod
-    def from_fractional(cls, u: np.ndarray) -> "RoundedMatrix":
-        lower = np.tril(u >= 0.5, -1)  # x > y: printed rule
-        return cls((lower | np.triu(~lower.T, 1)).astype(np.int8))
-
-
-@dataclass(frozen=True)
 class PivotScore:
     """Rounding cost A and fractional cost B per class for one pivot."""
 
@@ -74,6 +62,12 @@ def _ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.where(a > _B_TOLERANCE, np.inf, 0.0),
     )
     return out.max(axis=0)
+
+
+def _rounded_matrix(u: np.ndarray) -> np.ndarray:
+    """Deterministic int8 0/1 rounding h of the pairwise fractional solution."""
+    lower = np.tril(u >= 0.5, -1)  # x > y: printed rule
+    return (lower | np.triu(~lower.T, 1)).astype(np.int8)
 
 
 def _pivot_costs(active: np.ndarray, h: np.ndarray, u: np.ndarray,
@@ -130,7 +124,7 @@ def pivot_rounding(
     Returns the elements (1-based) best-to-worst together with the chosen
     pivot's cost record at every quicksort level, in pre-order.
     """
-    h = RoundedMatrix.from_fractional(u).h
+    h = _rounded_matrix(u)
     trace = []
 
     def choose(active: np.ndarray) -> int:
@@ -154,7 +148,7 @@ def _family_kind(inst: Instance, kind: DistanceKind | None,
     kind = effective_kind(inst, kind or default)
     if kind.positional != default.positional:
         family = "footrule" if default.positional else "Kendall"
-        raise KindMismatch(f"{kind} is not a {family}-type distance")
+        raise DistanceError(f"{kind} is not a {family}-type distance")
     return kind
 
 
@@ -206,8 +200,9 @@ def mmsp_conv(
     """Footrule program plus sort-rounding (median footrule objective).
 
     The output orders elements by their optimal fractional positions and is
-    therefore an L1-closest permutation to them; its cost is at most twice
-    the program optimum (the certificate), for every tie-break.
+    therefore an L1-closest permutation to them; when every class holds
+    permutations, its cost is at most twice the program optimum (the
+    certificate), for every tie-break.  With ties there is no such bound.
     """
     kind = _family_kind(inst, kind, DistanceKind.SPEARMAN_FOOTRULE)
     prog = build_footrule_program(inst)
@@ -257,7 +252,8 @@ def pick_opt_perm(
 
 
 def min_pick_perm(inst: Instance, kind: DistanceKind) -> AggregationResult:
-    """Member selection for the minimum set-distance problem (2-approx).
+    """Member selection for the minimum set-distance problem (2-approx when
+    every class holds permutations; a tied member is no permutation).
 
     Ties keep the first (class, index).  A member's own class costs it 0,
     so with a single class every member is optimal and the first is returned.
@@ -294,7 +290,8 @@ def min_mmkt_conv(
     """Pivot rounding on the witness-restricted instance (min set-distance).
 
     The objective is evaluated against the original instance under the
-    minimum set-distance; the reduction guarantees a factor of 4.
+    minimum set-distance; when every class holds permutations, the
+    reduction guarantees a factor of 4.
     """
     kind = _family_kind(inst, kind, DistanceKind.KENDALL_TAU)
     inner = mmkt_conv(restrict_to_min_witnesses(inst, kind), kind)
@@ -308,7 +305,8 @@ def min_mmsp_conv(
     rng_seed=None,
     deterministic_ties: bool = False,
 ) -> AggregationResult:
-    """Sort-rounding on the witness-restricted instance (min set-distance)."""
+    """Sort-rounding on the witness-restricted instance (min set-distance);
+    a factor of 4 when every class holds permutations."""
     kind = _family_kind(inst, kind, DistanceKind.SPEARMAN_FOOTRULE)
     inner = mmsp_conv(
         restrict_to_min_witnesses(inst, kind), kind, rng_seed, deterministic_ties

@@ -338,7 +338,7 @@ def _check_compatible(algo: str, dist_flag: str, set_flag: str) -> None:
 
 
 def _read_parsed(path: str, gene_orders: bool) -> ParsedFile:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     return parse_gene_order_file(text) if gene_orders else parse_instance_file(text)
 

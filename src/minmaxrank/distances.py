@@ -20,6 +20,8 @@ Fractions for the partial-ranking ones.  A class costs the mean (median) or
 the least (minimum) distance to its members, times its weight; the minmax
 objective is the worst class.  ``scaled_class_costs`` gives these costs for
 any candidate rows in one kernel call against the instance's member view.
+A permutation-only distance applied to a partial ranking, or two rankings
+over ground sets of different sizes, raise ``DistanceError``.
 """
 
 from __future__ import annotations
@@ -42,15 +44,7 @@ from .rankings import (
 
 
 class DistanceError(ValueError):
-    pass
-
-
-class SizeMismatch(DistanceError):
-    """The two rankings are over ground sets of different sizes."""
-
-
-class KindMismatch(DistanceError):
-    """A distance was applied to a ranking kind it does not support."""
+    """A distance does not apply to the given rankings or instance."""
 
 
 class DistanceKind(Enum):
@@ -80,9 +74,9 @@ _PERMUTATION_ONLY = {
 def _check(p: Ranking, q: Ranking, kind: DistanceKind) -> None:
     name = _PERMUTATION_ONLY.get(kind)
     if name and not (isinstance(p, Permutation) and isinstance(q, Permutation)):
-        raise KindMismatch(f"{name} is defined on permutations only")
+        raise DistanceError(f"{name} is defined on permutations only")
     if p.n != q.n:
-        raise SizeMismatch(f"rankings over {p.n} and {q.n} elements")
+        raise DistanceError(f"rankings over {p.n} and {q.n} elements")
 
 
 @lru_cache(maxsize=8)
@@ -195,7 +189,7 @@ def distance(p: Ranking, q: Ranking, kind: DistanceKind):
         return kemeny(p, q)
     if kind is DistanceKind.PARTIAL_FOOTRULE:
         return partial_footrule(p, q)
-    raise KindMismatch(f"unknown distance kind {kind!r}")
+    raise DistanceError(f"unknown distance kind {kind!r}")
 
 
 def set_distance(

@@ -24,16 +24,6 @@ from ._rng import generator
 
 
 @dataclass(frozen=True)
-class MallowsParams:
-    phi: float
-    reference: Permutation
-
-    def __post_init__(self):
-        if not 0.0 < self.phi <= 1.0:
-            raise ValueError(f"dispersion must be in (0, 1], got {self.phi}")
-
-
-@dataclass(frozen=True)
 class TwoLevelConfig:
     n: int
     num_classes: int
@@ -87,12 +77,14 @@ def _insertion_offset(rng, size: int, phi: float) -> int:
     return size - 1
 
 
-def sample_mallows(params: MallowsParams, rng_seed=None) -> Permutation:
-    """Draw one permutation from the Mallows law."""
+def sample_mallows(phi: float, reference: Permutation, rng_seed=None) -> Permutation:
+    """Draw one permutation from the Mallows law around ``reference``."""
+    if not 0.0 < phi <= 1.0:
+        raise ValueError(f"dispersion must be in (0, 1], got {phi}")
     rng = generator(rng_seed)
     out: list[int] = []
-    for i, elem in enumerate(params.reference.order(), start=1):
-        k = _insertion_offset(rng, i, params.phi)
+    for i, elem in enumerate(reference.order(), start=1):
+        k = _insertion_offset(rng, i, phi)
         out.insert(len(out) - k, elem)
     return Permutation.from_order(out)
 
@@ -101,14 +93,9 @@ def sample_instance(cfg: TwoLevelConfig, rng_seed=None) -> Instance:
     """Draw a two-level instance: centers first, then members class by class."""
     rng = generator(rng_seed)
     identity = Permutation.identity(cfg.n)
-    centers = [
-        sample_mallows(MallowsParams(cfg.phi1, identity), rng)
-        for _ in range(cfg.num_classes)
-    ]
+    centers = [sample_mallows(cfg.phi1, identity, rng) for _ in range(cfg.num_classes)]
     classes = []
     for center, m, weight in zip(centers, cfg.per_class, cfg.weights):
-        members = tuple(
-            sample_mallows(MallowsParams(cfg.phi2, center), rng) for _ in range(m)
-        )
+        members = tuple(sample_mallows(cfg.phi2, center, rng) for _ in range(m))
         classes.append(RankingClass(members, weight))
     return Instance(cfg.n, tuple(classes))

@@ -10,8 +10,12 @@ which coincides with the rank on total orders.  Positions are kept as exact
 half-integers (``Fraction`` with denominator 1 or 2) so comparisons never
 hit floating-point ties.
 
-All types are immutable after construction and validate their invariants in
-``__post_init__``; they are safe to share across threads or processes.  An
+A permutation is built from its ranks (``Permutation(ranks)``) or its
+best-to-worst order (``Permutation.from_order``), a partial ranking from its
+buckets (``PartialRanking.from_buckets``), and ``as_partial`` promotes either
+kind to a partial ranking.  All types are immutable after construction and
+validate their invariants in ``__post_init__``, raising ``RankingError``;
+they are safe to share across threads or processes.  An
 instance carries two read-only array views, each built on first use: the
 member view ``Instance.member_tw`` of twice-positions, and from it the
 pairwise-count view ``Instance.above_counts``, the one place members'
@@ -33,19 +37,7 @@ BLOCK_ELEMENTS = 1 << 16
 
 
 class RankingError(ValueError):
-    """Base class for ranking construction/lookup errors."""
-
-
-class DuplicateRank(RankingError):
-    """A rank value appears more than once in a permutation."""
-
-
-class RankOutOfRange(RankingError):
-    """A rank value lies outside 1..n."""
-
-
-class ElementOutOfRange(RankingError):
-    """An element id lies outside 1..n."""
+    """A ranking, class or instance is invalid, or an element is out of range."""
 
 
 @dataclass(frozen=True)
@@ -67,9 +59,9 @@ class Permutation:
             if not isinstance(r, int):
                 raise RankingError(f"rank {r!r} is not an integer")
             if r < 1 or r > n:
-                raise RankOutOfRange(f"rank {r} outside 1..{n}")
+                raise RankingError(f"rank {r} outside 1..{n}")
             if seen[r - 1]:
-                raise DuplicateRank(f"rank {r} appears more than once")
+                raise RankingError(f"rank {r} appears more than once")
             seen[r - 1] = True
 
     @property
@@ -79,10 +71,8 @@ class Permutation:
     def rank_of(self, x: int) -> int:
         """Rank of element x (1-based)."""
         if not 1 <= x <= self.n:
-            raise ElementOutOfRange(f"element {x} outside 1..{self.n}")
+            raise RankingError(f"element {x} outside 1..{self.n}")
         return self.ranks[x - 1]
-
-    __call__ = rank_of
 
     def inverse(self) -> "Permutation":
         """The inverse permutation: entry t holds the element ranked t."""
@@ -110,20 +100,11 @@ class Permutation:
         ranks = [0] * n
         for pos, x in enumerate(order, start=1):
             if not isinstance(x, int) or not 1 <= x <= n:
-                raise ElementOutOfRange(f"element {x!r} outside 1..{n}")
+                raise RankingError(f"element {x!r} outside 1..{n}")
             if ranks[x - 1] != 0:
-                raise DuplicateRank(f"element {x} listed more than once")
+                raise RankingError(f"element {x} listed more than once")
             ranks[x - 1] = pos
         return cls(tuple(ranks))
-
-
-def make_permutation(ranks: Iterable[int]) -> Permutation:
-    """Validate an array of ranks and return the Permutation it defines."""
-    return Permutation(tuple(ranks))
-
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
 
 
 @dataclass(frozen=True)
@@ -145,7 +126,7 @@ class PartialRanking:
                 raise RankingError("empty bucket")
             for x in b:
                 if not isinstance(x, int) or not 1 <= x <= n:
-                    raise ElementOutOfRange(f"element {x!r} outside 1..{n}")
+                    raise RankingError(f"element {x!r} outside 1..{n}")
                 if twice[x - 1] != 0:
                     raise RankingError(f"element {x} appears in more than one bucket")
                 twice[x - 1] = 2 * higher + len(b) + 1
@@ -159,32 +140,16 @@ class PartialRanking:
     def position(self, x: int) -> Fraction:
         """Fractional position of element x; half-integer valued."""
         if not 1 <= x <= self.n:
-            raise ElementOutOfRange(f"element {x} outside 1..{self.n}")
+            raise RankingError(f"element {x} outside 1..{self.n}")
         return Fraction(self._twice_positions[x - 1], 2)
-
-    def positions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(t, 2) for t in self._twice_positions)
 
     def tied_pair_count(self) -> int:
         """Number of unordered pairs sharing a bucket."""
         return sum(len(b) * (len(b) - 1) // 2 for b in self.buckets)
 
-    def is_total_order(self) -> bool:
-        return all(len(b) == 1 for b in self.buckets)
-
-    def to_permutation(self) -> Permutation:
-        """Lossless conversion; requires every bucket to be a singleton."""
-        if not self.is_total_order():
-            raise RankingError("partial ranking has ties; no equivalent permutation")
-        return Permutation.from_order([next(iter(b)) for b in self.buckets])
-
     @classmethod
     def from_buckets(cls, buckets: Iterable[Iterable[int]]) -> "PartialRanking":
         return cls(tuple(frozenset(b) for b in buckets))
-
-
-def make_partial_ranking(buckets: Iterable[Iterable[int]]) -> PartialRanking:
-    return PartialRanking.from_buckets(buckets)
 
 
 Ranking = Union[Permutation, PartialRanking]
@@ -211,13 +176,6 @@ def twice_positions(rankings: Sequence[Ranking]) -> np.ndarray:
         ],
         dtype=np.int64,
     )
-
-
-def position(r: Ranking, x: int) -> Fraction:
-    """Fractional position of element x in a ranking of either kind."""
-    if isinstance(r, Permutation):
-        return Fraction(r.rank_of(x))
-    return r.position(x)
 
 
 @dataclass(frozen=True)

@@ -9,19 +9,17 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from minmaxrank import (
+    DistanceError,
     DistanceKind,
     Instance,
-    KindMismatch,
+    PartialRanking,
     Permutation,
     RankingClass,
-    RoundedMatrix,
     SetDistanceKind,
     brute_force,
     build_footrule_program,
     build_kendall_lp,
     effective_kind,
-    make_partial_ranking,
-    make_permutation,
     max_weight_members,
     median_footrule_matching_baseline,
     median_pivot_baseline,
@@ -38,7 +36,7 @@ from minmaxrank import (
     set_distance,
     solve,
 )
-from minmaxrank.aggregators import _pivot_costs, positions_to_order
+from minmaxrank.aggregators import _pivot_costs, _rounded_matrix, positions_to_order
 from minmaxrank.distances import BLOCK_ELEMENTS
 from minmaxrank._rng import generator
 from minmaxrank.mallows import TwoLevelConfig, sample_instance
@@ -57,7 +55,7 @@ def gap_instance():
         4,
         (
             RankingClass((Permutation.identity(4),), 1),
-            RankingClass((make_permutation([2, 1, 3, 4]),), 1),
+            RankingClass((Permutation((2, 1, 3, 4)),), 1),
         ),
     )
 
@@ -76,7 +74,7 @@ class TestRoundedMatrix:
                 for y in range(x + 1, n):
                     r = rng.random()
                     u[x, y], u[y, x] = r, 1.0 - r
-            h = RoundedMatrix.from_fractional(u).h
+            h = _rounded_matrix(u)
             for x in range(n):
                 assert h[x, x] == 0
                 for y in range(n):
@@ -87,7 +85,7 @@ class TestRoundedMatrix:
 
     def test_snapping_near_integral(self):
         u = np.array([[0.0, 1.0 - 1e-12], [1e-12, 0.0]])
-        h = RoundedMatrix.from_fractional(u).h
+        h = _rounded_matrix(u)
         assert h[1, 0] == 0 and h[0, 1] == 1
 
 
@@ -127,7 +125,7 @@ def test_pivot_costs_match_naive_reference():
         wf = rng.random((C, n, n))
         for x in range(n):
             wf[:, x, x] = 0.0
-        h = RoundedMatrix.from_fractional(u).h
+        h = _rounded_matrix(u)
         active = sorted(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
         active = [int(x) for x in active]
         got_a, got_b = _pivot_costs(np.array(active), h, u, wf)
@@ -150,7 +148,7 @@ def reference_pivot_rounding(u, wf):
 
     Ratios within 1e-9 of the level's minimum tie, and the smallest id wins.
     """
-    h = RoundedMatrix.from_fractional(u).h
+    h = _rounded_matrix(u)
 
     def recurse(active):
         if len(active) <= 1:
@@ -297,8 +295,8 @@ class TestMmktConv:
         inst = Instance(
             3,
             (
-                RankingClass((make_partial_ranking([{1, 2}, {3}]),), 1),
-                RankingClass((make_partial_ranking([{1}, {2}, {3}]),), 1),
+                RankingClass((PartialRanking.from_buckets([{1, 2}, {3}]),), 1),
+                RankingClass((PartialRanking.from_buckets([{1}, {2}, {3}]),), 1),
             ),
         )
         res = mmkt_conv(inst)
@@ -308,7 +306,7 @@ class TestMmktConv:
         assert float(res.objective) <= 2 * res.certificate + TOL
 
     def test_rejects_footrule_kind(self):
-        with pytest.raises(KindMismatch):
+        with pytest.raises(DistanceError, match="is not a Kendall-type distance"):
             mmkt_conv(gap_instance(), SF)
 
 
@@ -325,11 +323,11 @@ class TestMmspConv:
             3,
             (
                 RankingClass((Permutation.identity(3),), 1),
-                RankingClass((make_permutation([2, 1, 3]),), 1),
+                RankingClass((Permutation((2, 1, 3)),), 1),
             ),
         )
         res = mmsp_conv(inst, rng_seed=5)
-        assert res.ranking in (Permutation.identity(3), make_permutation([2, 1, 3]))
+        assert res.ranking in (Permutation.identity(3), Permutation((2, 1, 3)))
         assert res.objective == 2
         assert abs(res.certificate - 1.0) < TOL
 
@@ -359,20 +357,20 @@ class TestMmspConv:
         assert a == b
 
     def test_rejects_kendall_kind(self):
-        with pytest.raises(KindMismatch):
+        with pytest.raises(DistanceError, match="is not a footrule-type distance"):
             mmsp_conv(gap_instance(), KT)
 
 
 class TestPickAlgorithms:
     def test_singleton(self):
-        p = make_permutation([2, 3, 1])
+        p = Permutation((2, 3, 1))
         res = pick_rnd_perm(singleton_instance(p), KT, MED, rng_seed=0)
         assert res.ranking == p
         assert res.objective == 0
 
     def test_max_weight_restriction(self):
         heavy = RankingClass((Permutation.identity(3),), Fraction(2))
-        light = RankingClass((make_permutation([3, 2, 1]),), Fraction(1))
+        light = RankingClass((Permutation((3, 2, 1)),), Fraction(1))
         inst = Instance(3, (heavy, light))
         assert [k for k, _, _ in max_weight_members(inst)] == [0]
         for seed in range(5):
@@ -392,7 +390,7 @@ class TestPickAlgorithms:
     def test_pick_opt_identity_reversal(self):
         inst = Instance(
             3,
-            (RankingClass((Permutation.identity(3), make_permutation([3, 2, 1])), 1),),
+            (RankingClass((Permutation.identity(3), Permutation((3, 2, 1))), 1),),
         )
         res = pick_opt_perm(inst, KT, MED)
         assert res.objective == Fraction(3, 2)
@@ -471,7 +469,7 @@ class TestMinPick:
             3,
             (
                 RankingClass((Permutation.identity(3),), 1),
-                RankingClass((make_permutation([3, 2, 1]),), 1),
+                RankingClass((Permutation((3, 2, 1)),), 1),
             ),
         )
         res = min_pick_perm(inst, KT)
@@ -492,7 +490,7 @@ class TestMinPick:
         assert res.ranking == p
 
     def test_single_class_fallback(self):
-        p = make_permutation([2, 1, 3])
+        p = Permutation((2, 1, 3))
         inst = Instance(3, (RankingClass((p, Permutation.identity(3)), 1),))
         res = min_pick_perm(inst, KT)
         assert res.ranking == p
@@ -517,8 +515,8 @@ class TestRestrictToMinWitnesses:
 
     def test_keeps_only_closest(self):
         anchor = Permutation.identity(4)
-        near = make_permutation([2, 1, 3, 4])  # distance 1
-        far = make_permutation([4, 3, 2, 1])  # distance 6
+        near = Permutation((2, 1, 3, 4))  # distance 1
+        far = Permutation((4, 3, 2, 1))  # distance 6
         inst = Instance(
             4,
             (
@@ -533,8 +531,8 @@ class TestRestrictToMinWitnesses:
 
     def test_keeps_all_tied_witnesses(self):
         anchor = Permutation.identity(3)
-        a = make_permutation([2, 1, 3])
-        b = make_permutation([1, 3, 2])  # both at distance 1
+        a = Permutation((2, 1, 3))
+        b = Permutation((1, 3, 2))  # both at distance 1
         inst = Instance(
             3,
             (
@@ -563,7 +561,7 @@ class TestMinConvVariants:
             assert min_mmsp_conv(inst, rng_seed=t).objective <= 4 * w_sf
 
 
-ONE, UP, DOWN = Permutation.identity(1), Permutation.identity(2), make_permutation([2, 1])
+ONE, UP, DOWN = Permutation.identity(1), Permutation.identity(2), Permutation((2, 1))
 
 #: one- and two-element instances; "n2-rounding" rounds u12 of about 0.355 to
 #: 2 > 1 at cost 21/10 where 1 > 2 costs 2, so rounding is not optimal at n=2
@@ -576,8 +574,9 @@ DEGENERATE = {
         RankingClass((DOWN,) * 2 + (UP,), 3),
         RankingClass((UP,), Fraction(21, 10)))),
     "n2-tied": Instance(2, (
-        RankingClass((make_partial_ranking([{1, 2}]), make_partial_ranking([{2}, {1}])), 1),
-        RankingClass((make_partial_ranking([{1}, {2}]),), 2))),
+        RankingClass((PartialRanking.from_buckets([{1, 2}]),
+                      PartialRanking.from_buckets([{2}, {1}])), 1),
+        RankingClass((PartialRanking.from_buckets([{1}, {2}]),), 2))),
 }
 
 
@@ -600,7 +599,7 @@ class TestDegenerateSizes:
 
 class TestBaselines:
     def test_pivot_baseline_singleton(self):
-        p = make_permutation([3, 1, 2])
+        p = Permutation((3, 1, 2))
         res = median_pivot_baseline(singleton_instance(p), rng_seed=0)
         assert res.ranking == p
 
@@ -617,7 +616,7 @@ class TestBaselines:
             assert median_pivot_baseline(inst, rng_seed=seed).ranking == p
 
     def test_matching_baseline_singleton(self):
-        p = make_permutation([2, 3, 1])
+        p = Permutation((2, 3, 1))
         res = median_footrule_matching_baseline(singleton_instance(p))
         assert res.ranking == p
         assert res.objective == 0
@@ -625,7 +624,7 @@ class TestBaselines:
     def test_matching_baseline_identity_reversal_pooled_cost(self):
         inst = Instance(
             3,
-            (RankingClass((Permutation.identity(3), make_permutation([3, 2, 1])), 1),),
+            (RankingClass((Permutation.identity(3), Permutation((3, 2, 1))), 1),),
         )
         res = median_footrule_matching_baseline(inst)
         pooled = sum(
@@ -643,8 +642,8 @@ class TestBaselines:
         inst = Instance(
             5,
             (
-                RankingClass((make_permutation([3, 2, 5, 1, 4]),), Fraction(2)),
-                RankingClass((make_permutation([2, 4, 1, 5, 3]),), Fraction(2)),
+                RankingClass((Permutation((3, 2, 5, 1, 4)),), Fraction(2)),
+                RankingClass((Permutation((2, 4, 1, 5, 3)),), Fraction(2)),
             ),
         )
         base = median_footrule_matching_baseline(inst)
@@ -678,3 +677,25 @@ class TestBaselines:
             tracemalloc.stop()
         # one unblocked (30, 400, 400) int64 temporary alone is 38 MB
         assert peak < 8 * 2**20
+
+
+def test_bounds_hold_for_permutation_classes_only():
+    # class=a lambda=3/2 : { 1 2 3 4 5 }
+    # class=a lambda=3/2 : 3 5 { 1 2 } 4
+    tied = Instance(5, (RankingClass((
+        PartialRanking.from_buckets([{1, 2, 3, 4, 5}]),
+        PartialRanking.from_buckets([{3}, {5}, {1, 2}, {4}]),
+    ), Fraction(3, 2)),))
+    # min-pick anchors on the all-tied member, which is no permutation
+    pick = min_pick_perm(tied, KT)
+    assert pick.ranking == tied.classes[0].members[0] and pick.objective == 0
+    assert brute_force(tied, KT, MIN).value == Fraction(3, 4)
+    assert min_mmkt_conv(tied).objective == Fraction(27, 4)  # 9x
+    assert brute_force(tied, SF, MIN).value == Fraction(3, 2)
+    assert min_mmsp_conv(tied, rng_seed=0).objective == 9  # 6x
+    # class=a lambda=1 : { 1 2 3 } and class=b lambda=2 : { 1 2 3 }
+    all_tied = Instance(3, tuple(
+        RankingClass((PartialRanking.from_buckets([{1, 2, 3}]),), w) for w in (1, 2)
+    ))
+    res = mmsp_conv(all_tied, rng_seed=0)
+    assert res.objective == 4 and f"{res.certificate:.6f}" == "0.000000"

@@ -14,11 +14,11 @@ from minmaxrank import cli
 from minmaxrank import (
     DistanceKind,
     Instance,
+    PartialRanking,
     Permutation,
     RankingClass,
     as_partial,
     effective_kind,
-    make_partial_ranking,
     set_distance,
 )
 from minmaxrank.cli import (
@@ -77,7 +77,7 @@ class TestParseInstanceFile:
         inst = parsed.instance
         assert inst.classes[0].weight == Fraction(1, 2)
         assert inst.classes[1].weight == 2
-        assert inst.classes[0].members[0] == make_partial_ranking([{1, 2}, {3}, {4}])
+        assert inst.classes[0].members[0] == PartialRanking.from_buckets([{1, 2}, {3}, {4}])
         # class 2 has no braces: stays a permutation
         assert inst.classes[1].members[0].ranks == (4, 3, 2, 1)
 
@@ -125,8 +125,8 @@ class TestRoundTrip:
             (
                 RankingClass(
                     (
-                        make_partial_ranking([{1, 3}, {2}, {4}]),
-                        make_partial_ranking([{4}, {1, 2, 3}]),
+                        PartialRanking.from_buckets([{1, 3}, {2}, {4}]),
+                        PartialRanking.from_buckets([{4}, {1, 2, 3}]),
                     ),
                     Fraction(1, 3),
                 ),
@@ -169,7 +169,7 @@ def named_instances(draw):
                 cuts.discard(1)
             ends = [0, *sorted(cuts), n]
             members.append(
-                make_partial_ranking([order[a:b] for a, b in zip(ends, ends[1:])])
+                PartialRanking.from_buckets([order[a:b] for a, b in zip(ends, ends[1:])])
             )
         classes.append(RankingClass(tuple(members), weight))
     inst = Instance(n, tuple(classes))
@@ -537,6 +537,22 @@ def test_missing_file_exit_2(command, tmp_path, capsys):
     assert main([command, str(tmp_path / "absent.txt")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, flags", [
+    (GAP_FILE, []),
+    ("mouse\t-3 1 -2\nfrog\t2 -1 3\n", ["--gene-orders"]),
+])
+def test_byte_order_mark_reads_as_plain_file(text, flags, tmp_path, capsys):
+    # Windows Notepad starts UTF-8 files with a byte-order mark
+    outs = []
+    for name, encoding in (("plain.txt", "utf-8"), ("bom.txt", "utf-8-sig")):
+        path = tmp_path / name
+        path.write_text(text, encoding=encoding)
+        assert main(["aggregate", str(path), *flags]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[0]
+    assert (tmp_path / "bom.txt").read_bytes().startswith(b"\xef\xbb\xbf")
 
 
 def test_module_entry_prints_usage():

@@ -14,7 +14,6 @@ from minmaxrank import (
     TooLarge,
     brute_force,
     lp_gap,
-    make_permutation,
     minmax_objective,
 )
 from minmaxrank._rng import generator
@@ -27,13 +26,13 @@ def gap_instance():
         4,
         (
             RankingClass((Permutation.identity(4),), 1),
-            RankingClass((make_permutation([2, 1, 3, 4]),), 1),
+            RankingClass((Permutation((2, 1, 3, 4)),), 1),
         ),
     )
 
 
 def test_singleton_class():
-    p = make_permutation([3, 1, 2])
+    p = Permutation((3, 1, 2))
     opt = brute_force(
         Instance(3, (RankingClass((p,), 1),)),
         DistanceKind.KENDALL_TAU,
@@ -55,7 +54,7 @@ def test_two_singleton_classes_value_is_consistent_oracle_output():
         3,
         (
             RankingClass((Permutation.identity(3),), 1),
-            RankingClass((make_permutation([3, 2, 1]),), 1),
+            RankingClass((Permutation((3, 2, 1)),), 1),
         ),
     )
     opt = brute_force(inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN)
@@ -82,13 +81,13 @@ def test_lexicographic_tie_break_and_all_optima():
     # single class of all 2-element permutations: both are optimal
     inst = Instance(
         2,
-        (RankingClass((Permutation.identity(2), make_permutation([2, 1])), 1),),
+        (RankingClass((Permutation.identity(2), Permutation((2, 1))), 1),),
     )
     opt = brute_force(
         inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN, collect_all=True
     )
     assert opt.ranking == Permutation.identity(2)
-    assert set(opt.all_optima) == {Permutation.identity(2), make_permutation([2, 1])}
+    assert set(opt.all_optima) == {Permutation.identity(2), Permutation((2, 1))}
 
 
 def test_matches_direct_enumeration(rng):
@@ -137,7 +136,7 @@ def test_optima_across_blocks_in_lexicographic_order():
     # permutations has Kendall distances summing to 28 and median cost 14
     inst = Instance(
         8,
-        (RankingClass((Permutation.identity(8), make_permutation(range(8, 0, -1))), 1),),
+        (RankingClass((Permutation.identity(8), Permutation(tuple(range(8, 0, -1)))), 1),),
     )
     opt = brute_force(
         inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN, collect_all=True

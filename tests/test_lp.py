@@ -11,6 +11,7 @@ from scipy.sparse import csr_matrix, vstack
 from minmaxrank import (
     DistanceKind,
     Instance,
+    PartialRanking,
     Permutation,
     RankingClass,
     SetDistanceKind,
@@ -19,8 +20,6 @@ from minmaxrank import (
     brute_force,
     build_footrule_program,
     build_kendall_lp,
-    make_partial_ranking,
-    make_permutation,
     minmax_objective,
     mmkt_conv,
     restrict_to_min_witnesses,
@@ -49,7 +48,7 @@ def gap_instance():
         4,
         (
             RankingClass((Permutation.identity(4),), Fraction(1)),
-            RankingClass((make_permutation([2, 1, 3, 4]),), Fraction(1)),
+            RankingClass((Permutation((2, 1, 3, 4)),), Fraction(1)),
         ),
     )
 
@@ -79,7 +78,7 @@ class TestPairwiseWeights:
 
     def test_identity_and_reversal(self):
         cls = RankingClass(
-            (Permutation.identity(3), make_permutation([3, 2, 1])), Fraction(1)
+            (Permutation.identity(3), Permutation((3, 2, 1))), Fraction(1)
         )
         w = class_weights(Instance(3, (cls,)))
         for x in range(3):
@@ -88,7 +87,7 @@ class TestPairwiseWeights:
 
     def test_tied_pair_contributes_nothing(self):
         inst = Instance(
-            3, (RankingClass((make_partial_ranking([{1, 2}, {3}]),), 1),)
+            3, (RankingClass((PartialRanking.from_buckets([{1, 2}, {3}]),), 1),)
         )
         w = class_weights(inst)
         assert w[0][0][1] == 0 and w[0][1][0] == 0
@@ -140,8 +139,8 @@ class TestTieMass:
     def test_partial_average(self):
         cls = RankingClass(
             (
-                make_partial_ranking([{1, 2, 3}]),
-                make_partial_ranking([{1}, {2}, {3}]),
+                PartialRanking.from_buckets([{1, 2, 3}]),
+                PartialRanking.from_buckets([{1}, {2}, {3}]),
             ),
             1,
         )
@@ -189,7 +188,7 @@ class TestKendallLP:
         assert abs(sol.u[1, 0] - 0.5) < TOL
 
     def test_singleton_class_integral_zero(self):
-        p = make_permutation([2, 3, 1])
+        p = Permutation((2, 3, 1))
         sol = solve(build_kendall_lp(Instance(3, (RankingClass((p,), 1),))))
         assert abs(sol.objective) < TOL
         for x in range(1, 4):
@@ -201,7 +200,7 @@ class TestKendallLP:
 
     def test_single_partial_class_tie_shift(self):
         inst = Instance(
-            3, (RankingClass((make_partial_ranking([{1, 2}, {3}]),), 1),)
+            3, (RankingClass((PartialRanking.from_buckets([{1, 2}, {3}]),), 1),)
         )
         sol = solve(build_kendall_lp(inst))
         assert abs(sol.objective - 0.5) < TOL
@@ -337,7 +336,7 @@ class TestTriangleSeparation:
     def test_condorcet_cycle_adds_rows(self):
         # the model starts from the class row alone; the majority order
         # without triangles is the cycle 1 > 2 > 3 > 1
-        members = tuple(make_permutation(p) for p in ([1, 2, 3], [2, 3, 1], [3, 1, 2]))
+        members = tuple(Permutation(tuple(p)) for p in ([1, 2, 3], [2, 3, 1], [3, 1, 2]))
         inst = Instance(3, (RankingClass(members, 1),))
         prog = build_kendall_lp(inst)
         assert prog.A_ub.shape[0] == 1
@@ -509,7 +508,7 @@ class TestFootruleProgram:
         identity = Permutation.identity(4)
         inst = Instance(4, (
             RankingClass((identity,) * 3, Fraction(1)),
-            RankingClass((identity, make_permutation([4, 3, 2, 1])), Fraction(1)),
+            RankingClass((identity, Permutation((4, 3, 2, 1))), Fraction(1)),
         ))
         # 2 pieces per element and a cost row, then 3 per element and a cost row
         assert build_footrule_program(inst).A_ub.shape[0] == (2 * 4 + 1) + (3 * 4 + 1)
@@ -526,7 +525,7 @@ class TestFootruleProgram:
         assert (sol.runs, sol.rows) == (1, 2 * 2 * n + 2)
 
     def test_singleton_zero_at_own_ranks(self):
-        p = make_permutation([2, 3, 1])
+        p = Permutation((2, 3, 1))
         sol = solve(build_footrule_program(Instance(3, (RankingClass((p,), 1),))))
         assert abs(sol.objective) < TOL
         assert np.allclose(sol.u, [2.0, 3.0, 1.0], atol=1e-6)
@@ -536,7 +535,7 @@ class TestFootruleProgram:
             3,
             (
                 RankingClass((Permutation.identity(3),), 1),
-                RankingClass((make_permutation([2, 1, 3]),), 1),
+                RankingClass((Permutation((2, 1, 3)),), 1),
             ),
         )
         sol = solve(build_footrule_program(inst))
@@ -611,7 +610,7 @@ class TestSolveErrors:
             3,
             (
                 RankingClass((Permutation.identity(3),), Fraction(10**20)),
-                RankingClass((make_permutation([3, 2, 1]),), Fraction(1)),
+                RankingClass((Permutation((3, 2, 1)),), Fraction(1)),
             ),
         )
         for build in (build_kendall_lp, build_footrule_program):

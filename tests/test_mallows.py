@@ -4,7 +4,6 @@ from itertools import permutations
 import pytest
 
 from minmaxrank import (
-    MallowsParams,
     Permutation,
     TwoLevelConfig,
     kendall_tau,
@@ -28,8 +27,8 @@ def exact_mallows_law(n, phi):
 
 def empirical_tv(n, phi, samples, seed):
     rng = generator(seed)
-    params = MallowsParams(phi, Permutation.identity(n))
-    counts = Counter(sample_mallows(params, rng).ranks for _ in range(samples))
+    ident = Permutation.identity(n)
+    counts = Counter(sample_mallows(phi, ident, rng).ranks for _ in range(samples))
     law = exact_mallows_law(n, phi)
     return 0.5 * sum(
         abs(counts.get(r, 0) / samples - p) for r, p in law.items()
@@ -39,8 +38,8 @@ def empirical_tv(n, phi, samples, seed):
 class TestParams:
     def test_rejects_bad_phi(self):
         for phi in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                MallowsParams(phi, Permutation.identity(3))
+            with pytest.raises(ValueError, match=r"dispersion must be in \(0, 1\]"):
+                sample_mallows(phi, Permutation.identity(3))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -54,8 +53,8 @@ class TestParams:
 
 class TestSampleMallows:
     def test_deterministic_given_seed(self):
-        params = MallowsParams(0.6, Permutation.identity(6))
-        assert sample_mallows(params, 42) == sample_mallows(params, 42)
+        ident = Permutation.identity(6)
+        assert sample_mallows(0.6, ident, 42) == sample_mallows(0.6, ident, 42)
 
     def test_uniform_at_phi_one(self):
         tv = empirical_tv(3, 1.0, 30000, seed=8)
@@ -63,9 +62,8 @@ class TestSampleMallows:
 
     def test_concentrates_as_phi_vanishes(self):
         ref = Permutation((3, 1, 4, 2, 5))
-        params = MallowsParams(1e-9, ref)
         rng = generator(9)
-        assert all(sample_mallows(params, rng) == ref for _ in range(200))
+        assert all(sample_mallows(1e-9, ref, rng) == ref for _ in range(200))
 
     def test_matches_exact_law(self):
         # quick version of the full acceptance check
@@ -76,9 +74,8 @@ class TestSampleMallows:
         means = []
         for phi in (0.3, 0.6, 0.9):
             rng = generator(11)
-            params = MallowsParams(phi, ident)
             total = sum(
-                kendall_tau(sample_mallows(params, rng), ident) for _ in range(10000)
+                kendall_tau(sample_mallows(phi, ident, rng), ident) for _ in range(10000)
             )
             means.append(total / 10000)
         assert means[0] < means[1] < means[2]

@@ -7,19 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxrank import (
-    DuplicateRank,
-    ElementOutOfRange,
     Instance,
     PartialRanking,
     Permutation,
-    RankOutOfRange,
     RankingClass,
     RankingError,
     as_partial,
-    inverse,
-    make_partial_ranking,
-    make_permutation,
-    position,
 )
 from minmaxrank._rng import generator
 from minmaxrank.rankings import BLOCK_ELEMENTS, twice_positions
@@ -33,50 +26,50 @@ perm_strategy = st.integers(1, 8).flatmap(
 
 class TestMakePermutation:
     def test_identity(self):
-        p = make_permutation([1, 2, 3])
+        p = Permutation((1, 2, 3))
         assert p == Permutation.identity(3)
         assert [p.rank_of(x) for x in (1, 2, 3)] == [1, 2, 3]
 
     def test_transposition(self):
-        p = make_permutation([2, 1, 3])
+        p = Permutation((2, 1, 3))
         assert p.rank_of(1) == 2
         assert p.rank_of(2) == 1
 
     def test_duplicate_rank(self):
-        with pytest.raises(DuplicateRank):
-            make_permutation([1, 1, 3])
+        with pytest.raises(RankingError, match="rank 1 appears more than once"):
+            Permutation((1, 1, 3))
 
     def test_rank_out_of_range(self):
-        with pytest.raises(RankOutOfRange):
-            make_permutation([0, 1, 2])
-        with pytest.raises(RankOutOfRange):
-            make_permutation([1, 2, 4])
+        with pytest.raises(RankingError, match=r"rank 0 outside 1\.\.3"):
+            Permutation((0, 1, 2))
+        with pytest.raises(RankingError, match=r"rank 4 outside 1\.\.3"):
+            Permutation((1, 2, 4))
 
     def test_empty(self):
         with pytest.raises(RankingError):
-            make_permutation([])
+            Permutation(())
 
     def test_from_order_roundtrip(self):
-        p = make_permutation([3, 1, 2])
+        p = Permutation((3, 1, 2))
         assert Permutation.from_order(p.order()) == p
 
 
 class TestInverse:
     def test_identity(self):
         p = Permutation.identity(4)
-        assert inverse(p) == p
+        assert p.inverse() == p
 
     def test_involution_of_transposition(self):
-        p = make_permutation([2, 1, 3])
-        assert inverse(p) == p
+        p = Permutation((2, 1, 3))
+        assert p.inverse() == p
 
     def test_three_cycle(self):
-        assert inverse(make_permutation([2, 3, 1])) == make_permutation([3, 1, 2])
+        assert Permutation((2, 3, 1)).inverse() == Permutation((3, 1, 2))
 
     @given(perm_strategy)
     @settings(max_examples=150)
     def test_double_inverse(self, p):
-        assert inverse(inverse(p)) == p
+        assert p.inverse().inverse() == p
 
     @given(perm_strategy)
     @settings(max_examples=150)
@@ -87,38 +80,38 @@ class TestInverse:
 
 class TestPosition:
     def test_tied_pair(self):
-        r = make_partial_ranking([{1, 2}, {3}])
-        assert position(r, 1) == Fraction(3, 2)
-        assert position(r, 2) == Fraction(3, 2)
-        assert position(r, 3) == 3
+        r = PartialRanking.from_buckets([{1, 2}, {3}])
+        assert r.position(1) == Fraction(3, 2)
+        assert r.position(2) == Fraction(3, 2)
+        assert r.position(3) == 3
 
     def test_total_order_equals_rank(self):
-        r = make_partial_ranking([{1}, {2}, {3}])
-        assert position(r, 2) == 2
+        r = PartialRanking.from_buckets([{1}, {2}, {3}])
+        assert r.position(2) == 2
 
     def test_single_bucket(self):
-        r = make_partial_ranking([{1, 2, 3}])
-        assert position(r, 3) == 2
+        r = PartialRanking.from_buckets([{1, 2, 3}])
+        assert r.position(3) == 2
 
     def test_out_of_range(self):
-        r = make_partial_ranking([{1, 2}])
-        with pytest.raises(ElementOutOfRange):
-            position(r, 3)
+        r = PartialRanking.from_buckets([{1, 2}])
+        with pytest.raises(RankingError, match=r"element 3 outside 1\.\.2"):
+            r.position(3)
 
     def test_positions_sum(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 10))
             r = random_partial_ranking(rng, n)
-            assert sum(r.positions()) == Fraction(n * (n + 1), 2)
+            total = sum(r.position(x) for x in range(1, n + 1))
+            assert total == Fraction(n * (n + 1), 2)
 
     def test_permutation_promotion_preserves_positions(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 9))
             p = Permutation.from_order([int(x) + 1 for x in rng.permutation(n)])
             r = as_partial(p)
-            assert r.is_total_order()
-            assert all(position(r, x) == p.rank_of(x) for x in range(1, n + 1))
-            assert r.to_permutation() == p
+            assert r.buckets == tuple(frozenset((x,)) for x in p.order())
+            assert all(r.position(x) == p.rank_of(x) for x in range(1, n + 1))
 
     def test_twice_positions_mixes_kinds(self, rng):
         for _ in range(50):
@@ -128,30 +121,26 @@ class TestPosition:
             tw = twice_positions([p, r])
             assert tw.shape == (2, n) and tw.dtype.kind == "i"
             for x in range(1, n + 1):
-                assert tw[0, x - 1] == 2 * position(p, x)
-                assert tw[1, x - 1] == 2 * position(r, x)
+                assert tw[0, x - 1] == 2 * as_partial(p).position(x)
+                assert tw[1, x - 1] == 2 * r.position(x)
 
 
 class TestPartialRankingValidation:
     def test_element_in_two_buckets(self):
         with pytest.raises(RankingError):
-            make_partial_ranking([{1, 2}, {2, 3}])
+            PartialRanking.from_buckets([{1, 2}, {2, 3}])
 
     def test_element_out_of_range(self):
-        with pytest.raises(ElementOutOfRange):
-            make_partial_ranking([{1, 5}, {2}])
+        with pytest.raises(RankingError, match=r"element 5 outside 1\.\.3"):
+            PartialRanking.from_buckets([{1, 5}, {2}])
 
     def test_empty_bucket(self):
         with pytest.raises(RankingError):
             PartialRanking((frozenset({1}), frozenset()))
 
     def test_tied_pair_count(self):
-        assert make_partial_ranking([{1, 2, 3}, {4}]).tied_pair_count() == 3
-        assert make_partial_ranking([{1}, {2}]).tied_pair_count() == 0
-
-    def test_to_permutation_requires_total_order(self):
-        with pytest.raises(RankingError):
-            make_partial_ranking([{1, 2}]).to_permutation()
+        assert PartialRanking.from_buckets([{1, 2, 3}, {4}]).tied_pair_count() == 3
+        assert PartialRanking.from_buckets([{1}, {2}]).tied_pair_count() == 0
 
 
 class TestClassesAndInstances:
@@ -166,7 +155,7 @@ class TestClassesAndInstances:
     def test_class_rejects_mixed_kinds(self):
         with pytest.raises(RankingError):
             RankingClass(
-                (Permutation.identity(2), make_partial_ranking([{1, 2}])), 1
+                (Permutation.identity(2), PartialRanking.from_buckets([{1, 2}])), 1
             )
 
     def test_max_weight_classes(self):
@@ -191,8 +180,8 @@ class TestMemberView:
         return Instance(
             3,
             (
-                RankingClass((Permutation.identity(3), make_permutation([3, 1, 2])), 2),
-                RankingClass((make_partial_ranking([{1, 2}, {3}]),), Fraction(1, 3)),
+                RankingClass((Permutation.identity(3), Permutation((3, 1, 2))), 2),
+                RankingClass((PartialRanking.from_buckets([{1, 2}, {3}]),), Fraction(1, 3)),
             ),
         )
 
