@@ -363,7 +363,7 @@ def cmd_aggregate(args) -> int:
     print(f"objective: {_fmt_rational(result.objective)}")
     rows = twice_positions([result.ranking])
     costs, scale = scaled_class_costs(rows, inst, kind, set_kind)
-    for class_id, cls, cost in zip(parsed.class_ids, inst.classes, costs[0]):
+    for class_id, cls, cost in zip(parsed.class_ids, inst.classes, costs[0].tolist()):
         weighted = Fraction(cost, scale)
         print(
             f"class {class_id}: weight={_format_weight(cls.weight)} "

@@ -18,8 +18,10 @@ as an inner product of lifted sign rows, one float64 product per block.
 Values are exact: integers for the permutation distances, half-integer
 Fractions for the partial-ranking ones.  A class costs the mean (median) or
 the least (minimum) distance to its members, times its weight; the minmax
-objective is the worst class.  ``scaled_class_costs`` gives these costs for
-any candidate rows in one kernel call against the instance's member view.
+objective is the worst class.  ``class_cost_reduction`` is the one
+reduction from twice distances to exact scaled class costs (int64 while a
+proven bound allows, Python ints beyond it), and ``scaled_class_costs``
+applies it to one kernel call against the instance's member view.
 A permutation-only distance applied to a partial ranking, or two rankings
 over ground sets of different sizes, raise ``DistanceError``.
 """
@@ -27,9 +29,11 @@ over ground sets of different sizes, raise ``DistanceError``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import pairwise
 
 import numpy as np
 
@@ -87,14 +91,14 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def pair_signs(tw: np.ndarray) -> np.ndarray:
     """(len, n(n-1)/2) int8 array of sign(tw[:, x] - tw[:, y]) over pairs x < y.
 
-    -1 means x is ranked above y, 1 below, 0 tied.  The pair columns are
-    gathered in the narrowest dtype that holds twice-positions (at most
-    2n) and compared, not subtracted, so no int64 temporary of the result's
-    size is built.
+    -1 means x is ranked above y, 1 below, 0 tied.  ``tw`` is any
+    non-negative int array: twice-positions, ranks or a permutation table.
+    The pair columns are gathered in the narrowest dtype that holds its
+    largest entry and compared, not subtracted, so no int64 temporary of
+    the result's size is built.
     """
-    n = tw.shape[1]
-    x, y = _pairs(n)
-    narrow = tw.astype(np.min_scalar_type(2 * n))
+    x, y = _pairs(tw.shape[1])
+    narrow = tw.astype(np.min_scalar_type(int(tw.max(initial=0))))
     first, second = narrow.take(x, axis=1), narrow.take(y, axis=1)
     return (first > second).view(np.int8) - (first < second).view(np.int8)
 
@@ -205,24 +209,61 @@ def set_distance(
     return Fraction(min(ds))
 
 
+def class_cost_reduction(
+    inst: Instance, set_kind: SetDistanceKind
+) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """The one reduction from twice distances to exact weighted class costs.
+
+    Returns a function of a (rows, M) int64 array of twice the distances
+    to the members of ``inst.member_tw``, giving the (rows, C) array whose
+    entry [g, k], over the returned scale, is weight_k * set_distance(row g,
+    class k).  The scale is the least common denominator of the factors
+    weight / 2m (median) or weight / 2 (minimum) that turn twice the
+    distances into costs.
+
+    Twice any of the four distances is at most n²: Kemeny counts at most 2
+    per pair, and each twice-position row lies within floor(n²/2) of
+    n + 1 in L1 (ties average ranks, and |.| is convex).  So a scaled class
+    cost is at most n² · max m · max integer factor.  Below 2**63 the costs
+    are int64; otherwise they are Python ints in an object array.  Both go
+    through the same operations, so callers need not tell them apart, but
+    must pass a Python ``int`` to ``Fraction``.
+    """
+    median = set_kind is SetDistanceKind.MEDIAN
+    reduce = np.add.reduce if median else np.minimum.reduce
+    # factor k is nums[k] / dens[k], kept in integers: Fraction arithmetic
+    # would cost more than reducing one row
+    nums = [cls.weight.numerator for cls in inst.classes]
+    dens = [cls.weight.denominator * (2 * cls.m if median else 2) for cls in inst.classes]
+    scale = math.lcm(*(d // math.gcd(a, d) for a, d in zip(nums, dens)))
+    int_factors = [a * scale // d for a, d in zip(nums, dens)]
+    sizes = [cls.m for cls in inst.classes]
+    bound = inst.n ** 2 * max(sizes) * max(int_factors)
+    dtype = np.int64 if bound < 2**63 else object
+    weights = np.array(int_factors, dtype=dtype)[:, None]
+    spans = list(pairwise((*inst.class_starts, sum(sizes))))
+
+    def costs(d2: np.ndarray) -> np.ndarray:
+        # class by class over the members' columns: contiguous when d2 is
+        # the transpose of a C-ordered array, as the exact oracle makes it
+        per_class = np.empty((len(spans), len(d2)), dtype=d2.dtype)
+        for k, (a, b) in enumerate(spans):
+            reduce(d2.T[a:b], axis=0, out=per_class[k])
+        return (per_class.astype(dtype, copy=False) * weights).T
+
+    return costs, scale
+
+
 def scaled_class_costs(
     rows: np.ndarray, inst: Instance, kind: DistanceKind, set_kind: SetDistanceKind
 ) -> tuple[np.ndarray, int]:
     """Exact weighted class costs of twice-position rows, and their scale.
 
-    Entry [g, k] of the (len rows, C) object array, over the scale, is
-    weight_k * set_distance(row g, class k).  The scale is the least common
-    denominator of the factors weight / 2m (median) or weight / 2 (minimum)
-    that turn twice the distances into costs, and the entries are Python
-    ints, so no weight can overflow them.
+    One ``doubled_distances`` call against the instance's member view,
+    reduced by ``class_cost_reduction``.
     """
-    d2 = doubled_distances(rows, inst.member_tw, kind.positional)
-    median = set_kind is SetDistanceKind.MEDIAN
-    reduce = np.add.reduceat if median else np.minimum.reduceat
-    factors = [cls.weight / (2 * cls.m if median else 2) for cls in inst.classes]
-    scale = math.lcm(*(f.denominator for f in factors))
-    int_factors = np.array([int(f * scale) for f in factors], dtype=object)
-    return reduce(d2, inst.class_starts, axis=1).astype(object) * int_factors, scale
+    costs, scale = class_cost_reduction(inst, set_kind)
+    return costs(doubled_distances(rows, inst.member_tw, kind.positional)), scale
 
 
 def minmax_objective(
@@ -235,7 +276,7 @@ def minmax_objective(
     for cls in inst.classes:
         _check(p, cls.members[0], kind)
     costs, scale = scaled_class_costs(twice_positions([p]), inst, kind, set_kind)
-    return Fraction(costs.max(), scale)
+    return Fraction(int(costs.max()), scale)
 
 
 def effective_kind(inst: Instance, kind: DistanceKind) -> DistanceKind:

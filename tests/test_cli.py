@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -530,6 +531,36 @@ def test_tied_instances_run_the_same_under_promoted_kinds():
                 tied = cli.run_algorithm(algo, inst, promoted[dist], set_kind, i)
                 assert (plain.ranking, plain.objective) == (tied.ranking, tied.objective), (
                     i, algo, dist, setdist)
+
+
+@pytest.mark.parametrize("weights, dtype", [
+    ((Fraction(1), Fraction(3, 2), Fraction(2, 3)), np.int64),
+    # pairwise coprime denominators near 10**12, one per class, put the
+    # common scale near 10**36, so the scaled class costs leave int64
+    (tuple(Fraction(d + 1, d) for d in range(10**12 + 1, 10**12 + 4)), object),
+])
+def test_fractions_take_python_int_numerators(weights, dtype):
+    # Fraction keeps an np.int64 numerator, and its arithmetic then wraps
+    rng = generator(15)
+    for ties in (False, True):
+        drawn = random_instance(rng, n_choices=(5,), c_choices=(3,), allow_ties=ties)
+        # each class takes the next weight, so the dtype does not hang on the draw
+        inst = Instance(drawn.n, tuple(
+            RankingClass(cls.members, w) for cls, w in zip(drawn.classes, weights)
+        ))
+        for algo, need in cli._ALGORITHMS.items():
+            for dist, setdist in itertools.product(cli._DISTANCES, cli._SET_DISTANCES):
+                if need.distance not in (None, dist) or need.setdist not in (None, setdist):
+                    continue
+                kind = effective_kind(inst, cli._DISTANCES[dist])
+                set_kind = cli._SET_DISTANCES[setdist]
+                costs, _ = scaled_class_costs(inst.member_tw, inst, kind, set_kind)
+                assert costs.dtype == dtype
+                result = cli.run_algorithm(algo, inst, kind, set_kind, 0)
+                assert type(result.objective.numerator) is int, (algo, dist, setdist)
+                opt = minmaxrank.brute_force(inst, kind, set_kind)
+                assert type(opt.value.numerator) is int, (dist, setdist)
+                assert opt.value <= result.objective
 
 
 @pytest.mark.parametrize("command", ["aggregate", "exact"])

@@ -343,3 +343,10 @@ class TestDoubledDistances:
             x, y = zip(*combinations(range(n), 2)) if n > 1 else ((), ())
             want = np.sign(tw[:, list(x)] - tw[:, list(y)])
             assert distances.pair_signs(tw).tolist() == want.tolist()
+
+    def test_pair_signs_of_narrow_slices_with_large_entries(self):
+        # a two-column slice of n = 200 twice-positions, as the exact
+        # oracle's prefix columns are, holds entries a width-sized uint8 wraps
+        tw = np.array([[258, 4], [4, 258], [300, 300], [0, 0]])
+        assert distances.pair_signs(tw).tolist() == [[1], [-1], [0], [0]]
+        assert distances.pair_signs(tw[:, :0]).shape == (4, 0)

@@ -1,8 +1,9 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from minmaxrank import (
@@ -17,6 +18,8 @@ from minmaxrank import (
     minmax_objective,
 )
 from minmaxrank._rng import generator
+from minmaxrank.distances import class_cost_reduction, doubled_distances, scaled_class_costs
+from minmaxrank.exact import _block_scorer, _lexicographic_table, _suffix_length
 
 from conftest import random_instance
 
@@ -144,6 +147,82 @@ def test_optima_across_blocks_in_lexicographic_order():
     assert opt.value == 14
     assert opt.ranking == Permutation.identity(8)
     assert [p.ranks for p in opt.all_optima] == list(permutations(range(1, 9)))
+
+
+def _costs_dtype(inst, set_kind):
+    costs, _ = class_cost_reduction(inst, set_kind)
+    return costs(np.zeros((1, len(inst.member_tw)), dtype=np.int64)).dtype
+
+
+def test_matches_direct_enumeration_all_kinds():
+    # every kind and set distance, permutation and tied classes, n = 1..6;
+    # a class weighted 10**20 pushes the scaled costs past int64
+    rng = generator(100)
+    weights = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(1, 3))
+    for n, ties, _ in product(range(1, 7), (False, True), range(3)):
+        plain = random_instance(rng, n_choices=(n,), weight_choices=weights,
+                                allow_ties=ties)
+        first, *others = plain.classes
+        heavy = Instance(n, (RankingClass(first.members, first.weight * 10**20), *others))
+        kinds = DistanceKind if not plain.has_ties else (
+            DistanceKind.KEMENY, DistanceKind.PARTIAL_FOOTRULE)
+        for inst, dtype in ((plain, np.int64), (heavy, object)):
+            for kind, sk in product(kinds, SetDistanceKind):
+                assert _costs_dtype(inst, sk) == dtype
+                values = [(minmax_objective(Permutation(r), inst, kind, sk), r)
+                          for r in permutations(range(1, n + 1))]
+                best = min(v for v, _ in values)
+                expected = [r for v, r in values if v == best]
+                opt = brute_force(inst, kind, sk, collect_all=True)
+                assert opt.value == best
+                assert type(opt.value.numerator) is int
+                assert opt.ranking.ranks == expected[0]
+                assert [p.ranks for p in opt.all_optima] == expected
+
+
+def test_all_optima_across_blocks_match_one_kernel_call():
+    # at n = 7 each first rank is one block; the optima must be every
+    # least-cost row of all 7! in lexicographic order, and no row of a
+    # block whose own least cost is higher
+    rng = generator(7)
+    rows = np.array(list(permutations(range(1, 8))))
+    spans_blocks = False
+    for _ in range(4):
+        inst = random_instance(rng, n_choices=(7,), m_choices=(1, 2),
+                               weight_choices=(Fraction(1), Fraction(2)), allow_ties=True)
+        for kind, sk in product((DistanceKind.KEMENY, DistanceKind.PARTIAL_FOOTRULE),
+                                SetDistanceKind):
+            costs, scale = scaled_class_costs(2 * rows, inst, kind, sk)
+            worst = costs.max(axis=1)
+            expected = [tuple(r) for r in rows[worst == worst.min()].tolist()]
+            opt = brute_force(inst, kind, sk, collect_all=True)
+            assert opt.value == Fraction(int(worst.min()), scale)
+            assert [p.ranks for p in opt.all_optima] == expected
+            spans_blocks |= len({r[0] for r in expected}) > 1
+    assert spans_blocks
+
+
+@pytest.mark.parametrize("positional", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_block_scorer_matches_kernel_row_for_row(n, positional):
+    inst = random_instance(generator(n), n_choices=(n,), m_choices=(1, 3),
+                           allow_ties=True)
+    s = _suffix_length(n)
+    assert (s == n) == (n <= 6)  # below n = 7 one block has an empty prefix
+    table = _lexicographic_table(s)
+    assert table is _lexicographic_table(s) and not table.flags.writeable
+    score = _block_scorer(inst.member_tw, s, positional)
+    ranks = range(1, n + 1)
+    for prefix in permutations(ranks, n - s):
+        rest = np.array(sorted(set(ranks).difference(prefix)))
+        block = np.empty((len(table), n), dtype=np.int64)
+        block[:, :n - s] = prefix
+        block[:, n - s:] = rest[table]
+        got = score(prefix, rest)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(
+            got, doubled_distances(2 * block, inst.member_tw, positional)
+        )
 
 
 @pytest.mark.parametrize("kind", [DistanceKind.KEMENY, DistanceKind.PARTIAL_FOOTRULE])
