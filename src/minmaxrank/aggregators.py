@@ -70,30 +70,34 @@ def _rounded_matrix(u: np.ndarray) -> np.ndarray:
     return (lower | np.triu(~lower.T, 1)).astype(np.int8)
 
 
-def _pivot_costs(active: np.ndarray, h: np.ndarray, u: np.ndarray,
-                 wf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cost_tables(h: np.ndarray, u: np.ndarray, wf: np.ndarray) -> np.ndarray:
+    """(3C, n, n) stack of the pair costs under h, those under u, and wf.
+
+    The cost of pair (x, y) under m is m[x][y] w[y][x] + m[y][x] w[x][y].
+    """
+    def pair_costs(m: np.ndarray) -> np.ndarray:
+        return m * wf.swapaxes(1, 2) + m.T * wf
+
+    return np.concatenate([pair_costs(h), pair_costs(u), wf])
+
+
+def _pivot_costs(active: np.ndarray, h: np.ndarray,
+                 tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A and B costs (C, len(active)) of every active element as the pivot.
 
-    Indices are 0-based.  Column i scores pivot a = active[i]: elements with
-    h[x, a] = 1 go left of it, the rest go right, and the pivot additionally
-    fixes every (right, left) pair.
+    Indices are 0-based and ``tables`` is ``_cost_tables(h, u, wf)``.
+    Column i scores pivot a = active[i]: elements with h[x, a] = 1 go left
+    of it, the rest go right, and the pivot additionally fixes every
+    (right, left) pair, which costs wf under A and the pair cost under u
+    under B.
     """
     right = h[np.ix_(active, active)]  # right[i, x]: active[x] right of pivot i
-    left = right.T
-    w = wf[:, active][:, :, active]
-
-    def pair_costs(m: np.ndarray) -> np.ndarray:
-        # cost of pair (x, y) under m: m[x][y] w[y][x] + m[y][x] w[x][y]
-        return m * w.swapaxes(1, 2) + m.T * w
-
-    def spanning(cost: np.ndarray) -> np.ndarray:
-        # per pivot i: cost[x][y] summed over x right of i and y left of i
-        return (right @ cost * left).sum(axis=2)
-
-    pair_b = pair_costs(u[np.ix_(active, active)])
-    a_costs = pair_costs(right).sum(axis=2) + spanning(w)
-    b_costs = pair_b.sum(axis=2) + spanning(pair_b)
-    return a_costs, b_costs
+    sub = tables[:, active[:, None], active]
+    c = len(tables) // 3
+    own = sub[:2 * c].sum(axis=2)
+    # per pivot i: cost[x][y] summed over x right of i and y left of i
+    spanning = (right @ sub[c:] * right.T).sum(axis=2)
+    return own[:c] + spanning[c:], own[c:] + spanning[:c]
 
 
 def _pivot_sort(before: np.ndarray, choose) -> list[int]:
@@ -125,10 +129,12 @@ def pivot_rounding(
     pivot's cost record at every quicksort level, in pre-order.
     """
     h = _rounded_matrix(u)
+    hf = h.astype(float)  # so that no product below casts
+    tables = _cost_tables(hf, u, wf)
     trace = []
 
     def choose(active: np.ndarray) -> int:
-        a_costs, b_costs = _pivot_costs(active, h, u, wf)
+        a_costs, b_costs = _pivot_costs(active, hf, tables)
         ratios = _ratio(a_costs, b_costs)
         # ascending ids: ratios within _TIE_TOLERANCE tie, the smallest id wins
         i = int(np.flatnonzero(ratios <= ratios.min() + _TIE_TOLERANCE)[0])

@@ -7,7 +7,10 @@ Two programs are built here:
   constraints, minimizing the epigraph variable q of the weighted class
   costs (tied pairs inside a class contribute the constant weight*T_k/2).
   It holds its class and pairing rows only; ``solve`` adds the triangles
-  its optima violate as cuts, re-solving from the last basis;
+  its optima violate as cuts, re-solving from the last basis.  Separation
+  checks only the triples through pairs that u leaves unsettled, pairs not
+  within 1e-9/4 of one transitive order, since no other triple can be
+  violated; on a nearly integral optimum that is far fewer than 2 C(n, 3);
 * the footrule program over free positions u(1..n), reformulated exactly
   as an LP with one epigraph column per class and element: the sum of that
   element's absolute deviations from the class's member positions is
@@ -116,11 +119,12 @@ def _pair_columns(n: int) -> np.ndarray:
     return 1 + x * (n - 1) + y - (y > x)
 
 
-def _triangle_rows(ids: np.ndarray, col: np.ndarray) -> csr_matrix:
-    """The triangle rows ``ids`` over the columns of ``_pair_columns(n)``.
+def _triangle_rows(ids: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The triangle rows ``ids`` over the columns ``col = _pair_columns(n)``.
 
     Orientation 0 of (x, y, z) is -(u[x][y] + u[y][z] + u[z][x]) <= -1 and
     orientation 1 the reverse cycle -(u[y][x] + u[z][y] + u[x][z]) <= -1.
+    Returns the CSR parts (indptr, indices, data) that ``addRows`` takes.
     """
     n = len(col)
     t, o = np.divmod(ids, 2)
@@ -129,34 +133,72 @@ def _triangle_rows(ids: np.ndarray, col: np.ndarray) -> csr_matrix:
     cycle = np.stack([x, y, z, x], axis=1)
     a, b = cycle[:, :3], cycle[:, 1:]
     cols = np.where(o[:, None] == 0, col[a, b], col[b, a]).ravel()
-    return csr_matrix((np.full(cols.size, -1.0), cols, np.arange(0, cols.size + 1, 3)),
-                      shape=(len(ids), 1 + n * (n - 1)))
+    return np.arange(0, cols.size + 1, 3), cols, np.full(cols.size, -1.0)
+
+
+def _violated_chunk(flat: np.ndarray, n: int, a: np.ndarray, b: np.ndarray,
+                    settled: np.ndarray, later: np.ndarray) -> list[np.ndarray]:
+    """Violated ids of the triples whose first unsettled pair is one of (a, b).
+
+    For the pair a < b and a third element c, the triple is sorted x < y < z
+    and its pairs are taken in (xy, xz, yz) order: (a, b) is the first
+    unsettled one when c > b, when a < c < b and (a, c) is settled, or when
+    c < a and (c, a) and (c, b) are settled.  (a, b) itself is unsettled,
+    which rules out c = a and c = b.  Each sum adds its terms in the order
+    of the cycle from x, as the reference check of every triangle does, so
+    the same rows come out.
+    """
+    cell = np.flatnonzero(later[b] | (settled[a] & (later[a] | settled[b])))
+    i = cell // n
+    c = cell - i * n
+    a, b = a[i], b[i]
+    x, y, z = np.minimum(a, c), np.minimum(np.maximum(a, c), b), np.maximum(b, c)
+    xn, yn, zn = x * n, y * n, z * n
+    xy = xn + y
+    below = 1.0 - _VIOLATION
+    fwd = flat.take(xy) + flat.take(yn + z) + flat.take(zn + x)  # u[x][y] + u[y][z] + u[z][x]
+    rev = flat.take(yn + x) + flat.take(zn + y) + flat.take(xn + z)  # u[y][x] + u[z][y] + u[x][z]
+    t = 2 * (xy * n + z)
+    return [t[fwd < below], t[rev < below] + 1]
 
 
 def _violated_triangles(u: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Ids of the triangles u violates that are not among ``present``.
+    """Ascending ids of the triangles u violates that are not in ``present``.
 
-    Orientation o of triple x < y < z has id 2 * ((x * n + y) * n + z) + o,
-    the flat index of (x - x0, y, z, o) in the mask of a block starting at
-    x0, plus 2 n^2 x0.  A block stays within BLOCK_ELEMENTS values (at least
-    one x), so no array of all C(n, 3) triples is built.  No row is added
-    twice, so the ids are unique, and so are those of ``present``.
+    Orientation o of triple x < y < z has id 2 * ((x * n + y) * n + z) + o;
+    ``present`` is ascending.  A row counts as violated when its cycle sum is
+    below 1 - eps, eps = ``_VIOLATION``.
+
+    Only triples through unsettled pairs are checked.  Let sigma be the
+    stable order of the elements by descending row sums of u, and call a pair
+    {x, y} settled when u[x][y] and u[y][x] both lie within eps/4 of the 0/1
+    values that sigma gives them.  A triple of three settled pairs is within
+    eps/4 per term of the transitive tournament sigma induces on it, whose
+    two cycle sums are 1 and 2; so both of its sums are at least 1 - 3eps/4.
+    The settled test is exact on every entry it passes, and the two
+    roundings of a sum below 4 cost under 1e-15, far less than the eps/4
+    left; so no such triple is violated.  Every other triple is checked
+    once, from its first unsettled pair.  The pairs go in chunks of at most
+    BLOCK_ELEMENTS / 4 (pair, element) cells, so the dozen int and float
+    temporaries of a chunk stay within a few BLOCK_ELEMENTS values, however
+    fractional u is.
     """
     n = len(u)
-    ut = u.T
-    below = 1.0 - _VIOLATION
     idx = np.arange(n)
-    upper = idx[:, None] < idx  # y < z
-    step = max(1, BLOCK_ELEMENTS // (n * n))
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(-u.sum(axis=1), kind="stable")] = idx
+    off = np.abs(u - (rank[:, None] < rank)) > _VIOLATION / 4
+    off |= off.T
+    later = idx[:, None] < idx  # later[r, c]: c > r
+    a, b = np.nonzero(off & later)
+    settled = ~off
+    flat = u.ravel()
+    step = max(1, BLOCK_ELEMENTS // (4 * max(n, 1)))
     ids = [np.empty(0, dtype=np.int64)]
-    for x0 in range(0, n - 2, step):
-        xs = slice(x0, min(x0 + step, n - 2))
-        triples = upper & (idx[xs, None, None] < idx[:, None])
-        fwd = u[xs][:, :, None] + u + ut[xs][:, None, :]  # u[x][y] + u[y][z] + u[z][x]
-        rev = ut[xs][:, :, None] + ut + u[xs][:, None, :]  # u[y][x] + u[z][y] + u[x][z]
-        low = np.stack([triples & (fwd < below), triples & (rev < below)], axis=-1)
-        ids.append(np.flatnonzero(low) + 2 * n * n * x0)
-    return np.setdiff1d(np.concatenate(ids), present, assume_unique=True)
+    for s in range(0, len(a), step):
+        ids += _violated_chunk(flat, n, a[s:s + step], b[s:s + step], settled, later)
+    ids = np.sort(np.concatenate(ids))
+    return ids[np.searchsorted(present, ids) == np.searchsorted(present, ids, side="right")]
 
 
 def build_kendall_lp(inst: Instance) -> LinearProgram:
@@ -278,9 +320,10 @@ def _loaded(highs, status) -> None:
         raise SolverError(highs.modelStatusToString(highspy.HighsModelStatus.kModelError))
 
 
-def _add_rows(highs, lower: np.ndarray, upper: np.ndarray, A: csr_matrix) -> None:
-    """Append the rows lower <= A x <= upper to the model."""
-    _loaded(highs, highs.addRows(A.shape[0], lower, upper, A.nnz, A.indptr, A.indices, A.data))
+def _add_rows(highs, lower: np.ndarray, upper: np.ndarray, indptr: np.ndarray,
+              indices: np.ndarray, data: np.ndarray) -> None:
+    """Append the rows lower <= A x <= upper, A given by its CSR parts."""
+    _loaded(highs, highs.addRows(len(lower), lower, upper, len(data), indptr, indices, data))
 
 
 def solve(lp: LinearProgram) -> FractionalSolution:
@@ -301,10 +344,12 @@ def solve(lp: LinearProgram) -> FractionalSolution:
     lower, upper = lp.bounds.T  # np.inf is kHighsInf
     _loaded(highs, highs.addCols(len(lp.c), lp.c, lower, upper, 0, [], [], []))
     if lp.A_ub is not None:
-        _add_rows(highs, np.full(len(lp.b_ub), -highspy.kHighsInf), lp.b_ub, lp.A_ub)
+        _add_rows(highs, np.full(len(lp.b_ub), -highspy.kHighsInf), lp.b_ub,
+                  lp.A_ub.indptr, lp.A_ub.indices, lp.A_ub.data)
     if lp.A_eq is not None:
-        _add_rows(highs, lp.b_eq, lp.b_eq, lp.A_eq)
-    present = np.empty(0, dtype=np.int64)
+        _add_rows(highs, lp.b_eq, lp.b_eq, lp.A_eq.indptr, lp.A_eq.indices, lp.A_eq.data)
+    present = np.empty(0, dtype=np.int64)  # ascending
+    col = _pair_columns(n)
     runs = iterations = 0
     while True:
         highs.run()
@@ -325,5 +370,5 @@ def solve(lp: LinearProgram) -> FractionalSolution:
             return FractionalSolution(_pairwise_objective(u, lp), u, runs,
                                       highs.getNumRow(), iterations)
         _add_rows(highs, np.full(len(new), -highspy.kHighsInf), np.full(len(new), -1.0),
-                  _triangle_rows(new, _pair_columns(n)))
-        present = np.concatenate([present, new])
+                  *_triangle_rows(new, col))
+        present = np.sort(np.concatenate([present, new]))

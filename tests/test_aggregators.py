@@ -36,7 +36,12 @@ from minmaxrank import (
     set_distance,
     solve,
 )
-from minmaxrank.aggregators import _pivot_costs, _rounded_matrix, positions_to_order
+from minmaxrank.aggregators import (
+    _cost_tables,
+    _pivot_costs,
+    _rounded_matrix,
+    positions_to_order,
+)
 from minmaxrank.distances import BLOCK_ELEMENTS
 from minmaxrank._rng import generator
 from minmaxrank.mallows import TwoLevelConfig, sample_instance
@@ -128,7 +133,7 @@ def test_pivot_costs_match_naive_reference():
         h = _rounded_matrix(u)
         active = sorted(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
         active = [int(x) for x in active]
-        got_a, got_b = _pivot_costs(np.array(active), h, u, wf)
+        got_a, got_b = _pivot_costs(np.array(active), h, _cost_tables(h, u, wf))
         assert got_a.shape == got_b.shape == (C, len(active))
         for i, a in enumerate(active):
             want_a, want_b = naive_pivot_costs(a, active, h, u, wf)

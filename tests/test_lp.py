@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
@@ -26,8 +27,10 @@ from minmaxrank import (
     solve,
     tie_mass,
 )
+from minmaxrank import lp
 from minmaxrank.cli import parse_gene_order_file
 from minmaxrank.lp import LinearProgram
+from minmaxrank.distances import BLOCK_ELEMENTS
 from minmaxrank.rankings import twice_positions
 from minmaxrank.mallows import TwoLevelConfig, sample_instance
 from minmaxrank._rng import generator
@@ -313,6 +316,54 @@ def assert_separation_exact(inst):
     assert (sums[distinct] >= 1.0 - TOL).all()
 
 
+def blocked_violated_triangles(u: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Reference separation: every triangle checked, triples x in blocks.
+
+    Orientation o of triple x < y < z has id 2 * ((x * n + y) * n + z) + o,
+    the flat index of (x - x0, y, z, o) in the mask of a block starting at
+    x0, plus 2 n^2 x0.  The ids come out ascending.
+    """
+    n = len(u)
+    ut = u.T
+    below = 1.0 - lp._VIOLATION
+    idx = np.arange(n)
+    upper = idx[:, None] < idx  # y < z
+    step = max(1, BLOCK_ELEMENTS // max(1, n * n))
+    ids = [np.empty(0, dtype=np.int64)]
+    for x0 in range(0, n - 2, step):
+        xs = slice(x0, min(x0 + step, n - 2))
+        triples = upper & (idx[xs, None, None] < idx[:, None])
+        fwd = u[xs][:, :, None] + u + ut[xs][:, None, :]  # u[x][y] + u[y][z] + u[z][x]
+        rev = ut[xs][:, :, None] + ut + u[xs][:, None, :]  # u[y][x] + u[z][y] + u[x][z]
+        low = np.stack([triples & (fwd < below), triples & (rev < below)], axis=-1)
+        ids.append(np.flatnonzero(low) + 2 * n * n * x0)
+    return np.setdiff1d(np.concatenate(ids), present, assume_unique=True)
+
+
+def assert_same_separation(u, present=np.empty(0, dtype=np.int64), separate=None):
+    got = (separate or lp._violated_triangles)(u, present)
+    want = blocked_violated_triangles(u, present)
+    assert got.dtype == want.dtype == np.int64
+    assert got.tolist() == want.tolist()
+    return got
+
+
+@pytest.fixture
+def separation_calls(monkeypatch):
+    """Check every separation call ``solve`` makes against the blocked reference."""
+    calls = []
+    separate = lp._violated_triangles
+
+    def checked(u, present):
+        calls.append(len(u))
+        return assert_same_separation(u, present, separate)
+
+    monkeypatch.setattr(lp, "_violated_triangles", checked)
+    yield calls
+    assert calls
+
+
+@pytest.mark.usefixtures("separation_calls")
 class TestTriangleSeparation:
     @pytest.mark.parametrize("n,trials", [(10, 6), (20, 2), (40, 1)])
     def test_mallows_matches_full_program(self, n, trials):
@@ -357,6 +408,133 @@ class TestTriangleSeparation:
         sol = solve(build_kendall_lp(inst))
         assert sol.rows - 3 - 4_950 < 323_400 // 10
         assert elapsed < 120
+
+
+def near_order_u(rng, n, offsets, cycles=0):
+    """u of a random order, each entry moved by a random one of ``offsets``.
+
+    Each entry moves up or down at random, so it may leave [0, 1] as a
+    solver's value may within its tolerance, and u[x][y] and u[y][x] move
+    apart, so the pairing sums need not be 1; ``cycles`` random triples are
+    then set to a 3-cycle, or to 1/3 each way.
+    """
+    rank = rng.permutation(n)
+    u = (rank[:, None] < rank).astype(float)
+    u += rng.choice([-1.0, 1.0], size=(n, n)) * rng.choice(offsets, size=(n, n))
+    for _ in range(cycles):
+        x, y, z = rng.choice(n, size=3, replace=False)
+        value = 1.0 if rng.random() < 0.5 else 1 / 3
+        u[x, y] = u[y, z] = u[z, x] = value
+        u[y, x] = u[z, y] = u[x, z] = 1.0 - value
+    np.fill_diagonal(u, 0.0)
+    return u
+
+
+class TestViolatedTriangles:
+    def test_hand_made_three_cycles(self):
+        # identity on 6 elements, with the cycle 1 > 2 > 3 > 1 and a
+        # fractional cycle u[4][5] + u[5][6] + u[6][4] = 0.9 (0-based below)
+        u = np.triu(np.ones((6, 6)), 1)
+        u[2, 0], u[0, 2] = 1.0, 0.0
+        u[3, 4], u[4, 3] = 0.2, 0.8
+        u[4, 5], u[5, 4] = 0.3, 0.7
+        u[5, 3], u[3, 5] = 0.4, 0.6
+        # the integral cycle's reverse sums to 0, the fractional one's forward to 0.9
+        assert assert_same_separation(u).tolist() == [2 * (0 * 36 + 1 * 6 + 2) + 1,
+                                                      2 * (3 * 36 + 4 * 6 + 5)]
+
+    @pytest.mark.parametrize("n", [4, 7, 12, 30])
+    def test_random_fractional_u(self, n):
+        rng = generator(n)
+        for _ in range(20):
+            u = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+            u = np.where(np.triu(np.ones((n, n), dtype=bool), 1), u, 0.0)
+            snapped = near_order_u(rng, n, [0.0])
+            u = np.where(rng.random((n, n)) < 0.7, snapped, u + np.tril(1.0 - u.T, -1))
+            np.fill_diagonal(u, 0.0)
+            assert_same_separation(u)
+
+    @pytest.mark.parametrize("n", [5, 9, 40])
+    def test_tolerance_edge(self, n):
+        # entries 1e-10 and eps/4 +- 1e-12 from 0/1 sit on both sides of the
+        # settled line, and three terms 3.4e-10 off sum to just below 1 - eps
+        eps = lp._VIOLATION
+        offsets = [0.0, 1e-10, eps / 4 - 1e-12, eps / 4 + 1e-12, 3.4e-10, 1.1e-9]
+        rng = generator(100 + n)
+        violated = 0
+        for trial in range(30):
+            u = near_order_u(rng, n, offsets, cycles=trial % 3)
+            violated += len(assert_same_separation(u))
+            assert_same_separation(near_order_u(rng, n, offsets[:4]))
+        assert violated > 0
+
+    def test_three_terms_just_past_the_settled_line(self):
+        # each term of the reverse cycle of (0, 1, 2) is 0.34 eps below its
+        # order's value: no pair is settled and the sum is 1 - 1.02 eps
+        d = 0.34 * lp._VIOLATION
+        u = np.triu(np.ones((3, 3)), 1)
+        u[1, 0] = u[2, 1] = -d
+        u[0, 2] = 1.0 - d
+        assert assert_same_separation(u).tolist() == [2 * ((0 * 3 + 1) * 3 + 2) + 1]
+
+    def test_settled_triples_are_never_violated(self):
+        # every entry eps/4 off its order's value: each cycle sum is 1 - 3eps/4
+        eps = lp._VIOLATION
+        u = near_order_u(generator(3), 20, [eps / 4])
+        assert assert_same_separation(u).size == 0
+
+    def test_dense_half(self):
+        u = np.full((30, 30), 0.5)
+        np.fill_diagonal(u, 0.0)
+        assert assert_same_separation(u).size == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_sizes(self, n):
+        rng = generator(n)
+        for _ in range(10):
+            assert_same_separation(near_order_u(rng, n, [0.0, 0.3], cycles=n // 3))
+
+    def test_no_elements(self):
+        out = lp._violated_triangles(np.zeros((0, 0)), np.empty(0, dtype=np.int64))
+        assert out.dtype == np.int64 and out.size == 0
+
+    def test_present_ids_are_left_out(self):
+        rng = generator(5)
+        u = near_order_u(rng, 15, [0.0, 0.2], cycles=6)
+        ids = assert_same_separation(u)
+        assert len(ids) > 4
+        for present in (ids[::2], ids, np.concatenate([ids[1::3], [ids[-1] + 2]])):
+            assert_same_separation(u, np.sort(present))
+
+    def test_memory_stays_within_budget_on_dense_fractional_u(self):
+        # every pair unsettled, so every one of the C(200, 3) triples is checked
+        n = 200
+        rng = generator(8)
+        u = np.triu(rng.uniform(0.4, 0.6, (n, n)), 1)
+        u += np.tril(1.0 - u.T, -1)
+        present = np.empty(0, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            out = lp._violated_triangles(u, present)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.size == 0
+        # the blocked reference peaks near 1.5 MB; all candidates of one
+        # pass would take about 50 MB per int64 array
+        assert peak <= 4 * 2**20
+
+    def test_triangle_rows_are_the_documented_cycles(self):
+        n = 5
+        col = lp._pair_columns(n)
+        ids = np.array([2 * ((0 * n + 1) * n + 2), 2 * ((1 * n + 3) * n + 4) + 1])
+        indptr, indices, data = lp._triangle_rows(ids, col)
+        rows = csr_matrix((data, indices, indptr), shape=(2, 1 + n * (n - 1))).toarray()
+        want = np.zeros_like(rows)
+        want[0, [col[0, 1], col[1, 2], col[2, 0]]] = -1.0
+        want[1, [col[3, 1], col[4, 3], col[1, 4]]] = -1.0
+        assert (rows == want).all()
+        assert indptr.tolist() == [0, 3, 6]
 
 
 class TestHighsBinding:
