@@ -2,15 +2,18 @@
 
 Two programs are built here:
 
-* the Kendall/Kemeny relaxation over pairwise order variables u[x][y] in
-  [0,1] with pairing equalities u[x][y] + u[y][x] = 1 and triangle
-  constraints, minimizing the epigraph variable q of the weighted class
-  costs (tied pairs inside a class contribute the constant weight*T_k/2).
-  It holds its class and pairing rows only; ``solve`` adds the triangles
-  its optima violate as cuts, re-solving from the last basis.  Separation
+* the Kendall/Kemeny relaxation over pairwise orders in [0, 1] with one
+  column per pair (Grötschel, Jünger & Reinelt, Operations Research 1984)
+  and triangle constraints, minimizing the epigraph variable q of the
+  weighted class costs (tied pairs inside a class contribute the constant
+  weight*T_k/2).  Pair {a, b} keeps u[b][a] = 1 - u[a][b], a first in sigma
+  (descending pooled weighted wins): HiGHS leaves nonbasic columns at their
+  lower bound, sigma's side, which steers the vertex it ends on and so the
+  rounding.  ``solve`` adds a ranged row per triple whose triangle its
+  optima violate as a cut, re-solving from the last basis.  Separation
   checks only the triples through pairs that u leaves unsettled, pairs not
   within 1e-9/4 of one transitive order, since no other triple can be
-  violated; on a nearly integral optimum that is far fewer than 2 C(n, 3);
+  violated;
 * the footrule program over free positions u(1..n), reformulated exactly
   as an LP with one epigraph column per class and element: the sum of that
   element's absolute deviations from the class's member positions is
@@ -50,15 +53,15 @@ class LinearProgram:
     """A minimization LP plus what reads its solution back.
 
     The arrays keep the argument form of scipy's LP front end (``A_ub``,
-    ``b_ub``, ``A_eq``, ``b_eq``, ``bounds``) only so that tests can hand a
-    program to it as an independent reference; ``solve`` loads them into its
-    own HiGHS model.
+    ``b_ub``, ``bounds``) only so that tests can hand a program to it as an
+    independent reference; ``solve`` loads them into its own HiGHS model.
 
     Column 0 is the epigraph variable q.  A pairwise program (``kind`` is
-    "pairwise") keeps u[x][y] at column ``1 + x(n-1) + y - [y > x]``, the
+    "pairwise") keeps u[b][a] of pair {a, b} at column ``_pair_columns(n)``,
+    where ``rank``, each element's place in sigma, puts a first, and the
     float class weights ``wf`` (C, n, n); its rows are the C class rows,
-    whose ``-b_ub`` are the classes' tie shifts, and the pairing rows, and
-    ``solve`` adds triangles.  A positional program keeps the positions
+    whose ``-b_ub`` are the classes' tie shifts plus their costs at sigma,
+    and ``solve`` adds triangles.  A positional program keeps the positions
     u(h) at columns 1..n, class k's epigraph t_kh of element h at column
     1 + n + kn + h and, per class, the member positions (m, n) and
     lambda/m; its rows are each class's piece rows followed by its cost row.
@@ -67,12 +70,11 @@ class LinearProgram:
     c: np.ndarray
     A_ub: csr_matrix | None
     b_ub: np.ndarray | None
-    A_eq: csr_matrix | None
-    b_eq: np.ndarray | None
     bounds: np.ndarray  # (columns, 2), +-inf where unbounded
     kind: str  # "pairwise" or "positional"
     n: int
     wf: np.ndarray | None = None
+    rank: np.ndarray | None = None  # pairwise: each element's place in sigma
     class_pos: tuple[np.ndarray, ...] = ()
     lam_over_m: tuple[float, ...] = ()
 
@@ -113,27 +115,28 @@ _VIOLATION = 1e-9
 
 
 def _pair_columns(n: int) -> np.ndarray:
-    """(n, n) array: the column of u[x][y] (the diagonal is unused)."""
-    x = np.arange(n)[:, None]
-    y = np.arange(n)[None, :]
-    return 1 + x * (n - 1) + y - (y > x)
+    """(n, n) array: the column of pair {x, y}, in ``combinations`` order."""
+    col = np.zeros((n, n), dtype=np.intp)
+    lo, hi = np.triu_indices(n, 1)
+    col[lo, hi] = col[hi, lo] = np.arange(1, len(lo) + 1)
+    return col
 
 
-def _triangle_rows(ids: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The triangle rows ``ids`` over the columns ``col = _pair_columns(n)``.
+def _triangle_rows(triples: np.ndarray, col: np.ndarray,
+                   later: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows 1 <= u[x][y] + u[y][z] + u[z][x] <= 2 of triples (x * n + y) * n + z.
 
-    Orientation 0 of (x, y, z) is -(u[x][y] + u[y][z] + u[z][x]) <= -1 and
-    orientation 1 the reverse cycle -(u[y][x] + u[z][y] + u[x][z]) <= -1.
-    Returns the CSR parts (indptr, indices, data) that ``addRows`` takes.
+    Both cycles of x < y < z sum to 3, so the row holds both.  u[s][t] is the
+    column of {s, t} where ``later[s, t]`` and 1 less it elsewhere.  Returns
+    (lower, upper, indptr, indices, data) as ``addRows`` takes them.
     """
     n = len(col)
-    t, o = np.divmod(ids, 2)
-    xy, z = np.divmod(t, n)
+    xy, z = np.divmod(triples, n)
     x, y = np.divmod(xy, n)
-    cycle = np.stack([x, y, z, x], axis=1)
-    a, b = cycle[:, :3], cycle[:, 1:]
-    cols = np.where(o[:, None] == 0, col[a, b], col[b, a]).ravel()
-    return np.arange(0, cols.size + 1, 3), cols, np.full(cols.size, -1.0)
+    s, t = np.stack([x, y, z], axis=1), np.stack([y, z, x], axis=1)
+    sign = np.where(later[s, t], 1.0, -1.0)
+    j = (sign < 0).sum(axis=1)  # terms written 1 - column
+    return 1.0 - j, 2.0 - j, np.arange(0, sign.size + 1, 3), col[s, t].ravel(), sign.ravel()
 
 
 def _violated_chunk(flat: np.ndarray, n: int, a: np.ndarray, b: np.ndarray,
@@ -204,10 +207,9 @@ def _violated_triangles(u: np.ndarray, present: np.ndarray) -> np.ndarray:
 def build_kendall_lp(inst: Instance) -> LinearProgram:
     """The pairwise-order relaxation of minmax Kendall/Kemeny aggregation.
 
-    It holds the class and pairing rows only; ``solve`` adds the triangles.
+    It holds the class rows only; ``solve`` adds the triangles.
     """
     n, num_classes = inst.n, inst.num_classes
-    ncols = 1 + n * (n - 1)
     # w[k][x][y] = count * weight / m, looked up in a per-class table of the
     # m + 1 possible counts; Python's int true division rounds each exact
     # quotient correctly, like float(Fraction), whatever the operand sizes
@@ -222,25 +224,26 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     shifts = np.array(
         [float(cls.weight * t / 2) for t, cls in zip(ties, inst.classes)]
     )
-    col = _pair_columns(n)
-    off = ~np.eye(n, dtype=bool)
+    # sigma: descending pooled weighted wins sum_k sum_y (w[k][x][y] - w[k][y][x]),
+    # ties by id; summed from integer net wins, so that equal ones stay equal
+    net = inst.above_counts.sum(axis=2) - inst.above_counts.sum(axis=1)
+    wins = sum(k_net * (cls.weight.numerator / (cls.weight.denominator * cls.m))
+               for k_net, cls in zip(net, inst.classes))
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(-wins, kind="stable")] = np.arange(n)
+    lo, hi = np.triu_indices(n, 1)  # pairs in combinations order
+    swap = rank[lo] > rank[hi]
+    a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)
 
-    # class cost epigraph: sum_{x!=y} w^k[x][y] u[y][x] - q <= -shift_k
-    coef = wf.transpose(0, 2, 1)[:, off]  # coefficient of u[a][b] is w[b][a]
+    # class cost epigraph, column v = u[b][a] of each pair:
+    # sum_pairs (w[a][b] - w[b][a]) v - q <= -shift_k - sum_pairs w[b][a]
+    coef = wf[:, a, b] - wf[:, b, a]
     k_idx, j_idx = np.nonzero(coef)
     rows = [np.arange(num_classes), k_idx]
-    cols = [np.zeros(num_classes, dtype=np.intp), col[off][j_idx]]
+    cols = [np.zeros(num_classes, dtype=np.intp), 1 + j_idx]
     data = [np.full(num_classes, -1.0), coef[k_idx, j_idx]]
 
-    # pairing: u[x][y] + u[y][x] = 1
-    lo, hi = np.triu_indices(n, 1)  # pairs in combinations order
-    A_eq = _sparse(
-        [np.repeat(np.arange(len(lo)), 2)],
-        [np.stack([col[lo, hi], col[hi, lo]], axis=1).ravel()],
-        [np.ones(2 * len(lo))],
-        (len(lo), ncols),
-    )
-
+    ncols = 1 + len(lo)
     c_vec = np.zeros(ncols)
     c_vec[0] = 1.0
     bounds = np.zeros((ncols, 2))
@@ -249,13 +252,12 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     return LinearProgram(
         c_vec,
         _sparse(rows, cols, data, (num_classes, ncols)),
-        -shifts,
-        A_eq,
-        np.ones(len(lo)),
+        -shifts - wf[:, b, a].sum(axis=1),
         bounds,
         "pairwise",
         n,
         wf=wf,
+        rank=rank,
     )
 
 
@@ -297,13 +299,8 @@ def build_footrule_program(inst: Instance) -> LinearProgram:
     bounds[:, 1] = np.inf
     bounds[1:1 + n, 0] = -np.inf
     return LinearProgram(c_vec, _sparse(rows, cols, data, (row0, col0)), np.concatenate(b_ub),
-                         None, None, bounds, "positional", n,
+                         bounds, "positional", n,
                          class_pos=tuple(class_pos), lam_over_m=tuple(lam_over_m))
-
-
-def _pairwise_objective(u: np.ndarray, lp: LinearProgram) -> float:
-    costs = -lp.b_ub + (lp.wf * u.T[None, :, :]).sum(axis=(1, 2))
-    return float(costs.max())
 
 
 def _positional_objective(u: np.ndarray, lp: LinearProgram) -> float:
@@ -329,9 +326,9 @@ def _add_rows(highs, lower: np.ndarray, upper: np.ndarray, indptr: np.ndarray,
 def solve(lp: LinearProgram) -> FractionalSolution:
     """Solve ``lp`` on one HiGHS model and read the structured solution back out.
 
-    The model holds the columns with their bounds, the ``A_ub`` rows as
-    (-inf, b_ub] and the ``A_eq`` rows as [b_eq, b_eq].  A pairwise program
-    then appends the triangle rows its optimum violates and is solved again,
+    The model holds the columns with their bounds and the ``A_ub`` rows as
+    (-inf, b_ub].  A pairwise program then appends a ranged row for each
+    triple one of whose triangles its optimum violates and is solved again,
     warm from its last basis, until no triangle is violated.  The rows come
     from a finite set, so this ends, and the returned optimum is the optimum
     of the program with every triangle.
@@ -346,9 +343,7 @@ def solve(lp: LinearProgram) -> FractionalSolution:
     if lp.A_ub is not None:
         _add_rows(highs, np.full(len(lp.b_ub), -highspy.kHighsInf), lp.b_ub,
                   lp.A_ub.indptr, lp.A_ub.indices, lp.A_ub.data)
-    if lp.A_eq is not None:
-        _add_rows(highs, lp.b_eq, lp.b_eq, lp.A_eq.indptr, lp.A_eq.indices, lp.A_eq.data)
-    present = np.empty(0, dtype=np.int64)  # ascending
+    present = np.empty(0, dtype=np.int64)  # ascending triangle ids
     col = _pair_columns(n)
     runs = iterations = 0
     while True:
@@ -363,12 +358,14 @@ def solve(lp: LinearProgram) -> FractionalSolution:
             u = x[1:1 + n]
             return FractionalSolution(_positional_objective(u, lp), u, runs,
                                       highs.getNumRow(), iterations)
-        u = np.zeros((n, n))
-        u[~np.eye(n, dtype=bool)] = x[1:]
+        later = lp.rank[:, None] > lp.rank  # u[s][t] is the column of {s, t}
+        u = np.where(later, x[col], 1.0 - x[col])
+        np.fill_diagonal(u, 0.0)
         new = _violated_triangles(u, present)
         if not len(new):
-            return FractionalSolution(_pairwise_objective(u, lp), u, runs,
-                                      highs.getNumRow(), iterations)
-        _add_rows(highs, np.full(len(new), -highspy.kHighsInf), np.full(len(new), -1.0),
-                  *_triangle_rows(new, col))
-        present = np.sort(np.concatenate([present, new]))
+            costs = lp.A_ub[:, 1:] @ x[1:] - lp.b_ub
+            return FractionalSolution(float(costs.max()), u, runs, highs.getNumRow(),
+                                      iterations)
+        triples = np.unique(new // 2)
+        _add_rows(highs, *_triangle_rows(triples, col, later))
+        present = np.sort(np.concatenate([present, 2 * triples, 2 * triples + 1]))

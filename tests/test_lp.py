@@ -232,14 +232,74 @@ class TestKendallLP:
 
     def test_gene_sample_size(self):
         prog = build_kendall_lp(parse_gene_order_file(GENE_SAMPLE.read_text()).instance)
-        assert len(prog.c) == 1 + 36 * 35
-        assert prog.A_ub.shape == (11, 1_261)
-        assert prog.A_eq.shape == (630, 1_261)
-        # a one-genome class costs one entry per unordered pair, plus q;
-        # pairing rows hold 2 entries
-        assert prog.A_ub.nnz + prog.A_eq.nnz == 11 * (1 + 630) + 2 * 630
-        # with all 14,280 triangles the program would have 14,921 rows
-        assert solve(prog).rows <= 2_500
+        assert len(prog.c) == 1 + 630
+        assert prog.A_ub.shape == (11, 1 + 630)
+        # a one-genome class costs one entry per unordered pair, plus q; the
+        # pairs need no pairing rows
+        assert prog.A_ub.nnz == 11 * (1 + 630)
+        # with all 7,140 triangle rows the program would have 7,151 rows
+        assert solve(prog).rows <= 1_600
+
+    @pytest.mark.parametrize("orders, rank, row", [
+        # 1 and 3 tie on wins (2 each) ahead of 2 (-4), so the smaller id goes
+        # first: sigma is 1, 3, 2, and the columns of {1, 2}, {1, 3} and
+        # {2, 3} are u[2][1], u[3][1] and u[2][3]
+        (([3, 1, 2], [1, 3, 2]), [0, 2, 1], [-1.0, 1.0, 0.0, 1.0]),
+        # the same with 1 and 2 swapped: sigma is 2, 3, 1, and the columns are
+        # u[1][2], u[1][3] and u[3][2]
+        (([3, 2, 1], [2, 3, 1]), [2, 0, 1], [-1.0, 1.0, 1.0, 0.0]),
+    ])
+    def test_pair_columns_are_oriented_by_wins(self, orders, rank, row):
+        members = tuple(Permutation.from_order(order) for order in orders)
+        inst = Instance(3, (RankingClass(members, 1),))
+        prog = build_kendall_lp(inst)
+        assert prog.rank.tolist() == rank
+        # each class entry is w[a][b] - w[b][a] with a first in sigma, and
+        # b_ub is minus the class cost at sigma
+        assert prog.A_ub.toarray().tolist() == [row]
+        assert prog.b_ub.tolist() == [-0.5]
+        assert abs(solve(prog).objective - 0.5) < TOL
+
+    def test_class_rows_read_each_column_as_u_of_the_later_element(self, rng):
+        # dyadic weights and class sizes keep the float wins exact, so they
+        # tie exactly where the Fraction wins do
+        ties = 0
+        for _ in range(20):
+            inst = random_instance(rng, m_choices=(1, 2, 4), allow_ties=True)
+            n, w = inst.n, class_weights(inst)
+            wins = [sum(wk[x][y] - wk[y][x] for wk in w for y in range(n)) for x in range(n)]
+            sigma = sorted(range(n), key=lambda x: (-wins[x], x))
+            ties += len(set(wins)) < n
+            prog = build_kendall_lp(inst)
+            assert [sigma.index(x) for x in range(n)] == prog.rank.tolist()
+            u = solve(prog).u
+            later = [(a, b) if sigma.index(a) > sigma.index(b) else (b, a)
+                     for a, b in combinations(range(n), 2)]
+            v = np.array([u[s, t] for s, t in later])
+            costs = prog.A_ub[:, 1:] @ v - prog.b_ub
+            shifts = [float(cls.weight * t / 2) for t, cls in zip(tie_mass(inst), inst.classes)]
+            want = [shift + sum(float(wk[x][y]) * u[y, x] for x, y in permutations(range(n), 2))
+                    for shift, wk in zip(shifts, w)]
+            assert np.allclose(costs, want, rtol=0, atol=1e-9)
+        assert ties > 0
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_gene_relabellings_keep_certificate_and_ranking(self, i):
+        # relabelled as the lp-gene benchmark relabels the sample: a seeded
+        # bijection of the block ids and random signs per genome
+        rows = [line.split("\t") for line in GENE_SAMPLE.read_text().splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
+        rng = np.random.default_rng([0, i])
+        n = len(rows[0][1].split())
+        relabel = rng.permutation(n) + 1
+        lines = []
+        for name, rest in rows:
+            order = [int(relabel[abs(int(v)) - 1]) for v in rest.split()]
+            signs = rng.choice((-1, 1), size=n)
+            lines.append(name + "\t" + " ".join(str(int(s) * x) for s, x in zip(signs, order)))
+        res = mmkt_conv(parse_gene_order_file("\n".join(lines) + "\n").instance)
+        assert abs(res.certificate - 253.867533284846) <= 1e-9 * 253.867533284846
+        assert res.objective == 274
 
     def test_large_integer_weights(self, rng):
         # 0.1 is 3602879701896397 / 2**55, so weight denominator times m
@@ -264,44 +324,70 @@ class TestKendallLP:
             assert sol.objective <= float(w.value) + TOL
 
 
-def full_triangle_optimum(prog):
-    """HiGHS's optimum of a pairwise program's class rows with every triangle.
+def two_column_kendall_lp(inst: Instance) -> dict:
+    """Reference Kendall program: a column per ordered pair and pairing rows.
 
-    Written out triple by triple, independently of the program's own
-    triangle rows.
+    u[x][y] sits at column 1 + x(n - 1) + y - [y > x].  Class k's row is
+    sum_{x != y} w[x][y] u[y][x] - q <= -weight * T_k / 2, each pair has
+    u[x][y] + u[y][x] = 1, and each triple x < y < z has both of its cycles
+    u[x][y] + u[y][z] + u[z][x] >= 1 and u[y][x] + u[z][y] + u[x][z] >= 1.
+    The weights are exact Fractions rounded once.  Returns the arguments of
+    scipy's ``linprog``.
     """
-    n, num_classes = prog.n, prog.A_ub.shape[0]
+    n, num_classes = inst.n, inst.num_classes
+    x = np.arange(n)[:, None]
+    y = np.arange(n)[None, :]
+    col = 1 + x * (n - 1) + y - (y > x)
+    ncols = 1 + n * (n - 1)
+    wf = np.array([[[float(c * cls.weight / cls.m) for c in row] for row in counts]
+                   for cls, counts in zip(inst.classes, inst.above_counts.tolist())])
+    classes = np.zeros((num_classes, ncols))
+    classes[:, 0] = -1.0
+    off = ~np.eye(n, dtype=bool)
+    classes[:, col[off]] = wf.transpose(0, 2, 1)[:, off]  # coefficient of u[a][b] is w[b][a]
+    shifts = [float(cls.weight * t / 2) for t, cls in zip(tie_mass(inst), inst.classes)]
 
-    def col(x, y):
-        return 1 + x * (n - 1) + y - (y > x)
-
+    lo, hi = np.triu_indices(n, 1)
+    pairing = csr_matrix(
+        (np.ones(2 * len(lo)),
+         (np.repeat(np.arange(len(lo)), 2), np.stack([col[lo, hi], col[hi, lo]], axis=1).ravel())),
+        shape=(len(lo), ncols),
+    )
     tri_cols = []
-    for x, y, z in combinations(range(n), 3):
-        tri_cols.append([col(x, y), col(y, z), col(z, x)])
-        tri_cols.append([col(y, x), col(z, y), col(x, z)])
+    for a, b, c in combinations(range(n), 3):
+        tri_cols.append([col[a, b], col[b, c], col[c, a]])
+        tri_cols.append([col[b, a], col[c, b], col[a, c]])
     tri_cols = np.array(tri_cols, dtype=np.intp).reshape(-1, 3)
     triangles = csr_matrix(
         (np.full(tri_cols.size, -1.0),
          (np.repeat(np.arange(len(tri_cols)), 3), tri_cols.ravel())),
-        shape=(len(tri_cols), len(prog.c)),
+        shape=(len(tri_cols), ncols),
     )
-    res = linprog(
-        prog.c,
-        A_ub=vstack([prog.A_ub[:num_classes], triangles]),
-        b_ub=np.concatenate([prog.b_ub[:num_classes], np.full(len(tri_cols), -1.0)]),
-        A_eq=prog.A_eq,
-        b_eq=prog.b_eq,
-        bounds=prog.bounds,
-        method="highs",
+    c_vec = np.zeros(ncols)
+    c_vec[0] = 1.0
+    bounds = np.zeros((ncols, 2))
+    bounds[0, 1] = np.inf
+    bounds[1:, 1] = 1.0
+    return dict(
+        c=c_vec,
+        A_ub=vstack([csr_matrix(classes), triangles]),
+        b_ub=np.concatenate([-np.array(shifts), np.full(len(tri_cols), -1.0)]),
+        A_eq=pairing,
+        b_eq=np.ones(len(lo)),
+        bounds=bounds,
     )
+
+
+def full_triangle_optimum(inst: Instance) -> float:
+    """HiGHS's optimum of the two-column reference program with every triangle."""
+    res = linprog(**two_column_kendall_lp(inst), method="highs")
     assert res.status == 0
     return res.fun
 
 
 def assert_separation_exact(inst):
-    prog = build_kendall_lp(inst)
-    sol = solve(prog)
-    full = full_triangle_optimum(prog)
+    sol = solve(build_kendall_lp(inst))
+    full = full_triangle_optimum(inst)
     assert abs(sol.objective - full) <= 1e-7 * max(1.0, abs(full))
     # every triangle, both orientations: u[x][y] + u[y][z] + u[z][x] >= 1
     u = sol.u
@@ -393,7 +479,7 @@ class TestTriangleSeparation:
         assert prog.A_ub.shape[0] == 1
         sol = solve(prog)
         assert sol.runs > 1
-        assert abs(sol.objective - full_triangle_optimum(prog)) < 1e-9
+        assert abs(sol.objective - full_triangle_optimum(inst)) < 1e-9
         assert abs(sol.objective - 4 / 3) < TOL
 
     def test_n_100_stays_far_below_full_program(self):
@@ -403,10 +489,10 @@ class TestTriangleSeparation:
         res = mmkt_conv(inst)
         elapsed = time.perf_counter() - start
         assert float(res.objective) <= 2 * res.certificate + TOL
-        # the full program has 2 * C(100, 3) = 323,400 triangle rows; the
-        # model's other rows are 3 class rows and C(100, 2) pairing rows
+        # the full program has a ranged row for each of the C(100, 3) =
+        # 161,700 triples; the model's other rows are 3 class rows
         sol = solve(build_kendall_lp(inst))
-        assert sol.rows - 3 - 4_950 < 323_400 // 10
+        assert sol.rows - 3 < 161_700 // 10
         assert elapsed < 120
 
 
@@ -525,16 +611,31 @@ class TestViolatedTriangles:
         assert peak <= 4 * 2**20
 
     def test_triangle_rows_are_the_documented_cycles(self):
+        # sigma puts element 3 first, then 0, 4, 1, 2; u[s][t] is the column
+        # of {s, t} when s comes later in sigma, and 1 less it otherwise
         n = 5
+        rank = np.array([1, 3, 4, 0, 2])
+        later = rank[:, None] > rank
         col = lp._pair_columns(n)
-        ids = np.array([2 * ((0 * n + 1) * n + 2), 2 * ((1 * n + 3) * n + 4) + 1])
-        indptr, indices, data = lp._triangle_rows(ids, col)
-        rows = csr_matrix((data, indices, indptr), shape=(2, 1 + n * (n - 1))).toarray()
+        triples = np.array([(0 * n + 1) * n + 2, (0 * n + 3) * n + 4, (1 * n + 3) * n + 4])
+        lower, upper, indptr, indices, data = lp._triangle_rows(triples, col, later)
+        rows = csr_matrix((data, indices, indptr), shape=(3, 1 + 10)).toarray()
         want = np.zeros_like(rows)
-        want[0, [col[0, 1], col[1, 2], col[2, 0]]] = -1.0
-        want[1, [col[3, 1], col[4, 3], col[1, 4]]] = -1.0
+        # u[0][1] + u[1][2] + u[2][0] = (1 - v01) + (1 - v12) + v02
+        want[0, [col[0, 1], col[1, 2], col[2, 0]]] = [-1.0, -1.0, 1.0]
+        # u[0][3] + u[3][4] + u[4][0] = v03 + (1 - v34) + v04
+        want[1, [col[0, 3], col[3, 4], col[4, 0]]] = [1.0, -1.0, 1.0]
+        # u[1][3] + u[3][4] + u[4][1] = v13 + (1 - v34) + (1 - v14)
+        want[2, [col[1, 3], col[3, 4], col[4, 1]]] = [1.0, -1.0, -1.0]
         assert (rows == want).all()
-        assert indptr.tolist() == [0, 3, 6]
+        assert indptr.tolist() == [0, 3, 6, 9]
+        # 1 <= (forward cycle) <= 2, less the j constant terms of each row
+        assert lower.tolist() == [-1.0, 0.0, -1.0] and upper.tolist() == [0.0, 1.0, 0.0]
+
+    def test_pair_columns_follow_combinations_order(self):
+        col = lp._pair_columns(5)
+        assert [col[x, y] for x, y in combinations(range(5), 2)] == list(range(1, 11))
+        assert (col == col.T).all()
 
 
 class TestHighsBinding:
@@ -612,7 +713,7 @@ def slack_footrule_program(inst: Instance) -> LinearProgram:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(row0, col0),
     )
-    return LinearProgram(c_vec, A_ub, np.concatenate(b_ub), None, None, bounds,
+    return LinearProgram(c_vec, A_ub, np.concatenate(b_ub), bounds,
                          "positional", n, class_pos=tuple(class_pos),
                          lam_over_m=tuple(lam_over_m))
 
@@ -698,7 +799,6 @@ class TestFootruleProgram:
         assert len(prog.c) == 1 + n + sum(cls.m * n for cls in inst.classes)
         # two pieces per element of a one-member class plus one cost row per class
         assert prog.A_ub.shape[0] == 2 * 2 * n + 2
-        assert prog.A_eq is None
         sol = solve(prog)
         assert (sol.runs, sol.rows) == (1, 2 * 2 * n + 2)
 
@@ -744,8 +844,6 @@ class TestSolveErrors:
             c=np.array([1.0]),
             A_ub=csr_matrix([[-1.0]]),
             b_ub=np.array([-2.0]),
-            A_eq=None,
-            b_eq=None,
             bounds=np.array([[0.0, 1.0]]),
             kind="positional",
             n=1,
@@ -758,8 +856,6 @@ class TestSolveErrors:
             c=np.array([1.0]),
             A_ub=None,
             b_ub=None,
-            A_eq=None,
-            b_eq=None,
             bounds=np.array([[-np.inf, np.inf]]),
             kind="positional",
             n=1,
@@ -772,8 +868,7 @@ class TestSolveErrors:
         def pairwise(A_ub, b_ub, bounds):
             return LinearProgram(
                 c=np.array([1.0]), A_ub=csr_matrix(A_ub), b_ub=np.array(b_ub),
-                A_eq=csr_matrix((0, 1)), b_eq=np.empty(0),
-                bounds=np.array([bounds]), kind="pairwise", n=1,
+                bounds=np.array([bounds]), kind="pairwise", n=1, rank=np.zeros(1),
             )
 
         with pytest.raises(SolverError, match="^Infeasible$"):
