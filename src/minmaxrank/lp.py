@@ -22,13 +22,15 @@ Two programs are built here:
 
 ``solve`` loads either program into one HiGHS model the same way, through
 scipy's private binding (scipy >= 1.15), and raises ``SolverError`` with
-HiGHS's model-status text for any status other than optimal.  The Kendall
-program's class weights and the tie mass read the instance's pairwise-count
-view ``Instance.above_counts``; members' pairwise orders are counted nowhere
-else.  Both programs are assembled directly as sparse arrays.  Fractional
-solutions keep u (the pair orders or the positions) and the solve counts;
-the reported objective is recomputed from u, so it always equals the worst
-class cost implied by it.
+HiGHS's model-status text for any status other than optimal.  It turns
+presolve off for the Kendall program, whose solves are small and start
+warm after the first, and keeps it for the footrule program's one cold
+solve of many rows.  The Kendall program's class weights and the tie mass
+read the instance's pairwise-count view ``Instance.above_counts``; members'
+pairwise orders are counted nowhere else.  Both programs write their
+``A_ub`` straight as CSR arrays.  Fractional solutions keep u (the pair
+orders or the positions) and the solve counts; the reported objective is
+recomputed from u, so it always equals the worst class cost implied by it.
 """
 
 from __future__ import annotations
@@ -99,14 +101,6 @@ def tie_mass(inst: Instance) -> tuple[Fraction, ...]:
     ordered = inst.above_counts.sum(axis=(1, 2)).tolist()
     return tuple(
         Fraction(cls.m * pairs - o, cls.m) for o, cls in zip(ordered, inst.classes)
-    )
-
-
-def _sparse(rows, cols, data, shape) -> csr_matrix:
-    """CSR matrix from COO parts."""
-    return csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape,
     )
 
 
@@ -237,13 +231,14 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
 
     # class cost epigraph, column v = u[b][a] of each pair:
     # sum_pairs (w[a][b] - w[b][a]) v - q <= -shift_k - sum_pairs w[b][a]
-    coef = wf[:, a, b] - wf[:, b, a]
-    k_idx, j_idx = np.nonzero(coef)
-    rows = [np.arange(num_classes), k_idx]
-    cols = [np.zeros(num_classes, dtype=np.intp), 1 + j_idx]
-    data = [np.full(num_classes, -1.0), coef[k_idx, j_idx]]
-
     ncols = 1 + len(lo)
+    block = np.empty((num_classes, ncols))
+    block[:, 0] = -1.0
+    np.subtract(wf[:, a, b], wf[:, b, a], out=block[:, 1:])
+    mask = block != 0
+    indptr = np.r_[0, np.cumsum(mask.sum(axis=1))]
+    A_ub = csr_matrix((block[mask], np.nonzero(mask)[1], indptr), shape=(num_classes, ncols))
+
     c_vec = np.zeros(ncols)
     c_vec[0] = 1.0
     bounds = np.zeros((ncols, 2))
@@ -251,7 +246,7 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     bounds[1:, 1] = 1.0
     return LinearProgram(
         c_vec,
-        _sparse(rows, cols, data, (num_classes, ncols)),
+        A_ub,
         -shifts - wf[:, b, a].sum(axis=1),
         bounds,
         "pairwise",
@@ -270,7 +265,7 @@ def build_footrule_program(inst: Instance) -> LinearProgram:
     whose r-th and (r+1)-th largest positions differ, by element, then r.
     """
     n = inst.n
-    rows, cols, data, b_ub = [], [], [], []
+    counts, indices, data, b_ub = [], [], [], []
     class_pos, lam_over_m = [], []
     row0, col0 = 0, 1 + n
     for cls, tw in zip(inst.classes, np.split(inst.member_tw, inst.class_starts[1:])):
@@ -285,20 +280,23 @@ def build_footrule_program(inst: Instance) -> LinearProgram:
         h, r = np.nonzero(keep.T)
         t_cols = col0 + np.arange(n)
         # pieces: slope u(h) - t_kh <= -intercept; class: lambda/m sum_h t_kh - q <= 0
-        rows += [row0 + np.repeat(np.arange(len(h)), 2), np.full(n + 1, row0 + len(h))]
-        cols += [np.stack([1 + h, t_cols[h]], axis=1).ravel(), np.r_[0, t_cols]]
+        counts += [np.full(len(h), 2), [n + 1]]
+        indices += [np.stack([1 + h, t_cols[h]], axis=1).ravel(), np.r_[0, t_cols]]
         data += [np.stack([cls.m - 2.0 * r, -np.ones(len(h))], axis=1).ravel(),
                  np.r_[-1.0, np.full(n, lam)]]
         b_ub += [top[-1, h] - 2 * top[r, h], [0.0]]
         row0 += len(h) + 1
         col0 += n
 
+    # rows come out in order, each with ascending columns, so they are CSR as is
+    A_ub = csr_matrix((np.concatenate(data), np.concatenate(indices),
+                       np.r_[0, np.cumsum(np.concatenate(counts))]), shape=(row0, col0))
     c_vec = np.zeros(col0)
     c_vec[0] = 1.0
     bounds = np.zeros((col0, 2))
     bounds[:, 1] = np.inf
     bounds[1:1 + n, 0] = -np.inf
-    return LinearProgram(c_vec, _sparse(rows, cols, data, (row0, col0)), np.concatenate(b_ub),
+    return LinearProgram(c_vec, A_ub, np.concatenate(b_ub),
                          bounds, "positional", n,
                          class_pos=tuple(class_pos), lam_over_m=tuple(lam_over_m))
 
@@ -331,20 +329,26 @@ def solve(lp: LinearProgram) -> FractionalSolution:
     triple one of whose triangles its optimum violates and is solved again,
     warm from its last basis, until no triangle is violated.  The rows come
     from a finite set, so this ends, and the returned optimum is the optimum
-    of the program with every triangle.
+    of the program with every triangle.  A pairwise model is solved without
+    presolve: it only slowed the first, cold solve, and without it HiGHS
+    starts from the all-zero columns, sigma's order of every pair.
     """
     if lp.kind not in ("pairwise", "positional"):
         raise SolverError(f"unknown program kind {lp.kind!r}")
     n = lp.n
+    pairwise = lp.kind == "pairwise"
     highs = highspy._Highs()
     highs.setOptionValue("output_flag", False)
+    if pairwise:
+        _loaded(highs, highs.setOptionValue("presolve", "off"))
+        col = _pair_columns(n)
+        later = lp.rank[:, None] > lp.rank  # u[s][t] is the column of {s, t}
     lower, upper = lp.bounds.T  # np.inf is kHighsInf
     _loaded(highs, highs.addCols(len(lp.c), lp.c, lower, upper, 0, [], [], []))
     if lp.A_ub is not None:
         _add_rows(highs, np.full(len(lp.b_ub), -highspy.kHighsInf), lp.b_ub,
                   lp.A_ub.indptr, lp.A_ub.indices, lp.A_ub.data)
     present = np.empty(0, dtype=np.int64)  # ascending triangle ids
-    col = _pair_columns(n)
     runs = iterations = 0
     while True:
         highs.run()
@@ -354,16 +358,16 @@ def solve(lp: LinearProgram) -> FractionalSolution:
         runs += 1
         iterations += highs.getInfo().simplex_iteration_count
         x = np.array(highs.getSolution().col_value)
-        if lp.kind == "positional":
+        if not pairwise:
             u = x[1:1 + n]
             return FractionalSolution(_positional_objective(u, lp), u, runs,
                                       highs.getNumRow(), iterations)
-        later = lp.rank[:, None] > lp.rank  # u[s][t] is the column of {s, t}
         u = np.where(later, x[col], 1.0 - x[col])
         np.fill_diagonal(u, 0.0)
         new = _violated_triangles(u, present)
         if not len(new):
-            costs = lp.A_ub[:, 1:] @ x[1:] - lp.b_ub
+            # column 0 enters each class row as -q
+            costs = lp.A_ub @ x + x[0] - lp.b_ub
             return FractionalSolution(float(costs.max()), u, runs, highs.getNumRow(),
                                       iterations)
         triples = np.unique(new // 2)

@@ -708,12 +708,14 @@ def test_bounds_hold_for_permutation_classes_only():
     assert res.objective == 4 and f"{res.certificate:.6f}" == "0.000000"
 
 
-#: mean objective / brute-force optimum of mmkt and min-mmkt on
-#: ``sweep_instances(8)`` with one column per ordered pair and pairing rows,
-#: the Kendall program before it took one column per pair
-TWO_COLUMN_MEAN_RATIO = {
-    "mmkt": Fraction(14128506138603647, 13761036804028800),  # 1.02670
-    "min-mmkt": Fraction(1673, 1440),  # 1.16181
+#: mean objective / brute-force optimum of each LP-rounding algorithm on
+#: ``sweep_instances(8)``, the footrule ones with ``rng_seed=(0, t)`` on
+#: instance t, as measured once the Kendall model was solved without presolve
+MEAN_RATIO = {
+    "mmkt": Fraction(14105798157078847, 13761036804028800),  # 1.02505
+    "min-mmkt": Fraction(1663, 1440),  # 1.15486
+    "mmsp": Fraction(2047220249230971829245653, 1937553630106712813395200),  # 1.05660
+    "min-mmsp": Fraction(89, 72),  # 1.23611
 }
 
 
@@ -734,4 +736,17 @@ def test_rounding_quality_holds_against_the_optimum():
         ratios["min-mmkt"].append(
             min_mmkt_conv(inst).objective / brute_force(inst, KT, MIN).value)
     for name, values in ratios.items():
-        assert sum(values) / len(values) <= TWO_COLUMN_MEAN_RATIO[name] * Fraction(1005, 1000)
+        assert sum(values) / len(values) <= MEAN_RATIO[name] * Fraction(1005, 1000)
+
+
+def test_footrule_rounding_quality_holds_against_the_optimum():
+    # the footrule program's optimal vertex and the seeded tie-breaks decide
+    # what sort rounding returns; the mean ratio must not grow by more than 0.5%
+    ratios = {"mmsp": [], "min-mmsp": []}
+    for t, inst in enumerate(sweep_instances(8)):
+        ratios["mmsp"].append(
+            mmsp_conv(inst, rng_seed=(0, t)).objective / brute_force(inst, SF, MED).value)
+        ratios["min-mmsp"].append(
+            min_mmsp_conv(inst, rng_seed=(0, t)).objective / brute_force(inst, SF, MIN).value)
+    for name, values in ratios.items():
+        assert sum(values) / len(values) <= MEAN_RATIO[name] * Fraction(1005, 1000)

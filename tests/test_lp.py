@@ -675,6 +675,29 @@ class TestHighsBinding:
         assert abs(info.objective_function_value - 0.9) < 1e-9
         assert info.simplex_iteration_count >= 1
 
+    def test_presolve_switches_off(self):
+        # lp.solve turns presolve off on the Kendall model through the same
+        # binding; a release that renames the option or its value fails here
+        from scipy.optimize._highspy._core import (
+            HighsModelStatus,
+            HighsStatus,
+            _Highs,
+            kHighsInf,
+        )
+
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        assert highs.setOptionValue("presolve", "off") == HighsStatus.kOk
+        # min x + y with -x - 2y <= -1, -x <= -4/5 and x, y in [0, 1]
+        assert highs.addCols(2, np.ones(2), np.zeros(2), np.ones(2), 0, [], [], []) \
+            == HighsStatus.kOk
+        rows = csr_matrix([[-1.0, -2.0], [-1.0, 0.0]])
+        assert highs.addRows(2, np.full(2, -kHighsInf), np.array([-1.0, -0.8]), rows.nnz,
+                             rows.indptr, rows.indices, rows.data) == HighsStatus.kOk
+        highs.run()
+        assert highs.getModelStatus() == HighsModelStatus.kOptimal
+        assert np.allclose(highs.getSolution().col_value, [0.8, 0.1], atol=1e-9)
+
 
 def slack_footrule_program(inst: Instance) -> LinearProgram:
     """Reference footrule LP: one slack e_gh >= |u(h) - p_gh| per member and element."""
@@ -730,6 +753,78 @@ REFERENCE_WEIGHTS = (Fraction(1, 3), Fraction(7, 5), Fraction(0.1))
 def reference_instance(seed: int) -> Instance:
     return tied_instance(generator(seed), n_choices=(3, 5, 7), m_choices=(1, 2, 5),
                          weight_choices=REFERENCE_WEIGHTS)
+
+
+def coo_kendall_rows(inst: Instance, prog: LinearProgram) -> tuple:
+    """``build_kendall_lp``'s class rows and ``b_ub``, assembled from COO parts.
+
+    The reference for its direct CSR assembly: it reads the weights and
+    sigma off ``prog`` and derives the rest as that assembly once did.
+    """
+    num_classes, wf, rank = inst.num_classes, prog.wf, prog.rank
+    lo, hi = np.triu_indices(inst.n, 1)
+    swap = rank[lo] > rank[hi]
+    a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    coef = wf[:, a, b] - wf[:, b, a]
+    k_idx, j_idx = np.nonzero(coef)
+    rows = np.r_[np.arange(num_classes), k_idx]
+    cols = np.r_[np.zeros(num_classes, dtype=int), 1 + j_idx]
+    A_ub = csr_matrix((np.r_[np.full(num_classes, -1.0), coef[k_idx, j_idx]], (rows, cols)),
+                      shape=(num_classes, 1 + len(lo)))
+    shifts = np.array([float(cls.weight * t / 2) for t, cls in zip(tie_mass(inst), inst.classes)])
+    return A_ub, -shifts - wf[:, b, a].sum(axis=1)
+
+
+def coo_footrule_rows(inst: Instance) -> tuple:
+    """``build_footrule_program``'s rows and ``b_ub``, assembled from COO parts."""
+    n = inst.n
+    rows, cols, data, b_ub = [], [], [], []
+    row0, col0 = 0, 1 + n
+    for cls in inst.classes:
+        lam = float(cls.weight) / cls.m
+        s = np.sort(twice_positions(cls.members) / 2, axis=0)[::-1]
+        top = np.cumsum(np.vstack([np.zeros(n), s]), axis=0)
+        keep = np.ones((cls.m + 1, n), dtype=bool)
+        keep[1:-1] = s[:-1] > s[1:]
+        h, r = np.nonzero(keep.T)
+        t_cols = col0 + np.arange(n)
+        rows += [row0 + np.repeat(np.arange(len(h)), 2), np.full(n + 1, row0 + len(h))]
+        cols += [np.stack([1 + h, t_cols[h]], axis=1).ravel(), np.r_[0, t_cols]]
+        data += [np.stack([cls.m - 2.0 * r, -np.ones(len(h))], axis=1).ravel(),
+                 np.r_[-1.0, np.full(n, lam)]]
+        b_ub += [top[-1, h] - 2 * top[r, h], [0.0]]
+        row0 += len(h) + 1
+        col0 += n
+    A_ub = csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row0, col0),
+    )
+    return A_ub, np.concatenate(b_ub)
+
+
+def row_bytes(A_ub, b_ub) -> list[bytes]:
+    return [x.tobytes() for x in (A_ub.indptr, A_ub.indices, A_ub.data, b_ub)]
+
+
+def assembly_instances(case) -> list[Instance]:
+    if case == "gene":
+        return [parse_gene_order_file(GENE_SAMPLE.read_text()).instance]
+    if case == "tied":
+        rng = generator(47)
+        return [tied_instance(rng, m_choices=(1, 2, 4, 6)) for _ in range(20)]
+    return [reference_instance(case)]
+
+
+class TestDirectAssembly:
+    # both builders write A_ub's CSR arrays directly; the COO assembly they
+    # replaced must give the same bytes, explicit zeros included
+    @pytest.mark.parametrize("case", [*range(40), "tied", "gene"])
+    def test_matches_coo_assembly(self, case):
+        for inst in assembly_instances(case):
+            prog = build_kendall_lp(inst)
+            assert row_bytes(prog.A_ub, prog.b_ub) == row_bytes(*coo_kendall_rows(inst, prog))
+            prog = build_footrule_program(inst)
+            assert row_bytes(prog.A_ub, prog.b_ub) == row_bytes(*coo_footrule_rows(inst))
 
 
 class TestFootruleProgram:
