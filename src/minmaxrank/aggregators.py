@@ -173,14 +173,12 @@ def mmkt_conv(inst: Instance, kind: DistanceKind | None = None) -> AggregationRe
     return AggregationResult(perm, objective, certificate=sol.objective)
 
 
-def positions_to_order(
-    u: np.ndarray, rng_seed=None, deterministic_ties: bool = False
-) -> list[int]:
+def positions_to_order(u: np.ndarray, rng_seed=None) -> list[int]:
     """Elements (1-based) by ascending fractional position, ties shuffled.
 
-    Values within 1e-9 of each other count as tied; with
-    ``deterministic_ties`` ties keep ascending element order instead of
-    being shuffled.
+    Values within 1e-9 of each other count as tied; each tie group is
+    shuffled by one generator drawn from ``rng_seed``, so the same seed gives
+    the same order.  Sort rounding's guarantee holds for every tie order.
     """
     order = sorted(range(len(u)), key=lambda i: (u[i], i))
     groups: list[list[int]] = []
@@ -189,19 +187,15 @@ def positions_to_order(
             groups[-1].append(i)
         else:
             groups.append([i])
-    if not deterministic_ties:
-        rng = generator(rng_seed)
-        for g in groups:
-            if len(g) > 1:
-                rng.shuffle(g)
+    rng = generator(rng_seed)
+    for g in groups:
+        if len(g) > 1:
+            rng.shuffle(g)
     return [i + 1 for g in groups for i in g]
 
 
 def mmsp_conv(
-    inst: Instance,
-    kind: DistanceKind | None = None,
-    rng_seed=None,
-    deterministic_ties: bool = False,
+    inst: Instance, kind: DistanceKind | None = None, rng_seed=None
 ) -> AggregationResult:
     """Footrule program plus sort-rounding (median footrule objective).
 
@@ -213,7 +207,7 @@ def mmsp_conv(
     kind = _family_kind(inst, kind, DistanceKind.SPEARMAN_FOOTRULE)
     prog = build_footrule_program(inst)
     sol = solve(prog)
-    order = positions_to_order(sol.u, rng_seed, deterministic_ties)
+    order = positions_to_order(sol.u, rng_seed)
     perm = Permutation.from_order(order)
     objective = minmax_objective(perm, inst, kind, SetDistanceKind.MEDIAN)
     return AggregationResult(perm, objective, certificate=sol.objective)
@@ -306,17 +300,12 @@ def min_mmkt_conv(
 
 
 def min_mmsp_conv(
-    inst: Instance,
-    kind: DistanceKind | None = None,
-    rng_seed=None,
-    deterministic_ties: bool = False,
+    inst: Instance, kind: DistanceKind | None = None, rng_seed=None
 ) -> AggregationResult:
     """Sort-rounding on the witness-restricted instance (min set-distance);
     a factor of 4 when every class holds permutations."""
     kind = _family_kind(inst, kind, DistanceKind.SPEARMAN_FOOTRULE)
-    inner = mmsp_conv(
-        restrict_to_min_witnesses(inst, kind), kind, rng_seed, deterministic_ties
-    )
+    inner = mmsp_conv(restrict_to_min_witnesses(inst, kind), kind, rng_seed)
     objective = minmax_objective(inner.ranking, inst, kind, SetDistanceKind.MINIMUM)
     return AggregationResult(inner.ranking, objective)
 

@@ -276,53 +276,46 @@ _SET_DISTANCES = {"med": SetDistanceKind.MEDIAN, "min": SetDistanceKind.MINIMUM}
 class _Algorithm(NamedTuple):
     distance: str | None  # required --distance flag, or None for any
     setdist: str | None  # required --setdist flag, or None for any
-    # run(inst, kind, set_kind, seed, deterministic_ties); it looks the
-    # function up on the aggregators module at call time, so a replaced
-    # module attribute is the one called
+    # run(inst, kind, set_kind, seed); it looks the function up on the
+    # aggregators module at call time, so a replaced module attribute is the
+    # one called
     run: Callable[..., aggregators.AggregationResult]
 
 
 _ALGORITHMS = {
-    "mmkt": _Algorithm("kt", "med", lambda i, k, s, r, t: aggregators.mmkt_conv(i, k)),
-    "mmsp": _Algorithm(
-        "sf", "med", lambda i, k, s, r, t: aggregators.mmsp_conv(i, k, r, t)
-    ),
+    "mmkt": _Algorithm("kt", "med", lambda i, k, s, r: aggregators.mmkt_conv(i, k)),
+    "mmsp": _Algorithm("sf", "med", lambda i, k, s, r: aggregators.mmsp_conv(i, k, r)),
     "pick-rnd": _Algorithm(
-        None, None, lambda i, k, s, r, t: aggregators.pick_rnd_perm(i, k, s, r)
+        None, None, lambda i, k, s, r: aggregators.pick_rnd_perm(i, k, s, r)
     ),
     "pick-opt": _Algorithm(
-        None, None, lambda i, k, s, r, t: aggregators.pick_opt_perm(i, k, s)
+        None, None, lambda i, k, s, r: aggregators.pick_opt_perm(i, k, s)
     ),
     "min-pick": _Algorithm(
-        None, "min", lambda i, k, s, r, t: aggregators.min_pick_perm(i, k)
+        None, "min", lambda i, k, s, r: aggregators.min_pick_perm(i, k)
     ),
     "min-mmkt": _Algorithm(
-        "kt", "min", lambda i, k, s, r, t: aggregators.min_mmkt_conv(i, k)
+        "kt", "min", lambda i, k, s, r: aggregators.min_mmkt_conv(i, k)
     ),
     "min-mmsp": _Algorithm(
-        "sf", "min", lambda i, k, s, r, t: aggregators.min_mmsp_conv(i, k, r, t)
+        "sf", "min", lambda i, k, s, r: aggregators.min_mmsp_conv(i, k, r)
     ),
     "pivot-baseline": _Algorithm(
-        None, None, lambda i, k, s, r, t: aggregators.median_pivot_baseline(i, r, k, s)
+        None, None, lambda i, k, s, r: aggregators.median_pivot_baseline(i, r, k, s)
     ),
     "matching-baseline": _Algorithm(
         None, None,
-        lambda i, k, s, r, t: aggregators.median_footrule_matching_baseline(i, k, s),
+        lambda i, k, s, r: aggregators.median_footrule_matching_baseline(i, k, s),
     ),
 }
 
 
 def run_algorithm(
-    algo: str,
-    inst: Instance,
-    kind: DistanceKind,
-    set_kind: SetDistanceKind,
-    seed=None,
-    deterministic_ties: bool = False,
+    algo: str, inst: Instance, kind: DistanceKind, set_kind: SetDistanceKind, seed=None
 ) -> aggregators.AggregationResult:
     if algo not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
-    return _ALGORITHMS[algo].run(inst, kind, set_kind, seed, deterministic_ties)
+    return _ALGORITHMS[algo].run(inst, kind, set_kind, seed)
 
 
 class IncompatibleFlags(ValueError):
@@ -353,9 +346,7 @@ def cmd_aggregate(args) -> int:
     inst = parsed.instance
     kind = _DISTANCES[args.distance]
     set_kind = _SET_DISTANCES[args.setdist]
-    result = run_algorithm(
-        args.algo, inst, kind, set_kind, args.seed, args.deterministic_ties
-    )
+    result = run_algorithm(args.algo, inst, kind, set_kind, args.seed)
     kind = effective_kind(inst, kind)
     print(f"algorithm: {args.algo}")
     print(f"distance: {kind.value}  setdist: {set_kind.value}")
@@ -448,11 +439,9 @@ def run_benchmark(
     dist_flag: str = "kt",
     set_flag: str = "med",
     workers: int = 1,
-    algos: list[str] | None = None,
 ) -> list[BenchmarkRow]:
     """Run the two-level Mallows sweep; rows sorted by (trial, phi1, algo)."""
-    if algos is None:
-        algos = _BENCH_ALGOS[(set_flag, dist_flag)]
+    algos = _BENCH_ALGOS[(set_flag, dist_flag)]
     run = functools.partial(
         _run_trial, n, num_classes, per_class, phi2, seed, algos, dist_flag, set_flag
     )
@@ -494,7 +483,7 @@ def cmd_benchmark(args) -> int:
     ) as out:
         rows = run_benchmark(
             args.n, args.classes, args.per_class, args.phi1_list, args.phi2,
-            args.trials, args.seed, args.distance, args.setdist, args.workers, algos,
+            args.trials, args.seed, args.distance, args.setdist, args.workers,
         )
         out.write(format_benchmark_csv(rows, args.phi1_list, algos))
     return 0
@@ -553,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="aggregate a ranking instance file")
     agg.add_argument("--algo", choices=sorted(_ALGORITHMS), default="mmkt")
     agg.add_argument("--seed", type=_seed, default=0)
-    agg.add_argument("--deterministic-ties", action="store_true")
     agg.set_defaults(func=cmd_aggregate)
 
     ben = sub.add_parser("benchmark", help="two-level Mallows benchmark sweep")

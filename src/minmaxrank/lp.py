@@ -134,18 +134,18 @@ def _triangle_rows(triples: np.ndarray, col: np.ndarray,
 
 
 def _violated_chunk(flat: np.ndarray, n: int, a: np.ndarray, b: np.ndarray,
-                    settled: np.ndarray, later: np.ndarray) -> list[np.ndarray]:
+                    settled: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Violated ids of the triples whose first unsettled pair is one of (a, b).
 
     For the pair a < b and a third element c, the triple is sorted x < y < z
     and its pairs are taken in (xy, xz, yz) order: (a, b) is the first
     unsettled one when c > b, when a < c < b and (a, c) is settled, or when
     c < a and (c, a) and (c, b) are settled.  (a, b) itself is unsettled,
-    which rules out c = a and c = b.  Each sum adds its terms in the order
-    of the cycle from x, as the reference check of every triangle does, so
-    the same rows come out.
+    which rules out c = a and c = b.  A triple is violated when either of its
+    cycle sums is; each sum adds its terms in the order of the cycle from x,
+    as the reference check of every triangle does, so the same rows come out.
     """
-    cell = np.flatnonzero(later[b] | (settled[a] & (later[a] | settled[b])))
+    cell = np.flatnonzero(upper[b] | (settled[a] & (upper[a] | settled[b])))
     i = cell // n
     c = cell - i * n
     a, b = a[i], b[i]
@@ -155,16 +155,15 @@ def _violated_chunk(flat: np.ndarray, n: int, a: np.ndarray, b: np.ndarray,
     below = 1.0 - _VIOLATION
     fwd = flat.take(xy) + flat.take(yn + z) + flat.take(zn + x)  # u[x][y] + u[y][z] + u[z][x]
     rev = flat.take(yn + x) + flat.take(zn + y) + flat.take(xn + z)  # u[y][x] + u[z][y] + u[x][z]
-    t = 2 * (xy * n + z)
-    return [t[fwd < below], t[rev < below] + 1]
+    return (xy * n + z)[(fwd < below) | (rev < below)]
 
 
 def _violated_triangles(u: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Ascending ids of the triangles u violates that are not in ``present``.
+    """Ascending ids of the triples u violates that are not in ``present``.
 
-    Orientation o of triple x < y < z has id 2 * ((x * n + y) * n + z) + o;
-    ``present`` is ascending.  A row counts as violated when its cycle sum is
-    below 1 - eps, eps = ``_VIOLATION``.
+    Triple x < y < z has id (x * n + y) * n + z; ``present`` is ascending.
+    The triple is violated when either of its cycle sums, u[x][y] + u[y][z]
+    + u[z][x] or its reverse, is below 1 - eps, eps = ``_VIOLATION``.
 
     Only triples through unsettled pairs are checked.  Let sigma be the
     stable order of the elements by descending row sums of u, and call a pair
@@ -186,15 +185,15 @@ def _violated_triangles(u: np.ndarray, present: np.ndarray) -> np.ndarray:
     rank[np.argsort(-u.sum(axis=1), kind="stable")] = idx
     off = np.abs(u - (rank[:, None] < rank)) > _VIOLATION / 4
     off |= off.T
-    later = idx[:, None] < idx  # later[r, c]: c > r
-    a, b = np.nonzero(off & later)
+    upper = idx[:, None] < idx  # upper[r, c]: c > r
+    a, b = np.nonzero(off & upper)
     settled = ~off
     flat = u.ravel()
     step = max(1, BLOCK_ELEMENTS // (4 * max(n, 1)))
-    ids = [np.empty(0, dtype=np.int64)]
-    for s in range(0, len(a), step):
-        ids += _violated_chunk(flat, n, a[s:s + step], b[s:s + step], settled, later)
-    ids = np.sort(np.concatenate(ids))
+    ids = np.sort(np.concatenate([np.empty(0, dtype=np.int64)] + [
+        _violated_chunk(flat, n, a[s:s + step], b[s:s + step], settled, upper)
+        for s in range(0, len(a), step)
+    ]))
     return ids[np.searchsorted(present, ids) == np.searchsorted(present, ids, side="right")]
 
 
@@ -348,7 +347,7 @@ def solve(lp: LinearProgram) -> FractionalSolution:
     if lp.A_ub is not None:
         _add_rows(highs, np.full(len(lp.b_ub), -highspy.kHighsInf), lp.b_ub,
                   lp.A_ub.indptr, lp.A_ub.indices, lp.A_ub.data)
-    present = np.empty(0, dtype=np.int64)  # ascending triangle ids
+    present = np.empty(0, dtype=np.int64)  # ascending ids of the triples added
     runs = iterations = 0
     while True:
         highs.run()
@@ -370,6 +369,5 @@ def solve(lp: LinearProgram) -> FractionalSolution:
             costs = lp.A_ub @ x + x[0] - lp.b_ub
             return FractionalSolution(float(costs.max()), u, runs, highs.getNumRow(),
                                       iterations)
-        triples = np.unique(new // 2)
-        _add_rows(highs, *_triangle_rows(triples, col, later))
-        present = np.sort(np.concatenate([present, 2 * triples, 2 * triples + 1]))
+        _add_rows(highs, *_triangle_rows(new, col, later))
+        present = np.sort(np.concatenate([present, new]))

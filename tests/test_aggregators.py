@@ -354,12 +354,19 @@ class TestMmspConv:
             u_in_order = sol.u[[x - 1 for x in res.ranking.order()]]
             assert (np.diff(u_in_order) >= -1e-9).all()
 
-    def test_deterministic_ties_mode(self):
-        u = np.array([2.0, 2.0, 1.0])
-        assert positions_to_order(u, deterministic_ties=True) == [3, 1, 2]
-        a = positions_to_order(u, rng_seed=11)
-        b = positions_to_order(u, rng_seed=11)
-        assert a == b
+    def test_positions_to_order_shuffles_tie_groups_by_seed(self):
+        # tie groups {3, 5} and {1, 2, 4} (1-based; 1e-10 apart counts as
+        # tied), separated by gaps far above 1e-9, and 6 alone after them
+        u = np.array([2.0, 2.0 + 1e-10, 1.0, 2.0, 1.0 + 5e-10, 3.0])
+        orders = set()
+        for seed in range(20):
+            order = positions_to_order(u, rng_seed=seed)
+            assert order == positions_to_order(u, rng_seed=seed)
+            assert sorted(order[:2]) == [3, 5]
+            assert sorted(order[2:5]) == [1, 2, 4]
+            assert order[5] == 6
+            orders.add(tuple(order[2:5]))
+        assert len(orders) > 1
 
     def test_rejects_kendall_kind(self):
         with pytest.raises(DistanceError, match="is not a footrule-type distance"):
@@ -652,7 +659,7 @@ class TestBaselines:
             ),
         )
         base = median_footrule_matching_baseline(inst)
-        conv = mmsp_conv(inst, rng_seed=0, deterministic_ties=True)
+        conv = mmsp_conv(inst, rng_seed=0)
         assert base.objective > conv.objective
 
     def test_matching_baseline_blocks_match_unblocked_cost(self, rng):

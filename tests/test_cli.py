@@ -626,9 +626,13 @@ class TestBenchmark:
         assert keys == sorted(keys)
         assert any(l.startswith("# summary") for l in lines)
 
-    def test_parallel_matches_serial(self):
+    # the footrule pairs run sort rounding, whose tie shuffles are seeded
+    # per (seed, trial, algorithm), so a worker process must reproduce them
+    @pytest.mark.parametrize("set_flag, dist_flag",
+                             [("med", "kt"), ("med", "sf"), ("min", "kt"), ("min", "sf")])
+    def test_parallel_matches_serial(self, set_flag, dist_flag):
         kwargs = dict(n=5, num_classes=2, per_class=2, phi1_list=[0.7],
-                      phi2=0.7, trials=2, seed=3)
+                      phi2=0.7, trials=2, seed=3, dist_flag=dist_flag, set_flag=set_flag)
         serial = run_benchmark(**kwargs, workers=1)
         parallel = run_benchmark(**kwargs, workers=2)
         strip = lambda rows: [(r.trial, r.phi1, r.algo, r.objective) for r in rows]

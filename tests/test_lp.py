@@ -427,8 +427,10 @@ def blocked_violated_triangles(u: np.ndarray, present: np.ndarray) -> np.ndarray
 
 
 def assert_same_separation(u, present=np.empty(0, dtype=np.int64), separate=None):
+    """Separate with triple ids ``present`` and compare with the oriented reference."""
     got = (separate or lp._violated_triangles)(u, present)
-    want = blocked_violated_triangles(u, present)
+    oriented = np.sort(np.concatenate([2 * present, 2 * present + 1]))
+    want = np.unique(blocked_violated_triangles(u, oriented) // 2)
     assert got.dtype == want.dtype == np.int64
     assert got.tolist() == want.tolist()
     return got
@@ -526,8 +528,7 @@ class TestViolatedTriangles:
         u[4, 5], u[5, 4] = 0.3, 0.7
         u[5, 3], u[3, 5] = 0.4, 0.6
         # the integral cycle's reverse sums to 0, the fractional one's forward to 0.9
-        assert assert_same_separation(u).tolist() == [2 * (0 * 36 + 1 * 6 + 2) + 1,
-                                                      2 * (3 * 36 + 4 * 6 + 5)]
+        assert assert_same_separation(u).tolist() == [0 * 36 + 1 * 6 + 2, 3 * 36 + 4 * 6 + 5]
 
     @pytest.mark.parametrize("n", [4, 7, 12, 30])
     def test_random_fractional_u(self, n):
@@ -561,7 +562,7 @@ class TestViolatedTriangles:
         u = np.triu(np.ones((3, 3)), 1)
         u[1, 0] = u[2, 1] = -d
         u[0, 2] = 1.0 - d
-        assert assert_same_separation(u).tolist() == [2 * ((0 * 3 + 1) * 3 + 2) + 1]
+        assert assert_same_separation(u).tolist() == [(0 * 3 + 1) * 3 + 2]
 
     def test_settled_triples_are_never_violated(self):
         # every entry eps/4 off its order's value: each cycle sum is 1 - 3eps/4
@@ -589,8 +590,14 @@ class TestViolatedTriangles:
         u = near_order_u(rng, 15, [0.0, 0.2], cycles=6)
         ids = assert_same_separation(u)
         assert len(ids) > 4
-        for present in (ids[::2], ids, np.concatenate([ids[1::3], [ids[-1] + 2]])):
-            assert_same_separation(u, np.sort(present))
+        violated = set(ids.tolist())
+        unviolated = next(t for t in ((x * 15 + y) * 15 + z
+                                      for x, y, z in combinations(range(15), 3))
+                          if t not in violated)
+        for present in (set(ids[::2].tolist()), violated,
+                        set(ids[1::3].tolist()) | {unviolated}):
+            left = assert_same_separation(u, np.array(sorted(present), dtype=np.int64))
+            assert set(left.tolist()) == violated - present
 
     def test_memory_stays_within_budget_on_dense_fractional_u(self):
         # every pair unsettled, so every one of the C(200, 3) triples is checked
