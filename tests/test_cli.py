@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import minmaxrank
-from minmaxrank import cli
+from minmaxrank import cli, mallows
 from minmaxrank import (
     DistanceKind,
     Instance,
@@ -46,6 +47,15 @@ GENE_ARGS = [
     str(Path(__file__).resolve().parents[1] / "data" / "sample_gene_orders.tsv"),
     "--gene-orders",
 ]
+
+# identity against reversal: every ranking is 28 pairs from the two, so the
+# Kendall optimum is 14; n=8 enumerates in many blocks
+EIGHT_FILE = """\
+class=a lambda=1 : 1 2 3 4 5 6 7 8
+class=b lambda=1 : 8 7 6 5 4 3 2 1
+"""
+
+EXTREME_FILE = "class=a lambda={} : 1 2 3\nclass=b lambda=1 : 3 2 1\n"
 
 TIED_FILE = """\
 elements: w x y z
@@ -268,6 +278,17 @@ class TestCommands:
         assert "certificate: 0.500000" in out
         assert "ranking:" in out
 
+    def test_aggregate_mmkt_at_n120(self, tmp_path, capsys):
+        # triangle separation checks only the triples through unsettled
+        # pairs, which keeps this solve far inside the bound
+        cfg = mallows.TwoLevelConfig.create(120, 3, 10, 0.7, 0.7)
+        path = tmp_path / "mallows120.txt"
+        path.write_text(write_instance_file(mallows.sample_instance(cfg, 0)))
+        start = time.perf_counter()
+        assert main(["aggregate", "--algo", "mmkt", str(path)]) == 0
+        assert time.perf_counter() - start < 120
+        assert "\nranking: " in capsys.readouterr().out
+
     def test_aggregate_singleton_any_algo(self, tmp_path, capsys):
         path = tmp_path / "one.txt"
         path.write_text("class=1 lambda=1 : 2 3 1\n")
@@ -305,18 +326,19 @@ class TestCommands:
         assert main(["aggregate", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_exact_gap_instance(self, gap_file, capsys):
-        code = main(["exact", gap_file])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "W: 1 (1)" in out
-        assert "lp-gap: 2.000000" in out
-
     def test_exact_too_large_exit_4(self, tmp_path, capsys):
-        path = tmp_path / "big.txt"
-        order = " ".join(str(x) for x in range(1, 10))
-        path.write_text(f"class=1 lambda=1 : {order}\n")
-        assert main(["exact", str(path)]) == 4
+        nine = tmp_path / "nine.txt"
+        nine.write_text("class=1 lambda=1 : 1 2 3 4 5 6 7 8 9\n")
+        eight = tmp_path / "eight.txt"
+        eight.write_text(EIGHT_FILE)
+        assert main(["exact", str(nine)]) == 4
+        assert main(["exact", str(eight), "--n-limit", "7"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: n=9 exceeds enumeration limit 8\n"
+            "error: n=8 exceeds enumeration limit 7\n"
+        )
 
 
 @pytest.fixture
@@ -348,12 +370,27 @@ class 2: weight=2.0 cost=0 (0) weighted=0 (0)
          "class 1: weight=0.5 cost=6 (6) weighted=3 (3)\n"
          "class 2: weight=2.0 cost=2 (2) weighted=4 (4)\n"),
         (["--algo", "pick-opt"], "algorithm: pick-opt\n" + _TIED_KEMENY_REPORT),
+        # the gene-order sample names its own file, and each listed line
+        # must be a whole line of the report
+        pytest.param([*GENE_ARGS, "--algo", "mmkt"],
+                     ["objective: 274 (274)", "certificate: 253.867533"],
+                     id="gene-mmkt"),
+        # the default --seed 0 shuffle of tied positions gives this
+        # ranking's objective
+        pytest.param([*GENE_ARGS, "--algo", "mmsp", "--distance", "sf"],
+                     ["certificate: 303.608696", "objective: 402 (402)"],
+                     id="gene-mmsp"),
     ],
 )
 def test_aggregate_golden_output(flags, expected, tied_file, capsys):
-    assert main(["aggregate", tied_file, *flags]) == 0
+    argv = flags if "--gene-orders" in flags else [tied_file, *flags]
+    assert main(["aggregate", *argv]) == 0
     captured = capsys.readouterr()
-    assert captured.out == expected
+    if isinstance(expected, str):
+        assert captured.out == expected
+    else:
+        lines = captured.out.splitlines()
+        assert [line for line in expected if line not in lines] == []
     assert captured.err == ""
 
 
@@ -419,10 +456,38 @@ def test_aggregate_makes_one_class_cost_call(tied_file, monkeypatch, capsys):
     assert len(_class_lines(capsys.readouterr().out)) == 2
 
 
-def test_exact_golden_output(gap_file, capsys):
-    assert main(["exact", gap_file, "--setdist", "med"]) == 0
+@pytest.mark.parametrize(
+    "text, flags, expected",
+    [
+        (GAP_FILE, [], "n: 4\nW: 1 (1)\noptimal: 1 2 3 4\nlp-gap: 2.000000\n"),
+        (GAP_FILE, ["--distance", "sf"],
+         "n: 4\nW: 2 (2)\noptimal: 1 2 3 4\nlp-gap: 2.000000\n"),
+        # the minimum-Kemeny optimum of one tied class; the 2x and 4x bounds
+        # of the min-* algorithms do not hold on it
+        ("class=a lambda=3/2 : { 1 2 3 4 5 }\nclass=a lambda=3/2 : 3 5 { 1 2 } 4\n",
+         ["--setdist", "min"], "n: 5\nW: 3/4 (0.75)\noptimal: 3 5 1 2 4\n"),
+        (EIGHT_FILE, ["--setdist", "med"],
+         "n: 8\nW: 14 (14)\noptimal: 1 2 8 7 6 5 3 4\nlp-gap: 1.000000\n"),
+        # under the footrule both are 32 apart, so the optimum is 16; the
+        # footrule program's optimum is 16 as well, so its gap reads 1
+        (EIGHT_FILE, ["--distance", "sf"],
+         "n: 8\nW: 16 (16)\noptimal: 1 7 6 4 5 3 2 8\nlp-gap: 1.000000\n"),
+        # the minimum problem needs no LP, and its scaled class costs pass
+        # int64 at this weight, so the oracle compares them as Python ints
+        (EXTREME_FILE.format("1e20"), ["--setdist", "min"],
+         "n: 3\nW: 3 (3)\noptimal: 1 2 3\n"),
+        (EXTREME_FILE.format("1e20"), ["--setdist", "min", "--distance", "sf"],
+         "n: 3\nW: 4 (4)\noptimal: 1 2 3\n"),
+    ],
+    ids=["gap", "gap-sf", "tied5-min", "eight", "eight-sf", "extreme-min",
+         "extreme-min-sf"],
+)
+def test_exact_golden_output(text, flags, expected, tmp_path, capsys):
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    assert main(["exact", str(path), *flags]) == 0
     captured = capsys.readouterr()
-    assert captured.out == "n: 4\nW: 1 (1)\noptimal: 1 2 3 4\nlp-gap: 2.000000\n"
+    assert captured.out == expected
     assert captured.err == ""
 
 
@@ -478,37 +543,23 @@ def test_bad_benchmark_flag_exit_2(argv, capsys):
         (["exact"], "1e20", 5),
         (["aggregate", "--algo", "pick-opt"], "1e308", 2),
         (["exact"], "1e308", 2),
+        (["aggregate", "--algo", "mmkt"], "1e20", 5),
+        (["exact", "--distance", "sf"], "1e20", 5),
     ],
 )
 def test_extreme_lambda_exits_with_message(argv, weight, code, tmp_path, capsys):
     # 1e400 overflows float64 and 1e-400 rounds to 0; at 1e20 HiGHS
-    # rejects the program's coefficients; 1e308 is in range, but a class
-    # cost of up to 1e308 * n²/2 is not
+    # rejects either relaxation's coefficients on loading; 1e308 is in
+    # range, but a class cost of up to 1e308 * n²/2 is not
     path = tmp_path / "extreme.txt"
-    path.write_text(f"class=a lambda={weight} : 1 2 3\nclass=b lambda=1 : 3 2 1\n")
+    path.write_text(EXTREME_FILE.format(weight))
     assert main([argv[0], str(path), *argv[1:]]) == code
     captured = capsys.readouterr()
+    assert captured.out == ""
     assert captured.err.startswith("error: ")
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["aggregate", "--algo", "mmkt"],
-        ["aggregate", "--algo", "mmsp", "--distance", "sf"],
-        ["exact"],
-        ["exact", "--distance", "sf"],
-    ],
-)
-def test_extreme_lambda_prints_highs_model_error(argv, tmp_path, capsys):
-    # both relaxations fail on loading, with HiGHS's own model-status text
-    path = tmp_path / "extreme.txt"
-    path.write_text("class=a lambda=1e20 : 1 2 3\nclass=b lambda=1 : 3 2 1\n")
-    assert main([argv[0], str(path), *argv[1:]]) == 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: Model error\n"
+    if code == 5:
+        # HiGHS's own model-status text
+        assert captured.err == "error: Model error\n"
 
 
 def test_tied_instances_run_the_same_under_promoted_kinds():
@@ -599,13 +650,15 @@ def test_module_entry_prints_usage():
 
 
 class TestBenchmark:
-    def test_csv_shape_and_determinism(self, capsys):
+    def test_csv_shape_and_determinism(self, tmp_path, capsys):
         argv = ["benchmark", "--n", "5", "--classes", "2", "--per-class", "2",
                 "--trials", "2", "--phi1-list", "0.5,0.9", "--seed", "7"]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
+        out = tmp_path / "bench.csv"
+        assert main([*argv, "--workers", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        second = out.read_text(encoding="utf-8")
 
         def strip_seconds(text):
             rows = []
