@@ -29,8 +29,10 @@ solve of many rows.  The Kendall program's class weights and the tie mass
 read the instance's pairwise-count view ``Instance.above_counts``; members'
 pairwise orders are counted nowhere else.  Both programs write their
 ``A_ub`` straight as CSR arrays.  Fractional solutions keep u (the pair
-orders or the positions) and the solve counts; the reported objective is
-recomputed from u, so it always equals the worst class cost implied by it.
+orders or the positions) and the solve counts.  Both read their optimum
+the same way: each ``A_ub`` row plus q less its bound is q less the row's
+slack, a class row's is its class's cost, and the largest is the worst
+class cost at the solution.
 """
 
 from __future__ import annotations
@@ -58,27 +60,24 @@ class LinearProgram:
     ``b_ub``, ``bounds``) only so that tests can hand a program to it as an
     independent reference; ``solve`` loads them into its own HiGHS model.
 
-    Column 0 is the epigraph variable q.  A pairwise program (``kind`` is
-    "pairwise") keeps u[b][a] of pair {a, b} at column ``_pair_columns(n)``,
-    where ``rank``, each element's place in sigma, puts a first, and the
-    float class weights ``wf`` (C, n, n); its rows are the C class rows,
-    whose ``-b_ub`` are the classes' tie shifts plus their costs at sigma,
-    and ``solve`` adds triangles.  A positional program keeps the positions
-    u(h) at columns 1..n, class k's epigraph t_kh of element h at column
-    1 + n + kn + h and, per class, the member positions (m, n) and
-    lambda/m; its rows are each class's piece rows followed by its cost row.
+    Column 0 is the epigraph variable q.  A pairwise program, one that
+    carries sigma, keeps u[b][a] of pair {a, b} at column
+    ``_pair_columns(n)``, where ``rank``, each element's place in sigma, puts
+    a first, and the float class weights ``wf`` (C, n, n); its rows are the
+    C class rows, whose ``-b_ub`` are the classes' tie shifts plus their
+    costs at sigma, and ``solve`` adds triangles.  A positional program keeps
+    the positions u(h) at columns 1..n and class k's epigraph t_kh of element
+    h at column 1 + n + kn + h; its rows are each class's piece rows followed
+    by its cost row.
     """
 
     c: np.ndarray
-    A_ub: csr_matrix | None
-    b_ub: np.ndarray | None
+    A_ub: csr_matrix
+    b_ub: np.ndarray
     bounds: np.ndarray  # (columns, 2), +-inf where unbounded
-    kind: str  # "pairwise" or "positional"
     n: int
     wf: np.ndarray | None = None
-    rank: np.ndarray | None = None  # pairwise: each element's place in sigma
-    class_pos: tuple[np.ndarray, ...] = ()
-    lam_over_m: tuple[float, ...] = ()
+    rank: np.ndarray | None = None  # place in sigma; a program with sigma is pairwise
 
 
 @dataclass(frozen=True)
@@ -248,7 +247,6 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
         A_ub,
         -shifts - wf[:, b, a].sum(axis=1),
         bounds,
-        "pairwise",
         n,
         wf=wf,
         rank=rank,
@@ -265,14 +263,10 @@ def build_footrule_program(inst: Instance) -> LinearProgram:
     """
     n = inst.n
     counts, indices, data, b_ub = [], [], [], []
-    class_pos, lam_over_m = [], []
     row0, col0 = 0, 1 + n
     for cls, tw in zip(inst.classes, np.split(inst.member_tw, inst.class_starts[1:])):
         lam = float(cls.weight) / cls.m
-        pos = tw / 2
-        lam_over_m.append(lam)
-        class_pos.append(pos)
-        s = np.sort(pos, axis=0)[::-1]
+        s = np.sort(tw / 2, axis=0)[::-1]
         top = np.cumsum(np.vstack([np.zeros(n), s]), axis=0)  # S_r
         keep = np.ones((cls.m + 1, n), dtype=bool)
         keep[1:-1] = s[:-1] > s[1:]
@@ -295,17 +289,7 @@ def build_footrule_program(inst: Instance) -> LinearProgram:
     bounds = np.zeros((col0, 2))
     bounds[:, 1] = np.inf
     bounds[1:1 + n, 0] = -np.inf
-    return LinearProgram(c_vec, A_ub, np.concatenate(b_ub),
-                         bounds, "positional", n,
-                         class_pos=tuple(class_pos), lam_over_m=tuple(lam_over_m))
-
-
-def _positional_objective(u: np.ndarray, lp: LinearProgram) -> float:
-    costs = [
-        lam * np.abs(u[None, :] - pos).sum()
-        for lam, pos in zip(lp.lam_over_m, lp.class_pos)
-    ]
-    return float(max(costs))
+    return LinearProgram(c_vec, A_ub, np.concatenate(b_ub), bounds, n)
 
 
 def _loaded(highs, status) -> None:
@@ -324,18 +308,17 @@ def solve(lp: LinearProgram) -> FractionalSolution:
     """Solve ``lp`` on one HiGHS model and read the structured solution back out.
 
     The model holds the columns with their bounds and the ``A_ub`` rows as
-    (-inf, b_ub].  A pairwise program then appends a ranged row for each
-    triple one of whose triangles its optimum violates and is solved again,
-    warm from its last basis, until no triangle is violated.  The rows come
-    from a finite set, so this ends, and the returned optimum is the optimum
-    of the program with every triangle.  A pairwise model is solved without
+    (-inf, b_ub].  A pairwise program (``rank`` is set) then appends a
+    ranged row for each triple one of whose triangles its optimum violates
+    and is solved again, warm from its last basis, until no triangle is
+    violated; a positional program separates nothing.  The rows come from a
+    finite set, so this ends, and the returned optimum is the optimum of the
+    program with every triangle.  A pairwise model is solved without
     presolve: it only slowed the first, cold solve, and without it HiGHS
     starts from the all-zero columns, sigma's order of every pair.
     """
-    if lp.kind not in ("pairwise", "positional"):
-        raise SolverError(f"unknown program kind {lp.kind!r}")
     n = lp.n
-    pairwise = lp.kind == "pairwise"
+    pairwise = lp.rank is not None
     highs = highspy._Highs()
     highs.setOptionValue("output_flag", False)
     if pairwise:
@@ -344,9 +327,8 @@ def solve(lp: LinearProgram) -> FractionalSolution:
         later = lp.rank[:, None] > lp.rank  # u[s][t] is the column of {s, t}
     lower, upper = lp.bounds.T  # np.inf is kHighsInf
     _loaded(highs, highs.addCols(len(lp.c), lp.c, lower, upper, 0, [], [], []))
-    if lp.A_ub is not None:
-        _add_rows(highs, np.full(len(lp.b_ub), -highspy.kHighsInf), lp.b_ub,
-                  lp.A_ub.indptr, lp.A_ub.indices, lp.A_ub.data)
+    _add_rows(highs, np.full(len(lp.b_ub), -highspy.kHighsInf), lp.b_ub,
+              lp.A_ub.indptr, lp.A_ub.indices, lp.A_ub.data)
     present = np.empty(0, dtype=np.int64)  # ascending ids of the triples added
     runs = iterations = 0
     while True:
@@ -357,17 +339,17 @@ def solve(lp: LinearProgram) -> FractionalSolution:
         runs += 1
         iterations += highs.getInfo().simplex_iteration_count
         x = np.array(highs.getSolution().col_value)
-        if not pairwise:
-            u = x[1:1 + n]
-            return FractionalSolution(_positional_objective(u, lp), u, runs,
-                                      highs.getNumRow(), iterations)
-        u = np.where(later, x[col], 1.0 - x[col])
-        np.fill_diagonal(u, 0.0)
-        new = _violated_triangles(u, present)
+        if pairwise:
+            u = np.where(later, x[col], 1.0 - x[col])
+            np.fill_diagonal(u, 0.0)
+            new = _violated_triangles(u, present)
+        else:
+            u, new = x[1:1 + n], []  # a positional program separates nothing
         if not len(new):
-            # column 0 enters each class row as -q
-            costs = lp.A_ub @ x + x[0] - lp.b_ub
-            return FractionalSolution(float(costs.max()), u, runs, highs.getNumRow(),
-                                      iterations)
+            break
         _add_rows(highs, *_triangle_rows(new, col, later))
         present = np.sort(np.concatenate([present, new]))
+    # a row plus q less its bound is q less its slack; a class row holds -q,
+    # so there it is the class's cost
+    costs = lp.A_ub @ x + x[0] - lp.b_ub
+    return FractionalSolution(float(costs.max()), u, runs, highs.getNumRow(), iterations)

@@ -51,6 +51,17 @@ def tied_instance(rng, **kwargs) -> Instance:
     return random_instance(rng, allow_ties=True, **kwargs)
 
 
+def gap_instance() -> Instance:
+    """Two one-member classes over n = 4 that disagree on one pair."""
+    return Instance(
+        4,
+        (
+            RankingClass((Permutation.identity(4),), 1),
+            RankingClass((Permutation((2, 1, 3, 4)),), 1),
+        ),
+    )
+
+
 @pytest.fixture
 def rng():
     return generator(20240811)

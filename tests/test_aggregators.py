@@ -46,23 +46,13 @@ from minmaxrank.distances import BLOCK_ELEMENTS
 from minmaxrank._rng import generator
 from minmaxrank.mallows import TwoLevelConfig, sample_instance
 
-from conftest import random_instance, random_permutation, tied_instance
+from conftest import gap_instance, random_instance, random_permutation, tied_instance
 
 KT = DistanceKind.KENDALL_TAU
 SF = DistanceKind.SPEARMAN_FOOTRULE
 MED = SetDistanceKind.MEDIAN
 MIN = SetDistanceKind.MINIMUM
 TOL = 1e-6
-
-
-def gap_instance():
-    return Instance(
-        4,
-        (
-            RankingClass((Permutation.identity(4),), 1),
-            RankingClass((Permutation((2, 1, 3, 4)),), 1),
-        ),
-    )
 
 
 def singleton_instance(p):

@@ -21,17 +21,7 @@ from minmaxrank._rng import generator
 from minmaxrank.distances import class_cost_reduction, doubled_distances, scaled_class_costs
 from minmaxrank.exact import _block_scorer, _lexicographic_table, _suffix_length
 
-from conftest import random_instance
-
-
-def gap_instance():
-    return Instance(
-        4,
-        (
-            RankingClass((Permutation.identity(4),), 1),
-            RankingClass((Permutation((2, 1, 3, 4)),), 1),
-        ),
-    )
+from conftest import gap_instance, random_instance
 
 
 def test_singleton_class():

@@ -36,6 +36,7 @@ from minmaxrank.mallows import TwoLevelConfig, sample_instance
 from minmaxrank._rng import generator
 
 from conftest import (
+    gap_instance,
     random_instance,
     random_partial_ranking,
     random_permutation,
@@ -44,16 +45,6 @@ from conftest import (
 
 TOL = 1e-6
 GENE_SAMPLE = Path(__file__).parents[1] / "data" / "sample_gene_orders.tsv"
-
-
-def gap_instance():
-    return Instance(
-        4,
-        (
-            RankingClass((Permutation.identity(4),), Fraction(1)),
-            RankingClass((Permutation((2, 1, 3, 4)),), Fraction(1)),
-        ),
-    )
 
 
 def class_weights(inst: Instance) -> list:
@@ -710,13 +701,10 @@ def slack_footrule_program(inst: Instance) -> LinearProgram:
     """Reference footrule LP: one slack e_gh >= |u(h) - p_gh| per member and element."""
     n = inst.n
     rows, cols, data, b_ub = [], [], [], []
-    class_pos, lam_over_m = [], []
     row0, col0 = 0, 1 + n
     for cls in inst.classes:
         lam = float(cls.weight) / cls.m
         pos = twice_positions(cls.members) / 2
-        lam_over_m.append(lam)
-        class_pos.append(pos)
         size = pos.size
         # slack e_{g,h} per member g and element h, in (g, h) order:
         # e >= u(h) - target and e >= target - u(h)
@@ -743,9 +731,7 @@ def slack_footrule_program(inst: Instance) -> LinearProgram:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(row0, col0),
     )
-    return LinearProgram(c_vec, A_ub, np.concatenate(b_ub), bounds,
-                         "positional", n, class_pos=tuple(class_pos),
-                         lam_over_m=tuple(lam_over_m))
+    return LinearProgram(c_vec, A_ub, np.concatenate(b_ub), bounds, n)
 
 
 def program_bytes(prog: LinearProgram) -> list[bytes]:
@@ -865,6 +851,13 @@ class TestFootruleProgram:
         assert res.status == 0
         assert np.allclose(sol.u, res.x[1:1 + inst.n], rtol=0, atol=1e-9)
         assert (sol.iterations, sol.rows) == (res.nit, prog.A_ub.shape[0])
+        # the optimum read from the rows is the worst class cost at u:
+        # max_k lambda_k / m_k sum_g sum_h |u(h) - p_gh|
+        worst = max(
+            float(cls.weight) / cls.m * np.abs(sol.u - tw / 2).sum()
+            for cls, tw in zip(inst.classes, np.split(inst.member_tw, inst.class_starts[1:])))
+        for ref in (res.fun, worst):
+            assert abs(sol.objective - ref) <= 1e-9 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("name", ["gene", "gap"])
     def test_one_member_classes_keep_the_slack_arrays(self, name):
@@ -940,43 +933,17 @@ class TestFootruleProgram:
 
 
 class TestSolveErrors:
-    def test_infeasible(self):
-        # x in [0, 1] with x >= 2, written as -x <= -2
-        prog = LinearProgram(
-            c=np.array([1.0]),
-            A_ub=csr_matrix([[-1.0]]),
-            b_ub=np.array([-2.0]),
-            bounds=np.array([[0.0, 1.0]]),
-            kind="positional",
-            n=1,
-        )
-        with pytest.raises(SolverError, match="^Infeasible$"):
+    # a positional and a pairwise program share the one status mapping
+    @pytest.mark.parametrize("rank", [None, np.zeros(1)], ids=["positional", "pairwise"])
+    @pytest.mark.parametrize("A_ub, b_ub, bounds, status", [
+        ([[-1.0]], [-2.0], [0.0, 1.0], "Infeasible"),  # x in [0, 1] with -x <= -2
+        ([[0.0]], [0.0], [-np.inf, np.inf], "Unbounded"),  # min x over free x
+    ], ids=["infeasible", "unbounded"])
+    def test_model_status(self, rank, A_ub, b_ub, bounds, status):
+        prog = LinearProgram(c=np.array([1.0]), A_ub=csr_matrix(A_ub), b_ub=np.array(b_ub),
+                             bounds=np.array([bounds]), n=1, rank=rank)
+        with pytest.raises(SolverError, match=f"^{status}$"):
             solve(prog)
-
-    def test_unbounded(self):
-        prog = LinearProgram(
-            c=np.array([1.0]),
-            A_ub=None,
-            b_ub=None,
-            bounds=np.array([[-np.inf, np.inf]]),
-            kind="positional",
-            n=1,
-        )
-        with pytest.raises(SolverError, match="^Unbounded$"):
-            solve(prog)
-
-    def test_pairwise_model_statuses_raise_the_same_errors(self):
-        # pairwise programs share the one status mapping with positional ones
-        def pairwise(A_ub, b_ub, bounds):
-            return LinearProgram(
-                c=np.array([1.0]), A_ub=csr_matrix(A_ub), b_ub=np.array(b_ub),
-                bounds=np.array([bounds]), kind="pairwise", n=1, rank=np.zeros(1),
-            )
-
-        with pytest.raises(SolverError, match="^Infeasible$"):
-            solve(pairwise([[-1.0]], [-2.0], [0.0, 1.0]))
-        with pytest.raises(SolverError, match="^Unbounded$"):
-            solve(pairwise([[0.0]], [0.0], [-np.inf, np.inf]))
 
     def test_model_error_is_not_infeasible(self):
         # HiGHS rejects a program with coefficients as large as 1e20; both
