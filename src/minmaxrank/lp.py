@@ -14,25 +14,29 @@ Two programs are built here:
   checks only the triples through pairs that u leaves unsettled, pairs not
   within 1e-9/4 of one transitive order, since no other triple can be
   violated;
-* the footrule program over free positions u(1..n), reformulated exactly
-  as an LP with one epigraph column per class and element: the sum of that
-  element's absolute deviations from the class's member positions is
-  convex and piecewise linear, so it is the max of d + 1 affine pieces,
-  d being the number of distinct member positions of that element.
+* the footrule program over free positions u(1..n), written exactly as an
+  LP in segment form with one row per class: each element's weighted
+  absolute deviations from the member positions are convex and piecewise
+  linear, so each gap between consecutive breakpoints of an element gets
+  one bounded column that moves it away from its anchor, the midpoint of
+  its pooled weighted median, at each class's slope on that gap.
 
 ``solve`` loads either program into one HiGHS model the same way, through
 scipy's private binding (scipy >= 1.15), and raises ``SolverError`` with
 HiGHS's model-status text for any status other than optimal.  It turns
-presolve off for the Kendall program, whose solves are small and start
-warm after the first, and keeps it for the footrule program's one cold
-solve of many rows.  The Kendall program's class weights and the tie mass
-read the instance's pairwise-count view ``Instance.above_counts``; members'
-pairwise orders are counted nowhere else.  Both programs write their
+presolve off for both: the Kendall program's solves are small and start
+warm after the first, the footrule program has only C rows, and HiGHS
+then starts from every column at its lower bound, sigma's order of every
+pair and the anchor of every position.  The Kendall program's class
+weights and the tie mass read the instance's pairwise-count view
+``Instance.above_counts``; members' pairwise orders are counted nowhere
+else.  Both programs write their
 ``A_ub`` straight as CSR arrays.  Fractional solutions keep u (the pair
-orders or the positions) and the solve counts.  Both read their optimum
-the same way: each ``A_ub`` row plus q less its bound is q less the row's
-slack, a class row's is its class's cost, and the largest is the worst
-class cost at the solution.
+orders, or the positions read back through ``LinearProgram.positions``)
+and the solve counts.  Both read their optimum the same way: each
+``A_ub`` row plus q less its bound is q less the row's slack, a class
+row's is its class's cost, and the largest is the worst class cost at the
+solution.
 """
 
 from __future__ import annotations
@@ -65,10 +69,9 @@ class LinearProgram:
     ``_pair_columns(n)``, where ``rank``, each element's place in sigma, puts
     a first, and the float class weights ``wf`` (C, n, n); its rows are the
     C class rows, whose ``-b_ub`` are the classes' tie shifts plus their
-    costs at sigma, and ``solve`` adds triangles.  A positional program keeps
-    the positions u(h) at columns 1..n and class k's epigraph t_kh of element
-    h at column 1 + n + kn + h; its rows are each class's piece rows followed
-    by its cost row.
+    costs at sigma, and ``solve`` adds triangles.  A positional program reads
+    the positions back as u = ``positions`` @ x; its rows are the C class
+    rows.
     """
 
     c: np.ndarray
@@ -78,6 +81,7 @@ class LinearProgram:
     n: int
     wf: np.ndarray | None = None
     rank: np.ndarray | None = None  # place in sigma; a program with sigma is pairwise
+    positions: csr_matrix | None = None  # (n, columns): u = positions @ x
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,9 @@ def tie_mass(inst: Instance) -> tuple[Fraction, ...]:
 
 #: a triangle row counts as violated when its sum is below 1 by more than this
 _VIOLATION = 1e-9
+
+#: a pooled footrule slope within this share of the total weight counts as flat
+_FLAT_SLOPE = 1e-12
 
 
 def _pair_columns(n: int) -> np.ndarray:
@@ -256,40 +263,98 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
 def build_footrule_program(inst: Instance) -> LinearProgram:
     """Minmax weighted L1 distance to the member positions, as an exact LP.
 
-    Column t_kh is the epigraph of class k's sum_g |u(h) - p_gh|, the max over
-    r = 0..m of the pieces (m - 2r) u(h) + 2 S_r - S_m, where S_r sums the r
-    largest member positions of h.  It gets a row for r = 0, r = m and each r
-    whose r-th and (r+1)-th largest positions differ, by element, then r.
-    """
-    n = inst.n
-    counts, indices, data, b_ub = [], [], [], []
-    row0, col0 = 0, 1 + n
-    for cls, tw in zip(inst.classes, np.split(inst.member_tw, inst.class_starts[1:])):
-        lam = float(cls.weight) / cls.m
-        s = np.sort(tw / 2, axis=0)[::-1]
-        top = np.cumsum(np.vstack([np.zeros(n), s]), axis=0)  # S_r
-        keep = np.ones((cls.m + 1, n), dtype=bool)
-        keep[1:-1] = s[:-1] > s[1:]
-        h, r = np.nonzero(keep.T)
-        t_cols = col0 + np.arange(n)
-        # pieces: slope u(h) - t_kh <= -intercept; class: lambda/m sum_h t_kh - q <= 0
-        counts += [np.full(len(h), 2), [n + 1]]
-        indices += [np.stack([1 + h, t_cols[h]], axis=1).ravel(), np.r_[0, t_cols]]
-        data += [np.stack([cls.m - 2.0 * r, -np.ones(len(h))], axis=1).ravel(),
-                 np.r_[-1.0, np.full(n, lam)]]
-        b_ub += [top[-1, h] - 2 * top[r, h], [0.0]]
-        row0 += len(h) + 1
-        col0 += n
+    Class k costs sum_h f_kh(u(h)), f_kh(v) = (lambda_k / m_k) sum_g |v - p_gh|
+    over its members g, convex and piecewise linear in v.  The program
+    writes it in segment form (Fourer, Math. Programming 1985), with one row
+    per class and no row per piece.  Element h has an anchor a_h, the
+    midpoint of the interval that minimizes its pooled cost sum_k f_kh, and
+    its breakpoints are a_h and its distinct member positions over all
+    classes.  Each gap between consecutive breakpoints gets a column,
+    bounded by the gap's length, that moves u(h) away from a_h:
 
-    # rows come out in order, each with ascending columns, so they are CSR as is
-    A_ub = csr_matrix((np.concatenate(data), np.concatenate(indices),
-                       np.r_[0, np.cumsum(np.concatenate(counts))]), shape=(row0, col0))
-    c_vec = np.zeros(col0)
+        u(h) = a_h + (h's gap columns right of a_h) - (those left of it),
+
+    with a_h in a fixed base column 1 + h, so that u = ``positions @ x``.
+    Class row k is sum_j s_kj x_j - q <= -cost_k(a), s_kj being class k's
+    slope on gap j in the direction away from a_h.  u(h) stays within h's
+    member positions, since every class cost falls as u(h) moves towards
+    them.
+
+    It is exact.  f_kh is convex, so its slopes away from a_h grow outwards
+    on either side.  Filling h's gaps outwards on one side only puts
+    f_kh(u(h)) itself in row k.  Any other filling that reaches the same
+    u(h) takes a flatter gap's length at a steeper slope, or goes out on one
+    side and back on the other, and by convexity costs every class at least
+    as much.  So each row is at least its class's cost at the u read back,
+    and equal to it for some filling of each u: the program's optimum is the
+    free-position optimum, and the u read back attains it.  HiGHS starts
+    from every gap column at its lower bound, u = a, which steers the vertex
+    it ends on.
+    """
+    n, num_classes = inst.n, inst.num_classes
+    m = np.array([cls.m for cls in inst.classes])
+    lam = np.array([float(cls.weight) / cls.m for cls in inst.classes])
+    starts = np.asarray(inst.class_starts)
+    quad = 2 * inst.member_tw  # positions times 4, so anchors are integers too
+    idx = np.arange(n)
+
+    # a_h: the pooled cost's slope right of a member position is the weight
+    # at or left of it less the weight right of it; the minimizers run from
+    # the first position where it is not negative to the first where it is
+    # positive, slopes within _FLAT_SLOPE of the total weight counting as 0
+    weight = np.repeat(lam, m)
+    order = np.argsort(quad, axis=0)
+    ascending = np.take_along_axis(quad, order, axis=0)
+    slope = 2 * np.cumsum(weight[order], axis=0) - weight.sum()
+    flat = _FLAT_SLOPE * weight.sum()
+    anchor = (ascending[(slope >= -flat).argmax(axis=0), idx]
+              + ascending[(slope > flat).argmax(axis=0), idx]) // 2
+
+    # breakpoints as ascending keys h * span + 4 * position; a gap joins two
+    # consecutive distinct keys of one element
+    span = 4 * n + 4
+    keys = np.sort(np.concatenate([(ascending + idx * span).ravel(), idx * span + anchor]))
+    h, left = np.divmod(keys[:-1], span)
+    length = np.diff(keys)
+    gap = np.flatnonzero((length > 0) & (h == keys[1:] // span))
+    h, left, length = h[gap], left[gap], length[gap] / 4
+    away = np.where(left >= anchor[h], 1.0, -1.0)
+
+    # members of class k at or left of each gap, counted in the sorted keys
+    # (k * n + h) * span + 4 * position, of which the starts[k] * n + h * m_k
+    # before class k's element h are left out
+    member_keys = (np.repeat(np.arange(num_classes), m)[:, None] * n + idx) * span + quad
+    at_left = np.searchsorted(np.sort(member_keys, axis=None),
+                              (np.arange(num_classes)[:, None] * n + h) * span + left,
+                              side="right") - (starts[:, None] * n + h * m[:, None])
+    num_gaps = len(h)
+    ncols = 1 + n + num_gaps
+    block = np.empty((num_classes, 1 + num_gaps))
+    block[:, 0] = -1.0
+    np.multiply(away * lam[:, None], 2 * at_left - m[:, None], out=block[:, 1:])
+    mask = block != 0
+    cols = np.nonzero(mask)[1]
+    A_ub = csr_matrix((block[mask], cols + n * (cols > 0), np.r_[0, np.cumsum(mask.sum(axis=1))]),
+                      shape=(num_classes, ncols))
+    cost_at_anchor = np.add.reduceat(np.abs(quad - anchor).sum(axis=1), starts) * lam / 4
+
+    # u(h): its base column, then its gap columns, which are in element order
+    indices = np.empty(n + num_gaps, dtype=np.intp)
+    data = np.ones(n + num_gaps)
+    indptr = np.r_[0, np.cumsum(np.bincount(h, minlength=n) + 1)]
+    indices[indptr[:-1]] = 1 + idx
+    own = np.arange(num_gaps) + h + 1
+    indices[own] = 1 + n + np.arange(num_gaps)
+    data[own] = away
+    positions = csr_matrix((data, indices, indptr), shape=(n, ncols))
+
+    c_vec = np.zeros(ncols)
     c_vec[0] = 1.0
-    bounds = np.zeros((col0, 2))
-    bounds[:, 1] = np.inf
-    bounds[1:1 + n, 0] = -np.inf
-    return LinearProgram(c_vec, A_ub, np.concatenate(b_ub), bounds, n)
+    bounds = np.zeros((ncols, 2))
+    bounds[0, 1] = np.inf
+    bounds[1:1 + n] = anchor[:, None] / 4
+    bounds[1 + n:, 1] = length
+    return LinearProgram(c_vec, A_ub, -cost_at_anchor, bounds, n, positions=positions)
 
 
 def _loaded(highs, status) -> None:
@@ -313,16 +378,17 @@ def solve(lp: LinearProgram) -> FractionalSolution:
     and is solved again, warm from its last basis, until no triangle is
     violated; a positional program separates nothing.  The rows come from a
     finite set, so this ends, and the returned optimum is the optimum of the
-    program with every triangle.  A pairwise model is solved without
-    presolve: it only slowed the first, cold solve, and without it HiGHS
-    starts from the all-zero columns, sigma's order of every pair.
+    program with every triangle.  Either model is solved without presolve:
+    it only slowed the first, cold Kendall solve and a footrule solve of C
+    rows, and without it HiGHS starts from every column at its lower bound,
+    sigma's order of every pair or the anchor of every position.
     """
     n = lp.n
     pairwise = lp.rank is not None
     highs = highspy._Highs()
     highs.setOptionValue("output_flag", False)
+    _loaded(highs, highs.setOptionValue("presolve", "off"))
     if pairwise:
-        _loaded(highs, highs.setOptionValue("presolve", "off"))
         col = _pair_columns(n)
         later = lp.rank[:, None] > lp.rank  # u[s][t] is the column of {s, t}
     lower, upper = lp.bounds.T  # np.inf is kHighsInf
@@ -344,7 +410,7 @@ def solve(lp: LinearProgram) -> FractionalSolution:
             np.fill_diagonal(u, 0.0)
             new = _violated_triangles(u, present)
         else:
-            u, new = x[1:1 + n], []  # a positional program separates nothing
+            u, new = lp.positions @ x, []  # a positional program separates nothing
         if not len(new):
             break
         _add_rows(highs, *_triangle_rows(new, col, later))

@@ -23,6 +23,7 @@ from minmaxrank import (
     build_kendall_lp,
     minmax_objective,
     mmkt_conv,
+    mmsp_conv,
     restrict_to_min_witnesses,
     solve,
     tie_mass,
@@ -674,7 +675,7 @@ class TestHighsBinding:
         assert info.simplex_iteration_count >= 1
 
     def test_presolve_switches_off(self):
-        # lp.solve turns presolve off on the Kendall model through the same
+        # lp.solve turns presolve off on every model through the same
         # binding; a release that renames the option or its value fails here
         from scipy.optimize._highspy._core import (
             HighsModelStatus,
@@ -695,6 +696,18 @@ class TestHighsBinding:
         highs.run()
         assert highs.getModelStatus() == HighsModelStatus.kOptimal
         assert np.allclose(highs.getSolution().col_value, [0.8, 0.1], atol=1e-9)
+
+
+def free_position_program(inst: Instance, A_ub, b_ub) -> LinearProgram:
+    """q >= 0, free u(h) at column 1 + h and non-negative columns after them."""
+    n, ncols = inst.n, A_ub.shape[1]
+    c_vec = np.zeros(ncols)
+    c_vec[0] = 1.0
+    bounds = np.zeros((ncols, 2))
+    bounds[:, 1] = np.inf
+    bounds[1:1 + n, 0] = -np.inf
+    positions = csr_matrix((np.ones(n), 1 + np.arange(n), np.arange(n + 1)), shape=(n, ncols))
+    return LinearProgram(c_vec, A_ub, b_ub, bounds, n, positions=positions)
 
 
 def slack_footrule_program(inst: Instance) -> LinearProgram:
@@ -722,22 +735,11 @@ def slack_footrule_program(inst: Instance) -> LinearProgram:
         b_ub.append([0.0])
         row0 += 2 * size + 1
         col0 += size
-    c_vec = np.zeros(col0)
-    c_vec[0] = 1.0
-    bounds = np.zeros((col0, 2))
-    bounds[:, 1] = np.inf
-    bounds[1:1 + n, 0] = -np.inf
     A_ub = csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(row0, col0),
     )
-    return LinearProgram(c_vec, A_ub, np.concatenate(b_ub), bounds, n)
-
-
-def program_bytes(prog: LinearProgram) -> list[bytes]:
-    a = prog.A_ub
-    return [x.tobytes() for x in (prog.c, a.indptr, a.indices, a.data, prog.b_ub,
-                                  prog.bounds)]
+    return free_position_program(inst, A_ub, np.concatenate(b_ub))
 
 
 REFERENCE_WEIGHTS = (Fraction(1, 3), Fraction(7, 5), Fraction(0.1))
@@ -769,7 +771,14 @@ def coo_kendall_rows(inst: Instance, prog: LinearProgram) -> tuple:
 
 
 def coo_footrule_rows(inst: Instance) -> tuple:
-    """``build_footrule_program``'s rows and ``b_ub``, assembled from COO parts."""
+    """The piece-row footrule program's rows and ``b_ub``, from COO parts.
+
+    Column t_kh is the epigraph of class k's sum_g |u(h) - p_gh|, the max
+    over r = 0..m of the pieces (m - 2r) u(h) + 2 S_r - S_m, where S_r sums
+    the r largest member positions of h.  It gets a row for r = 0, r = m and
+    each r whose r-th and (r+1)-th largest positions differ, by element,
+    then r, and each class a cost row after its pieces.
+    """
     n = inst.n
     rows, cols, data, b_ub = [], [], [], []
     row0, col0 = 0, 1 + n
@@ -795,6 +804,19 @@ def coo_footrule_rows(inst: Instance) -> tuple:
     return A_ub, np.concatenate(b_ub)
 
 
+def piece_footrule_program(inst: Instance) -> LinearProgram:
+    """Reference footrule LP: one row per affine piece of each class's summed
+    distance and one epigraph column per class and element."""
+    return free_position_program(inst, *coo_footrule_rows(inst))
+
+
+def worst_class_cost(inst: Instance, u: np.ndarray) -> float:
+    """max_k lambda_k / m_k sum_g sum_h |u(h) - p_gh| over class k's members g."""
+    return max(
+        float(cls.weight) / cls.m * np.abs(u - tw / 2).sum()
+        for cls, tw in zip(inst.classes, np.split(inst.member_tw, inst.class_starts[1:])))
+
+
 def row_bytes(A_ub, b_ub) -> list[bytes]:
     return [x.tobytes() for x in (A_ub.indptr, A_ub.indices, A_ub.data, b_ub)]
 
@@ -805,19 +827,36 @@ def assembly_instances(case) -> list[Instance]:
     if case == "tied":
         rng = generator(47)
         return [tied_instance(rng, m_choices=(1, 2, 4, 6)) for _ in range(20)]
+    if case == "mallows-300":
+        return [sample_instance(TwoLevelConfig.create(300, 3, 10, 0.7, 0.7), (0, 0))]
     return [reference_instance(case)]
 
 
 class TestDirectAssembly:
-    # both builders write A_ub's CSR arrays directly; the COO assembly they
-    # replaced must give the same bytes, explicit zeros included
+    # the Kendall builder writes A_ub's CSR arrays directly; the COO assembly
+    # it replaced must give the same bytes, explicit zeros included
     @pytest.mark.parametrize("case", [*range(40), "tied", "gene"])
     def test_matches_coo_assembly(self, case):
         for inst in assembly_instances(case):
             prog = build_kendall_lp(inst)
             assert row_bytes(prog.A_ub, prog.b_ub) == row_bytes(*coo_kendall_rows(inst, prog))
-            prog = build_footrule_program(inst)
-            assert row_bytes(prog.A_ub, prog.b_ub) == row_bytes(*coo_footrule_rows(inst))
+
+
+def pooled_median_midpoints(inst: Instance) -> list[Fraction]:
+    """Per element, the midpoint of the minimizers of its pooled cost
+    sum_k lambda_k / m_k sum_g |v - p_gh|, in exact arithmetic.
+
+    The cost is convex and piecewise linear with breakpoints at the member
+    positions, so its minimizers run between two of them.
+    """
+    weights = [cls.weight / cls.m for cls in inst.classes for _ in range(cls.m)]
+    midpoints = []
+    for col in inst.member_tw.T.tolist():
+        pos = [Fraction(t, 2) for t in col]
+        cost = {v: sum(w * abs(v - p) for w, p in zip(weights, pos)) for v in set(pos)}
+        best = [v for v, c in cost.items() if c == min(cost.values())]
+        midpoints.append((min(best) + max(best)) / 2)
+    return midpoints
 
 
 class TestFootruleProgram:
@@ -827,6 +866,17 @@ class TestFootruleProgram:
         ours = solve(build_footrule_program(inst)).objective
         ref = solve(slack_footrule_program(inst)).objective
         assert abs(ours - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("case", [*range(40), "tied", "gene", "mallows-300"])
+    def test_matches_piece_program(self, case):
+        # the segment program's optimum is the piece-row program's, and the
+        # positions it reads back attain it
+        for inst in assembly_instances(case):
+            sol = solve(build_footrule_program(inst))
+            ref = solve(piece_footrule_program(inst)).objective
+            assert ref > 0
+            assert abs(sol.objective - ref) <= 1e-9 * ref
+            assert abs(worst_class_cost(inst, sol.u) - sol.objective) <= 1e-9 * ref
 
     def test_reference_sweep_covers_ties_sizes_and_weights(self):
         sizes, weights, tied = set(), set(), 0
@@ -847,55 +897,93 @@ class TestFootruleProgram:
         prog = build_footrule_program(inst)
         sol = solve(prog)
         res = linprog(prog.c, A_ub=prog.A_ub, b_ub=prog.b_ub, bounds=prog.bounds,
-                      method="highs")
+                      method="highs", options={"presolve": False})
         assert res.status == 0
-        assert np.allclose(sol.u, res.x[1:1 + inst.n], rtol=0, atol=1e-9)
-        assert (sol.iterations, sol.rows) == (res.nit, prog.A_ub.shape[0])
-        # the optimum read from the rows is the worst class cost at u:
-        # max_k lambda_k / m_k sum_g sum_h |u(h) - p_gh|
-        worst = max(
-            float(cls.weight) / cls.m * np.abs(sol.u - tw / 2).sum()
-            for cls, tw in zip(inst.classes, np.split(inst.member_tw, inst.class_starts[1:])))
-        for ref in (res.fun, worst):
+        assert np.allclose(sol.u, prog.positions @ res.x, rtol=0, atol=1e-9)
+        assert (sol.iterations, sol.rows) == (res.nit, inst.num_classes)
+        # the optimum read from the rows is the worst class cost at u
+        for ref in (res.fun, worst_class_cost(inst, sol.u)):
             assert abs(sol.objective - ref) <= 1e-9 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("name", ["gene", "gap"])
-    def test_one_member_classes_keep_the_slack_arrays(self, name):
-        # each element of a one-member class has one piece per slack row
+    def test_one_member_classes_match_the_slack_program(self, name):
+        # with one member per class, every gap column of an element moves it
+        # off one class's position, at slope +-lambda in each class row
         inst = (parse_gene_order_file(GENE_SAMPLE.read_text()).instance
                 if name == "gene" else gap_instance())
         assert all(cls.m == 1 for cls in inst.classes)
-        assert program_bytes(build_footrule_program(inst)) == program_bytes(
-            slack_footrule_program(inst))
+        prog = build_footrule_program(inst)
+        lam = np.array([float(cls.weight) for cls in inst.classes])
+        gaps = prog.A_ub[:, 1 + inst.n:].toarray()
+        assert np.isin(np.abs(gaps), [0.0, *lam]).all()
+        sol = solve(prog)
+        ref = solve(slack_footrule_program(inst)).objective
+        assert abs(sol.objective - ref) <= 1e-9 * ref
 
     def test_size_counts_distinct_member_positions(self, rng):
+        # C class rows; q, a base column per element and a gap column per
+        # gap between the element's distinct member positions and anchor
         for _ in range(10):
             inst = tied_instance(rng, m_choices=(1, 2, 5))
             prog = build_footrule_program(inst)
-            n, num_classes = inst.n, inst.num_classes
-            distinct = sum(len(set(col)) for cls in inst.classes
-                           for col in twice_positions(cls.members).T.tolist())
-            assert prog.A_ub.shape == (distinct + n * num_classes + num_classes,
-                                       1 + n + num_classes * n)
+            n = inst.n
+            anchors = prog.bounds[1:1 + n]
+            assert (anchors[:, 0] == anchors[:, 1]).all()
+            gaps = sum(len(set(col) | {a}) - 1 for col, a in
+                       zip((inst.member_tw / 2).T.tolist(), anchors[:, 0].tolist()))
+            assert prog.A_ub.shape == (inst.num_classes, 1 + n + gaps)
+            assert prog.positions.shape == (n, 1 + n + gaps)
+            assert (prog.bounds[1 + n:, 1] > 0).all()
 
-    def test_agreeing_members_cost_two_rows_per_element(self):
+    def test_anchors_are_pooled_median_midpoints(self, rng):
+        instances = [tied_instance(rng, m_choices=(1, 2, 5), weight_choices=REFERENCE_WEIGHTS)
+                     for _ in range(20)] + [reference_instance(seed) for seed in range(40)]
+        midpoints = 0
+        for inst in instances:
+            anchors = build_footrule_program(inst).bounds[1:1 + inst.n, 0]
+            expected = pooled_median_midpoints(inst)
+            assert anchors.tolist() == [float(a) for a in expected]
+            midpoints += sum(2 * a not in set(col) for a, col in
+                             zip(expected, inst.member_tw.T.tolist()))
+        assert midpoints > 0  # some anchors fall between two member positions
+
+    def test_agreeing_members_leave_an_element_no_gap_columns(self):
         identity = Permutation.identity(4)
         inst = Instance(4, (
             RankingClass((identity,) * 3, Fraction(1)),
-            RankingClass((identity, Permutation((4, 3, 2, 1))), Fraction(1)),
+            RankingClass((identity, Permutation((2, 1, 3, 4))), Fraction(1)),
         ))
-        # 2 pieces per element and a cost row, then 3 per element and a cost row
-        assert build_footrule_program(inst).A_ub.shape[0] == (2 * 4 + 1) + (3 * 4 + 1)
+        prog = build_footrule_program(inst)
+        # 1 and 2 are anchored at their identity places, with one gap column
+        # each towards the other place; 3 and 4 have none
+        assert prog.bounds[1:5, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert prog.A_ub.shape == (2, 1 + 4 + 2)
+        assert prog.positions.toarray()[:, 5:].tolist() == [[1, 0], [0, -1], [0, 0], [0, 0]]
 
     def test_gap_instance_size(self):
         inst = gap_instance()
         prog = build_footrule_program(inst)
         n = inst.n
-        assert len(prog.c) == 1 + n + sum(cls.m * n for cls in inst.classes)
-        # two pieces per element of a one-member class plus one cost row per class
-        assert prog.A_ub.shape[0] == 2 * 2 * n + 2
+        # 1 and 2 are anchored halfway between their places, with a gap
+        # column to each side
+        assert len(prog.c) == 1 + n + 4
+        assert prog.A_ub.shape[0] == 2
         sol = solve(prog)
-        assert (sol.runs, sol.rows) == (1, 2 * 2 * n + 2)
+        assert (sol.runs, sol.rows) == (1, 2)
+        assert abs(sol.objective - 1.0) < TOL
+
+    def test_tiny_weights_keep_the_optimum(self):
+        # class=a lambda=1e-10 : 1 2 3 4 / class=b lambda=1e-10 : 2 1 3 4:
+        # u(1) = u(2) = 3/2 costs each class 1e-10; the piece-row program
+        # read 1e-9 here, its rows' slack within HiGHS's tolerance
+        inst = Instance(4, tuple(
+            RankingClass((p,), Fraction("1e-10"))
+            for p in (Permutation.identity(4), Permutation((2, 1, 3, 4)))))
+        sol = solve(build_footrule_program(inst))
+        assert abs(sol.objective - 1e-10) <= 1e-9 * 1e-10
+        res = mmsp_conv(inst, rng_seed=0)
+        assert res.objective == Fraction("2e-10")
+        assert res.certificate <= res.objective
 
     def test_singleton_zero_at_own_ranks(self):
         p = Permutation((2, 3, 1))
