@@ -158,19 +158,42 @@ def _family_kind(inst: Instance, kind: DistanceKind | None,
     return kind
 
 
+def _kendall_order(u: np.ndarray, wf: np.ndarray) -> list[int]:
+    """Pivot rounding's order of u: elements (1-based) best-to-worst.
+
+    The pivots are scored only when the rounding h of u has a cycle.  A
+    tournament is transitive exactly when its row sums are n - 1, ..., 0,
+    and every quicksort split by a transitive h keeps h's order, whichever
+    pivot each level picks; so its order is read off the row sums.
+    """
+    wins = _rounded_matrix(u).sum(axis=1)
+    order = np.argsort(-wins, kind="stable")
+    if (wins[order] == np.arange(len(wins))[::-1]).all():
+        return (order + 1).tolist()
+    return pivot_rounding(u, wf)[0]
+
+
+def _mmkt(inst: Instance) -> tuple[Permutation, float]:
+    """The rounded Kendall LP optimum and the optimum's value."""
+    prog = build_kendall_lp(inst)
+    sol = solve(prog)
+    return Permutation.from_order(_kendall_order(sol.u, prog.wf)), sol.objective
+
+
 def mmkt_conv(inst: Instance, kind: DistanceKind | None = None) -> AggregationResult:
     """LP relaxation plus deterministic pivot rounding (median Kendall/Kemeny).
 
     The returned permutation costs at most twice the relaxation optimum,
-    which is reported as the certificate.
+    which is reported as the certificate.  Each pivot rounding level puts
+    the elements that the 0.5-rounding h ranks above the pivot on its left
+    and the rest on its right.  When h is a total order, every pivot choice
+    therefore yields h's order, so that order is read off h directly, and
+    ``pivot_rounding`` scores pivots only when h has a cycle.
     """
     kind = _family_kind(inst, kind, DistanceKind.KENDALL_TAU)
-    prog = build_kendall_lp(inst)
-    sol = solve(prog)
-    order, _ = pivot_rounding(sol.u, prog.wf)
-    perm = Permutation.from_order(order)
+    perm, certificate = _mmkt(inst)
     objective = minmax_objective(perm, inst, kind, SetDistanceKind.MEDIAN)
-    return AggregationResult(perm, objective, certificate=sol.objective)
+    return AggregationResult(perm, objective, certificate=certificate)
 
 
 def positions_to_order(u: np.ndarray, rng_seed=None) -> list[int]:
@@ -194,6 +217,12 @@ def positions_to_order(u: np.ndarray, rng_seed=None) -> list[int]:
     return [i + 1 for g in groups for i in g]
 
 
+def _mmsp(inst: Instance, rng_seed) -> tuple[Permutation, float]:
+    """The sort-rounded footrule program optimum and the optimum's value."""
+    sol = solve(build_footrule_program(inst))
+    return Permutation.from_order(positions_to_order(sol.u, rng_seed)), sol.objective
+
+
 def mmsp_conv(
     inst: Instance, kind: DistanceKind | None = None, rng_seed=None
 ) -> AggregationResult:
@@ -205,12 +234,9 @@ def mmsp_conv(
     certificate), for every tie-break.  With ties there is no such bound.
     """
     kind = _family_kind(inst, kind, DistanceKind.SPEARMAN_FOOTRULE)
-    prog = build_footrule_program(inst)
-    sol = solve(prog)
-    order = positions_to_order(sol.u, rng_seed)
-    perm = Permutation.from_order(order)
+    perm, certificate = _mmsp(inst, rng_seed)
     objective = minmax_objective(perm, inst, kind, SetDistanceKind.MEDIAN)
-    return AggregationResult(perm, objective, certificate=sol.objective)
+    return AggregationResult(perm, objective, certificate=certificate)
 
 
 def max_weight_members(inst: Instance) -> list[tuple[int, int, Ranking]]:
@@ -294,9 +320,9 @@ def min_mmkt_conv(
     reduction guarantees a factor of 4.
     """
     kind = _family_kind(inst, kind, DistanceKind.KENDALL_TAU)
-    inner = mmkt_conv(restrict_to_min_witnesses(inst, kind), kind)
-    objective = minmax_objective(inner.ranking, inst, kind, SetDistanceKind.MINIMUM)
-    return AggregationResult(inner.ranking, objective)
+    perm, _ = _mmkt(restrict_to_min_witnesses(inst, kind))
+    return AggregationResult(
+        perm, minmax_objective(perm, inst, kind, SetDistanceKind.MINIMUM))
 
 
 def min_mmsp_conv(
@@ -305,9 +331,9 @@ def min_mmsp_conv(
     """Sort-rounding on the witness-restricted instance (min set-distance);
     a factor of 4 when every class holds permutations."""
     kind = _family_kind(inst, kind, DistanceKind.SPEARMAN_FOOTRULE)
-    inner = mmsp_conv(restrict_to_min_witnesses(inst, kind), kind, rng_seed)
-    objective = minmax_objective(inner.ranking, inst, kind, SetDistanceKind.MINIMUM)
-    return AggregationResult(inner.ranking, objective)
+    perm, _ = _mmsp(restrict_to_min_witnesses(inst, kind), rng_seed)
+    return AggregationResult(
+        perm, minmax_objective(perm, inst, kind, SetDistanceKind.MINIMUM))
 
 
 def median_pivot_baseline(

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,14 +37,17 @@ from minmaxrank import (
     set_distance,
     solve,
 )
+from minmaxrank import aggregators
 from minmaxrank.aggregators import (
     _cost_tables,
+    _kendall_order,
     _pivot_costs,
     _rounded_matrix,
     positions_to_order,
 )
 from minmaxrank.distances import BLOCK_ELEMENTS
 from minmaxrank._rng import generator
+from minmaxrank.cli import parse_gene_order_file
 from minmaxrank.mallows import TwoLevelConfig, sample_instance
 
 from conftest import gap_instance, random_instance, random_permutation, tied_instance
@@ -53,6 +57,7 @@ SF = DistanceKind.SPEARMAN_FOOTRULE
 MED = SetDistanceKind.MEDIAN
 MIN = SetDistanceKind.MINIMUM
 TOL = 1e-6
+GENE_SAMPLE = Path(__file__).parents[1] / "data" / "sample_gene_orders.tsv"
 
 
 def singleton_instance(p):
@@ -303,6 +308,81 @@ class TestMmktConv:
     def test_rejects_footrule_kind(self):
         with pytest.raises(DistanceError, match="is not a Kendall-type distance"):
             mmkt_conv(gap_instance(), SF)
+
+
+def has_three_cycle(h):
+    """A tournament is transitive exactly when it has no 3-cycle."""
+    h = h.astype(np.int64)
+    return bool(((h @ h) * h.T).any())
+
+
+@pytest.fixture
+def pivot_calls(monkeypatch):
+    """The arguments of every ``pivot_rounding`` call that ``aggregators`` makes."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return pivot_rounding(*args)
+
+    monkeypatch.setattr(aggregators, "pivot_rounding", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def mallows300():
+    """A seeded n=300 Mallows instance and pivot rounding's ranking of it."""
+    inst = sample_instance(TwoLevelConfig.create(300, 3, 10, 0.7, 0.7), 0)
+    prog = build_kendall_lp(inst)
+    sol = solve(prog)
+    return inst, prog, sol, Permutation.from_order(pivot_rounding(sol.u, prog.wf)[0])
+
+
+class TestTransitiveShortcut:
+    def test_matches_pivot_rounding_on_lp_solutions(self, mallows300):
+        inst300, prog300, sol300, _ = mallows300
+        cases = [(sol300.u, prog300.wf)]
+        sources = [restrict_to_min_witnesses(inst300, KT)]
+        for n, seeds in ((10, range(6)), (40, range(3))):
+            for seed in seeds:
+                inst = sample_instance(TwoLevelConfig.create(n, 3, 10, 0.7, 0.7), seed)
+                sources += [inst, restrict_to_min_witnesses(inst, KT)]
+        # the gene sample's rounding has cycles whatever vertex HiGHS returns
+        sources.append(parse_gene_order_file(GENE_SAMPLE.read_text()).instance)
+        for source in sources:
+            prog = build_kendall_lp(source)
+            cases.append((solve(prog).u, prog.wf))
+        transitive = []
+        for u, wf in cases:
+            transitive.append(not has_three_cycle(_rounded_matrix(u)))
+            assert _kendall_order(u, wf) == pivot_rounding(u, wf)[0]
+        # both branches run: the order read off h, and the pivot fallback
+        assert any(transitive) and not all(transitive)
+
+    def test_three_cycle_falls_back_to_pivot_rounding(self, pivot_calls):
+        # u[x, y] = 0.6 for x -> y around 0 -> 1 -> 2 -> 0: every row sum is 1
+        u = np.zeros((3, 3))
+        for x, y in ((0, 1), (1, 2), (2, 0)):
+            u[x, y], u[y, x] = 0.6, 0.4
+        assert has_three_cycle(_rounded_matrix(u))
+        wf = np.ones((1, 3, 3)) - np.eye(3)
+        assert _kendall_order(u, wf) == pivot_rounding(u, wf)[0]
+        assert len(pivot_calls) == 1
+
+    def test_transitive_rounding_scores_no_pivot(self, monkeypatch, mallows300):
+        inst, _, _, want = mallows300
+
+        def refuse(*args):
+            raise AssertionError("pivot_rounding ran on a transitive rounding")
+
+        monkeypatch.setattr(aggregators, "pivot_rounding", refuse)
+        assert mmkt_conv(inst).ranking == want
+
+    def test_cyclic_gene_rounding_scores_pivots_once(self, pivot_calls):
+        res = mmkt_conv(parse_gene_order_file(GENE_SAMPLE.read_text()).instance)
+        assert len(pivot_calls) == 1
+        assert has_three_cycle(_rounded_matrix(pivot_calls[0][0]))
+        assert res.objective == 274
 
 
 class TestMmspConv:
