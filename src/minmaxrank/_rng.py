@@ -14,6 +14,4 @@ def generator(seed=None) -> np.random.Generator:
     """Generator from an int seed, seed tuple, SeedSequence, or Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, (tuple, list)):
-        seed = np.random.SeedSequence([int(s) for s in seed])
     return np.random.Generator(np.random.Philox(seed))

@@ -25,7 +25,6 @@ from .distances import (
     DistanceKind,
     SetDistanceKind,
     doubled_distances,
-    effective_kind,
     minmax_objective,
     scaled_class_costs,
 )
@@ -149,9 +148,9 @@ def pivot_rounding(
     return [x + 1 for x in _pivot_sort(h == 1, choose)], trace
 
 
-def _family_kind(inst: Instance, kind: DistanceKind | None,
-                 default: DistanceKind) -> DistanceKind:
-    kind = effective_kind(inst, kind or default)
+def _family_kind(kind: DistanceKind | None, default: DistanceKind) -> DistanceKind:
+    """``kind`` (``default`` for None) if of default's family; unpromoted."""
+    kind = kind or default
     if kind.positional != default.positional:
         family = "footrule" if default.positional else "Kendall"
         raise DistanceError(f"{kind} is not a {family}-type distance")
@@ -190,7 +189,7 @@ def mmkt_conv(inst: Instance, kind: DistanceKind | None = None) -> AggregationRe
     therefore yields h's order, so that order is read off h directly, and
     ``pivot_rounding`` scores pivots only when h has a cycle.
     """
-    kind = _family_kind(inst, kind, DistanceKind.KENDALL_TAU)
+    kind = _family_kind(kind, DistanceKind.KENDALL_TAU)
     perm, certificate = _mmkt(inst)
     objective = minmax_objective(perm, inst, kind, SetDistanceKind.MEDIAN)
     return AggregationResult(perm, objective, certificate=certificate)
@@ -228,12 +227,15 @@ def mmsp_conv(
 ) -> AggregationResult:
     """Footrule program plus sort-rounding (median footrule objective).
 
-    The output orders elements by their optimal fractional positions and is
-    therefore an L1-closest permutation to them; when every class holds
-    permutations, its cost is at most twice the program optimum (the
-    certificate), for every tie-break.  With ties there is no such bound.
+    The output orders elements by their optimal fractional positions u, so
+    it is an L1-closest permutation s to u, for every tie-break.  Positions
+    are average ranks and the partial footrule is L1 over them, so with pi
+    optimal, class k's cost f_k has f_k(s) <= w_k|s - u| + f_k(u) and
+    w_k|s - u| <= w_k|pi - u| <= f_k(pi) + f_k(u): the objective is at most
+    optimum + 2 x certificate <= 3 x optimum.  Permutation members g give
+    w_k|s - u| <= f_k(u) through |s - u| <= |g - u|: 2 x certificate.
     """
-    kind = _family_kind(inst, kind, DistanceKind.SPEARMAN_FOOTRULE)
+    kind = _family_kind(kind, DistanceKind.SPEARMAN_FOOTRULE)
     perm, certificate = _mmsp(inst, rng_seed)
     objective = minmax_objective(perm, inst, kind, SetDistanceKind.MEDIAN)
     return AggregationResult(perm, objective, certificate=certificate)
@@ -241,8 +243,8 @@ def mmsp_conv(
 
 def max_weight_members(inst: Instance) -> list[tuple[int, int, Ranking]]:
     """All (class, index, member) candidates from the heaviest classes."""
-    top = set(inst.max_weight_classes())
-    return [(k, i, m) for k, i, m in inst.iter_members() if k in top]
+    top = max(cls.weight for cls in inst.classes)
+    return [(k, i, m) for k, i, m in inst.iter_members() if inst.classes[k].weight == top]
 
 
 def pick_rnd_perm(
@@ -252,7 +254,6 @@ def pick_rnd_perm(
     rng_seed=None,
 ) -> AggregationResult:
     """Uniform random member of the heaviest classes (2-approx in expectation)."""
-    kind = effective_kind(inst, kind)
     candidates = max_weight_members(inst)
     rng = generator(rng_seed)
     _, _, chosen = candidates[int(rng.integers(len(candidates)))]
@@ -319,7 +320,7 @@ def min_mmkt_conv(
     minimum set-distance; when every class holds permutations, the
     reduction guarantees a factor of 4.
     """
-    kind = _family_kind(inst, kind, DistanceKind.KENDALL_TAU)
+    kind = _family_kind(kind, DistanceKind.KENDALL_TAU)
     perm, _ = _mmkt(restrict_to_min_witnesses(inst, kind))
     return AggregationResult(
         perm, minmax_objective(perm, inst, kind, SetDistanceKind.MINIMUM))
@@ -330,7 +331,7 @@ def min_mmsp_conv(
 ) -> AggregationResult:
     """Sort-rounding on the witness-restricted instance (min set-distance);
     a factor of 4 when every class holds permutations."""
-    kind = _family_kind(inst, kind, DistanceKind.SPEARMAN_FOOTRULE)
+    kind = _family_kind(kind, DistanceKind.SPEARMAN_FOOTRULE)
     perm, _ = _mmsp(restrict_to_min_witnesses(inst, kind), rng_seed)
     return AggregationResult(
         perm, minmax_objective(perm, inst, kind, SetDistanceKind.MINIMUM))
@@ -339,7 +340,7 @@ def min_mmsp_conv(
 def median_pivot_baseline(
     inst: Instance,
     rng_seed=None,
-    kind: DistanceKind | None = None,
+    kind: DistanceKind = DistanceKind.KENDALL_TAU,
     set_kind: SetDistanceKind = SetDistanceKind.MEDIAN,
 ) -> AggregationResult:
     """Classless random-pivot quicksort on pooled majority comparisons.
@@ -347,7 +348,6 @@ def median_pivot_baseline(
     A classical median-aggregation heuristic kept as a benchmark; it offers
     no minmax guarantee.  The objective is evaluated under (kind, set_kind).
     """
-    kind = effective_kind(inst, kind or DistanceKind.KENDALL_TAU)
     # maj[x][y]: members of all classes pooled ranking x + 1 above y + 1
     maj = inst.above_counts.sum(axis=0)
     rng = generator(rng_seed)
@@ -360,14 +360,13 @@ def median_pivot_baseline(
 
 def median_footrule_matching_baseline(
     inst: Instance,
-    kind: DistanceKind | None = None,
+    kind: DistanceKind = DistanceKind.SPEARMAN_FOOTRULE,
     set_kind: SetDistanceKind = SetDistanceKind.MEDIAN,
 ) -> AggregationResult:
     """Classless footrule median via optimal element-to-position assignment.
 
     Minimizes the pooled (unweighted) footrule exactly; no minmax guarantee.
     """
-    kind = effective_kind(inst, kind or DistanceKind.SPEARMAN_FOOTRULE)
     tw, twice_ranks = inst.member_tw, 2 * np.arange(1, inst.n + 1)
     # cost[x][t - 1]: pooled |2 * position - 2t| of element x + 1 at rank t,
     # summed over member blocks whose (m, n, n) temporary stays in budget

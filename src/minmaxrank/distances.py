@@ -21,9 +21,9 @@ the least (minimum) distance to its members, times its weight; the minmax
 objective is the worst class.  ``class_cost_reduction`` is the one
 reduction from twice distances to exact scaled class costs (int64 while a
 proven bound allows, Python ints beyond it), and ``scaled_class_costs``
-applies it to one kernel call against the instance's member view.
-A permutation-only distance applied to a partial ranking, or two rankings
-over ground sets of different sizes, raise ``DistanceError``.
+applies it to one kernel call against the instance's member view.  A
+permutation-only distance (unless ``minmax_objective`` promotes it on tied
+input) on a partial ranking, or unequal ground sets, raise ``DistanceError``.
 """
 
 from __future__ import annotations
@@ -272,9 +272,13 @@ def minmax_objective(
     kind: DistanceKind,
     set_kind: SetDistanceKind,
 ) -> Fraction:
-    """max over classes of weight * set_distance -- the quantity minimized."""
-    for cls in inst.classes:
-        _check(p, cls.members[0], kind)
+    """max over classes of weight * set_distance -- the quantity minimized.
+
+    Tied input is measured by ``effective_kind(inst, kind)``.  One member
+    checks ``p``: classes share n, and only untied input needs permutations.
+    """
+    kind = effective_kind(inst, kind)
+    _check(p, inst.classes[0].members[0], kind)
     costs, scale = scaled_class_costs(twice_positions([p]), inst, kind, set_kind)
     return Fraction(int(costs.max()), scale)
 

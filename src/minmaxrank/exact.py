@@ -183,20 +183,20 @@ def brute_force(
 
 
 def relaxation_gap(inst: Instance, kind: DistanceKind, optimum: Fraction) -> float:
-    """A known median optimum over the relaxation optimum (1.0 when both are zero)."""
+    """A known median optimum over the relaxation optimum; 1.0 when the
+    optimum is 0 (exactly, so tiny weights keep their gap), inf when only
+    the relaxation is."""
     if kind.positional:
         prog = build_footrule_program(inst)
     else:
         prog = build_kendall_lp(inst)
     relaxed = solve(prog).objective
-    w = float(optimum)
-    tol = 1e-9
-    if relaxed < tol:
-        return 1.0 if w < tol else math.inf
-    return w / relaxed
+    if optimum == 0:
+        return 1.0
+    return float(optimum) / relaxed if relaxed > 0 else math.inf
 
 
-def lp_gap(inst: Instance, kind: DistanceKind, n_limit: int = 8) -> float:
-    """Exact optimum over the relaxation optimum (1.0 when both are zero)."""
-    opt = brute_force(inst, kind, SetDistanceKind.MEDIAN, n_limit=n_limit)
+def lp_gap(inst: Instance, kind: DistanceKind) -> float:
+    """Exact optimum over the relaxation optimum (1.0 when the optimum is zero)."""
+    opt = brute_force(inst, kind, SetDistanceKind.MEDIAN)
     return relaxation_gap(inst, kind, opt.value)

@@ -64,21 +64,19 @@ class LinearProgram:
     ``b_ub``, ``bounds``) only so that tests can hand a program to it as an
     independent reference; ``solve`` loads them into its own HiGHS model.
 
-    Column 0 is the epigraph variable q.  A pairwise program, one that
-    carries sigma, keeps u[b][a] of pair {a, b} at column
-    ``_pair_columns(n)``, where ``rank``, each element's place in sigma, puts
-    a first, and the float class weights ``wf`` (C, n, n); its rows are the
-    C class rows, whose ``-b_ub`` are the classes' tie shifts plus their
-    costs at sigma, and ``solve`` adds triangles.  A positional program reads
-    the positions back as u = ``positions`` @ x; its rows are the C class
-    rows.
+    Column 0 is the epigraph variable q, the one column with a cost, which
+    ``solve`` sets.  A pairwise program, one that carries sigma, keeps
+    u[b][a] of pair {a, b} at column ``_pair_columns(len(rank))``, where
+    ``rank``, each element's place in sigma, puts a first, and the float
+    class weights ``wf`` (C, n, n); its rows are the C class rows, whose
+    ``-b_ub`` are the classes' tie shifts plus their costs at sigma, and
+    ``solve`` adds triangles.  A positional program reads the positions
+    back as u = ``positions`` @ x; its rows are the C class rows.
     """
 
-    c: np.ndarray
     A_ub: csr_matrix
     b_ub: np.ndarray
     bounds: np.ndarray  # (columns, 2), +-inf where unbounded
-    n: int
     wf: np.ndarray | None = None
     rank: np.ndarray | None = None  # place in sigma; a program with sigma is pairwise
     positions: csr_matrix | None = None  # (n, columns): u = positions @ x
@@ -244,20 +242,10 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     indptr = np.r_[0, np.cumsum(mask.sum(axis=1))]
     A_ub = csr_matrix((block[mask], np.nonzero(mask)[1], indptr), shape=(num_classes, ncols))
 
-    c_vec = np.zeros(ncols)
-    c_vec[0] = 1.0
     bounds = np.zeros((ncols, 2))
     bounds[0, 1] = np.inf
     bounds[1:, 1] = 1.0
-    return LinearProgram(
-        c_vec,
-        A_ub,
-        -shifts - wf[:, b, a].sum(axis=1),
-        bounds,
-        n,
-        wf=wf,
-        rank=rank,
-    )
+    return LinearProgram(A_ub, -shifts - wf[:, b, a].sum(axis=1), bounds, wf=wf, rank=rank)
 
 
 def build_footrule_program(inst: Instance) -> LinearProgram:
@@ -348,13 +336,11 @@ def build_footrule_program(inst: Instance) -> LinearProgram:
     data[own] = away
     positions = csr_matrix((data, indices, indptr), shape=(n, ncols))
 
-    c_vec = np.zeros(ncols)
-    c_vec[0] = 1.0
     bounds = np.zeros((ncols, 2))
     bounds[0, 1] = np.inf
     bounds[1:1 + n] = anchor[:, None] / 4
     bounds[1 + n:, 1] = length
-    return LinearProgram(c_vec, A_ub, -cost_at_anchor, bounds, n, positions=positions)
+    return LinearProgram(A_ub, -cost_at_anchor, bounds, positions=positions)
 
 
 def _loaded(highs, status) -> None:
@@ -372,27 +358,28 @@ def _add_rows(highs, lower: np.ndarray, upper: np.ndarray, indptr: np.ndarray,
 def solve(lp: LinearProgram) -> FractionalSolution:
     """Solve ``lp`` on one HiGHS model and read the structured solution back out.
 
-    The model holds the columns with their bounds and the ``A_ub`` rows as
-    (-inf, b_ub].  A pairwise program (``rank`` is set) then appends a
-    ranged row for each triple one of whose triangles its optimum violates
-    and is solved again, warm from its last basis, until no triangle is
-    violated; a positional program separates nothing.  The rows come from a
-    finite set, so this ends, and the returned optimum is the optimum of the
-    program with every triangle.  Either model is solved without presolve:
-    it only slowed the first, cold Kendall solve and a footrule solve of C
-    rows, and without it HiGHS starts from every column at its lower bound,
-    sigma's order of every pair or the anchor of every position.
+    The model holds the columns with their bounds, q alone at unit cost, and
+    the ``A_ub`` rows as (-inf, b_ub].  A pairwise program (``rank`` is set)
+    then appends a ranged row for each triple one of whose triangles its
+    optimum violates and is solved again, warm from its last basis, until no
+    triangle is violated; a positional program separates nothing.  The rows
+    come from a finite set, so this ends, and the returned optimum is the
+    optimum of the program with every triangle.  Either model is solved
+    without presolve: it only slowed the first, cold Kendall solve and a
+    footrule solve of C rows, and without it HiGHS starts from every column
+    at its lower bound, sigma's order of every pair or each position's anchor.
     """
-    n = lp.n
     pairwise = lp.rank is not None
     highs = highspy._Highs()
     highs.setOptionValue("output_flag", False)
     _loaded(highs, highs.setOptionValue("presolve", "off"))
     if pairwise:
-        col = _pair_columns(n)
+        col = _pair_columns(len(lp.rank))
         later = lp.rank[:, None] > lp.rank  # u[s][t] is the column of {s, t}
     lower, upper = lp.bounds.T  # np.inf is kHighsInf
-    _loaded(highs, highs.addCols(len(lp.c), lp.c, lower, upper, 0, [], [], []))
+    cost = np.zeros(len(lp.bounds))
+    cost[0] = 1.0
+    _loaded(highs, highs.addCols(len(cost), cost, lower, upper, 0, [], [], []))
     _add_rows(highs, np.full(len(lp.b_ub), -highspy.kHighsInf), lp.b_ub,
               lp.A_ub.indptr, lp.A_ub.indices, lp.A_ub.data)
     present = np.empty(0, dtype=np.int64)  # ascending ids of the triples added

@@ -268,14 +268,6 @@ class Instance:
         """The ``member_tw`` row of each class's first member."""
         return tuple(accumulate((cls.m for cls in self.classes[:-1]), initial=0))
 
-    def max_weight(self) -> Fraction:
-        return max(cls.weight for cls in self.classes)
-
-    def max_weight_classes(self) -> tuple[int, ...]:
-        """0-based indices of the classes attaining the maximum weight."""
-        top = self.max_weight()
-        return tuple(k for k, cls in enumerate(self.classes) if cls.weight == top)
-
     @property
     def has_ties(self) -> bool:
         return any(cls.has_ties for cls in self.classes)

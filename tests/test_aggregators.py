@@ -424,6 +424,22 @@ class TestMmspConv:
             u_in_order = sol.u[[x - 1 for x in res.ranking.order()]]
             assert (np.diff(u_in_order) >= -1e-9).all()
 
+    def test_tied_bound_against_the_optimum(self):
+        # with ties the objective can pass 2 x certificate; optimum + 2 x
+        # certificate <= 3 x optimum holds (see the mmsp_conv docstring)
+        rng = generator(25)
+        above_twice = 0
+        for t in range(200):
+            inst = tied_instance(rng, n_choices=(3, 4, 5, 6, 7))
+            res = mmsp_conv(inst, rng_seed=t)
+            optimum = float(brute_force(inst, SF, MED).value)
+            objective = float(res.objective)
+            assert res.certificate <= optimum + TOL
+            assert objective <= optimum + 2 * res.certificate + TOL
+            assert objective <= 3 * optimum + TOL
+            above_twice += objective > 2 * res.certificate + TOL
+        assert above_twice > 0
+
     def test_positions_to_order_shuffles_tie_groups_by_seed(self):
         # tie groups {3, 5} and {1, 2, 4} (1-based; 1e-10 apart counts as
         # tied), separated by gaps far above 1e-9, and 6 alone after them

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import os
@@ -105,6 +106,10 @@ class TestParseInstanceFile:
             ("class=1 lambda=1 : 1 2\nclass=1 lambda=2 : 2 1\n", "inconsistent"),
             ("class=1 lambda=1 : 1 2\nclass=2 lambda=1 : 1 2 3\n", "covers"),
             ("# nothing\n", "no rankings"),
+            ("class=1 lambda=1 : 1 { } 2\n", "empty tie group"),
+            ("class=1 lambda=1 :\n", "empty ranking"),
+            ("class=1 weight=1 : 1 2\n", "expected 'class=<id> lambda=<weight> :'"),
+            ("class= lambda=1 : 1 2\n", "empty class id"),
         ],
     )
     def test_parse_errors(self, text, fragment):
@@ -244,7 +249,7 @@ def test_write_rejects_labels_that_do_not_round_trip(names, ids, message):
 
 class TestGeneOrders:
     def test_signs_stripped_and_singleton_classes(self):
-        text = "mouse\t-3 1 -2\nfrog\t2 -1 3\n"
+        text = "# comments and blank lines are skipped\n\nmouse\t-3 1 -2\n  \nfrog\t2 -1 3\n"
         parsed = parse_gene_order_file(text)
         inst = parsed.instance
         assert inst.num_classes == 2
@@ -259,6 +264,24 @@ class TestGeneOrders:
     def test_rejects_missing_tab(self):
         with pytest.raises(ParseError):
             parse_gene_order_file("bad 1 2 3\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("mouse\t1 two 3\n", "line 1: gene order must be signed integers"),
+        ("# only a comment\n\n", "line 0: no genomes in file"),
+    ], ids=["not-integers", "no-genomes"])
+    def test_parse_errors(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_gene_order_file(text)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: cli.run_algorithm("kemeny", None, None, None), ValueError,
+     "unknown algorithm 'kemeny'"),
+    (lambda: cli._positive_int("x"), argparse.ArgumentTypeError, "not an integer: 'x'"),
+], ids=["unknown-algorithm", "not-an-integer"])
+def test_rejection_names_its_fault(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 @pytest.fixture
@@ -480,9 +503,13 @@ def test_aggregate_makes_one_class_cost_call(tied_file, monkeypatch, capsys):
          "n: 3\nW: 3 (3)\noptimal: 1 2 3\n"),
         (EXTREME_FILE.format("1e20"), ["--setdist", "min", "--distance", "sf"],
          "n: 3\nW: 4 (4)\noptimal: 1 2 3\n"),
+        # the gap instance at weight 1e-10: the footrule optimum is 2e-10
+        # and its relaxation's 1e-10, so the gap is 2 at any weight
+        (GAP_FILE.replace("lambda=1", "lambda=1e-10"), ["--distance", "sf"],
+         "n: 4\nW: 1/5000000000 (2e-10)\noptimal: 1 2 3 4\nlp-gap: 2.000000\n"),
     ],
     ids=["gap", "gap-sf", "tied5-min", "eight", "eight-sf", "extreme-min",
-         "extreme-min-sf"],
+         "extreme-min-sf", "tiny-sf"],
 )
 def test_exact_golden_output(text, flags, expected, tmp_path, capsys):
     path = tmp_path / "instance.txt"
@@ -527,6 +554,7 @@ def test_exact_enumerates_once(gap_file, monkeypatch, capsys):
         ["aggregate", "--seed", "-1", "--algo", "pivot-baseline", *GENE_ARGS],
         ["exact", "--n-limit", "-1", *GENE_ARGS],
         ["exact", "--n-limit", "0", *GENE_ARGS],
+        ["benchmark", "--trials", "x"],
     ],
 )
 def test_bad_benchmark_flag_exit_2(argv, capsys):

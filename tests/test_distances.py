@@ -27,7 +27,13 @@ from minmaxrank._rng import generator
 from minmaxrank.distances import doubled_distances
 from minmaxrank.rankings import twice_positions
 
-from conftest import random_instance, random_partial_ranking, random_permutation
+from conftest import (
+    gap_instance,
+    random_instance,
+    random_partial_ranking,
+    random_permutation,
+    tied_instance,
+)
 
 ALL_KINDS = list(DistanceKind)
 
@@ -268,6 +274,41 @@ class TestMinmaxObjective:
             assert minmax_objective(
                 p, inst, kind, SetDistanceKind.MINIMUM
             ) <= minmax_objective(p, inst, kind, SetDistanceKind.MEDIAN)
+
+    @pytest.mark.parametrize("set_kind", list(SetDistanceKind))
+    @pytest.mark.parametrize("kind, general", [
+        (DistanceKind.KENDALL_TAU, DistanceKind.KEMENY),
+        (DistanceKind.SPEARMAN_FOOTRULE, DistanceKind.PARTIAL_FOOTRULE),
+    ], ids=["kt", "sf"])
+    def test_tied_input_is_measured_by_the_generalization(self, kind, general, set_kind):
+        rng = generator(22)
+        instances = [inst for inst in (tied_instance(rng) for _ in range(40)) if inst.has_ties]
+        assert len(instances) >= 20
+        for inst in instances:
+            for p in (random_permutation(rng, inst.n), random_partial_ranking(rng, inst.n)):
+                assert (minmax_objective(p, inst, kind, set_kind)
+                        == minmax_objective(p, inst, general, set_kind))
+
+
+_TIED = PartialRanking.from_buckets([{1, 2}, {3}, {4}])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: distance(_TIED, _TIED, "kt"), "unknown distance kind 'kt'"),
+    # untied input needs permutations under a permutation-only kind
+    (lambda: minmax_objective(_TIED, gap_instance(), DistanceKind.KENDALL_TAU,
+                              SetDistanceKind.MEDIAN),
+     "kendall_tau is defined on permutations only"),
+    (lambda: minmax_objective(_TIED, gap_instance(), DistanceKind.SPEARMAN_FOOTRULE,
+                              SetDistanceKind.MINIMUM),
+     "spearman_footrule is defined on permutations only"),
+    (lambda: minmax_objective(Permutation.identity(3), gap_instance(),
+                              DistanceKind.KEMENY, SetDistanceKind.MEDIAN),
+     "rankings over 3 and 4 elements"),
+], ids=["unknown-kind", "objective-partial-kt", "objective-partial-sf", "objective-size"])
+def test_inapplicable_distance_names_its_fault(call, message):
+    with pytest.raises(DistanceError, match=f"^{message}$"):
+        call()
 
 
 class TestDoubledDistances:

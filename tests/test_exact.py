@@ -258,6 +258,14 @@ class TestLpGap:
         assert lp_gap(inst, DistanceKind.KENDALL_TAU) == 1.0
         assert lp_gap(inst, DistanceKind.SPEARMAN_FOOTRULE) == 1.0
 
+    @pytest.mark.parametrize("weight", [Fraction(1, 10**6), Fraction(1, 10**10)],
+                             ids=["1e-6", "1e-10"])
+    def test_footrule_gap_holds_at_tiny_weights(self, weight):
+        # zero is read from the exact optimum, so a tiny one keeps its gap
+        inst = Instance(4, tuple(RankingClass(cls.members, weight)
+                                 for cls in gap_instance().classes))
+        assert lp_gap(inst, DistanceKind.SPEARMAN_FOOTRULE) == pytest.approx(2.0, rel=1e-6)
+
     def test_random_gaps_within_two(self, rng):
         for _ in range(15):
             inst = random_instance(rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 from fractions import Fraction
@@ -224,7 +225,7 @@ class TestKendallLP:
 
     def test_gene_sample_size(self):
         prog = build_kendall_lp(parse_gene_order_file(GENE_SAMPLE.read_text()).instance)
-        assert len(prog.c) == 1 + 630
+        assert len(prog.bounds) == 1 + 630
         assert prog.A_ub.shape == (11, 1 + 630)
         # a one-genome class costs one entry per unordered pair, plus q; the
         # pairs need no pairing rows
@@ -701,13 +702,11 @@ class TestHighsBinding:
 def free_position_program(inst: Instance, A_ub, b_ub) -> LinearProgram:
     """q >= 0, free u(h) at column 1 + h and non-negative columns after them."""
     n, ncols = inst.n, A_ub.shape[1]
-    c_vec = np.zeros(ncols)
-    c_vec[0] = 1.0
     bounds = np.zeros((ncols, 2))
     bounds[:, 1] = np.inf
     bounds[1:1 + n, 0] = -np.inf
     positions = csr_matrix((np.ones(n), 1 + np.arange(n), np.arange(n + 1)), shape=(n, ncols))
-    return LinearProgram(c_vec, A_ub, b_ub, bounds, n, positions=positions)
+    return LinearProgram(A_ub, b_ub, bounds, positions=positions)
 
 
 def slack_footrule_program(inst: Instance) -> LinearProgram:
@@ -896,7 +895,8 @@ class TestFootruleProgram:
                 if seed == "gene" else reference_instance(seed))
         prog = build_footrule_program(inst)
         sol = solve(prog)
-        res = linprog(prog.c, A_ub=prog.A_ub, b_ub=prog.b_ub, bounds=prog.bounds,
+        q_only = np.eye(1, len(prog.bounds))[0]  # solve's cost: q alone
+        res = linprog(q_only, A_ub=prog.A_ub, b_ub=prog.b_ub, bounds=prog.bounds,
                       method="highs", options={"presolve": False})
         assert res.status == 0
         assert np.allclose(sol.u, prog.positions @ res.x, rtol=0, atol=1e-9)
@@ -966,7 +966,7 @@ class TestFootruleProgram:
         n = inst.n
         # 1 and 2 are anchored halfway between their places, with a gap
         # column to each side
-        assert len(prog.c) == 1 + n + 4
+        assert len(prog.bounds) == 1 + n + 4
         assert prog.A_ub.shape[0] == 2
         sol = solve(prog)
         assert (sol.runs, sol.rows) == (1, 2)
@@ -1020,6 +1020,12 @@ class TestFootruleProgram:
             assert sol.objective <= float(w.value) + TOL
 
 
+def test_program_fields():
+    # q's unit cost and n follow from the columns and sigma, so no field holds them
+    assert [f.name for f in dataclasses.fields(LinearProgram)] == [
+        "A_ub", "b_ub", "bounds", "wf", "rank", "positions"]
+
+
 class TestSolveErrors:
     # a positional and a pairwise program share the one status mapping
     @pytest.mark.parametrize("rank", [None, np.zeros(1)], ids=["positional", "pairwise"])
@@ -1028,8 +1034,8 @@ class TestSolveErrors:
         ([[0.0]], [0.0], [-np.inf, np.inf], "Unbounded"),  # min x over free x
     ], ids=["infeasible", "unbounded"])
     def test_model_status(self, rank, A_ub, b_ub, bounds, status):
-        prog = LinearProgram(c=np.array([1.0]), A_ub=csr_matrix(A_ub), b_ub=np.array(b_ub),
-                             bounds=np.array([bounds]), n=1, rank=rank)
+        prog = LinearProgram(A_ub=csr_matrix(A_ub), b_ub=np.array(b_ub),
+                             bounds=np.array([bounds]), rank=rank)
         with pytest.raises(SolverError, match=f"^{status}$"):
             solve(prog)
 

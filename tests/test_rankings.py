@@ -13,6 +13,7 @@ from minmaxrank import (
     RankingClass,
     RankingError,
     as_partial,
+    max_weight_members,
 )
 from minmaxrank._rng import generator
 from minmaxrank.rankings import BLOCK_ELEMENTS, twice_positions
@@ -158,7 +159,7 @@ class TestClassesAndInstances:
                 (Permutation.identity(2), PartialRanking.from_buckets([{1, 2}])), 1
             )
 
-    def test_max_weight_classes(self):
+    def test_max_weight_members(self):
         inst = Instance(
             2,
             (
@@ -167,12 +168,27 @@ class TestClassesAndInstances:
                 RankingClass((Permutation.identity(2),), Fraction(2)),
             ),
         )
-        assert inst.max_weight() == 2
-        assert inst.max_weight_classes() == (0, 2)
+        assert [k for k, _, _ in max_weight_members(inst)] == [0, 2]
 
     def test_instance_size_check(self):
         with pytest.raises(RankingError):
             Instance(3, (RankingClass((Permutation.identity(2),), 1),))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Permutation((1, 2.0)), r"rank 2\.0 is not an integer"),
+    (lambda: Permutation.identity(3).rank_of(4), r"element 4 outside 1\.\.3"),
+    (lambda: Permutation.from_order([1, 3]), r"element 3 outside 1\.\.2"),
+    (lambda: Permutation.from_order([2, 2]), r"element 2 listed more than once"),
+    (lambda: PartialRanking(()), r"partial ranking must have at least one element"),
+    (lambda: RankingClass((Permutation.identity(2), Permutation.identity(3))),
+     r"members have differing ground-set sizes"),
+    (lambda: Instance(2, ()), r"instance must have at least one class"),
+], ids=["rank-not-int", "rank-of-range", "from-order-range", "from-order-repeat",
+        "empty-partial", "member-sizes", "no-classes"])
+def test_invalid_input_names_its_fault(build, message):
+    with pytest.raises(RankingError, match=f"^{message}$"):
+        build()
 
 
 class TestMemberView:
