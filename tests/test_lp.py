@@ -30,6 +30,7 @@ from minmaxrank import (
     tie_mass,
 )
 from minmaxrank import lp
+from minmaxrank.aggregators import _kendall_order
 from minmaxrank.cli import parse_gene_order_file
 from minmaxrank.lp import LinearProgram
 from minmaxrank.distances import BLOCK_ELEMENTS
@@ -697,6 +698,86 @@ class TestHighsBinding:
         highs.run()
         assert highs.getModelStatus() == HighsModelStatus.kOptimal
         assert np.allclose(highs.getSolution().col_value, [0.8, 0.1], atol=1e-9)
+
+    def test_devex_pricing_switches_on_a_solved_model(self):
+        # lp.solve switches a solved Kendall model to Devex pricing before a
+        # round of few rows; a release that renames the option or its value
+        # fails here
+        from scipy.optimize._highspy._core import (
+            HighsModelStatus,
+            HighsStatus,
+            _Highs,
+            kHighsInf,
+        )
+
+        # min x + y with -x - 2y <= -1 and x, y in [0, 1]: x = 0, y = 1/2
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        assert highs.addCols(2, np.ones(2), np.zeros(2), np.ones(2), 0, [], [], []) \
+            == HighsStatus.kOk
+        row = csr_matrix([[-1.0, -2.0]])
+        assert highs.addRows(1, np.array([-kHighsInf]), np.array([-1.0]), row.nnz,
+                             row.indptr, row.indices, row.data) == HighsStatus.kOk
+        highs.run()
+        assert highs.getModelStatus() == HighsModelStatus.kOptimal
+        assert highs.setOptionValue("simplex_dual_edge_weight_strategy", 1) == HighsStatus.kOk
+
+        # add -x <= -4/5 and solve again from that basis: x = 4/5, y = 1/10
+        row = csr_matrix([[-1.0, 0.0]])
+        assert highs.addRows(1, np.array([-kHighsInf]), np.array([-0.8]), row.nnz,
+                             row.indptr, row.indices, row.data) == HighsStatus.kOk
+        highs.run()
+        assert highs.getModelStatus() == HighsModelStatus.kOptimal
+        assert np.allclose(highs.getSolution().col_value, [0.8, 0.1], atol=1e-9)
+
+
+def default_pricing_cut_loop(prog: LinearProgram) -> tuple:
+    """Reference Kendall cut loop under HiGHS's default pricing throughout.
+
+    It loads and separates as ``solve`` does, but never switches the model's
+    dual edge weights.  Returns the optimum, u and each round's (rows held,
+    rows added).
+    """
+    highspy = lp.highspy
+    highs = highspy._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    col = lp._pair_columns(len(prog.rank))
+    later = prog.rank[:, None] > prog.rank
+    cost = np.zeros(len(prog.bounds))
+    cost[0] = 1.0
+    highs.addCols(len(cost), cost, prog.bounds[:, 0], prog.bounds[:, 1], 0, [], [], [])
+    highs.addRows(len(prog.b_ub), np.full(len(prog.b_ub), -highspy.kHighsInf), prog.b_ub,
+                  prog.A_ub.nnz, prog.A_ub.indptr, prog.A_ub.indices, prog.A_ub.data)
+    present = np.empty(0, dtype=np.int64)
+    rounds = []
+    while True:
+        highs.run()
+        assert highs.getModelStatus() == highspy.HighsModelStatus.kOptimal
+        x = np.array(highs.getSolution().col_value)
+        u = np.where(later, x[col], 1.0 - x[col])
+        np.fill_diagonal(u, 0.0)
+        new = lp._violated_triangles(u, present)
+        if not len(new):
+            break
+        rounds.append((highs.getNumRow(), len(new)))
+        lower, upper, indptr, indices, data = lp._triangle_rows(new, col, later)
+        highs.addRows(len(lower), lower, upper, len(data), indptr, indices, data)
+        present = np.sort(np.concatenate([present, new]))
+    return float((prog.A_ub @ x + x[0] - prog.b_ub).max()), u, rounds
+
+
+class TestPricingSwitch:
+    def test_little_consensus_matches_default_pricing(self):
+        # no consensus to speak of: late rounds add a few dozen rows to a
+        # model of thousands, where solve switches to Devex pricing
+        inst = sample_instance(TwoLevelConfig.create(60, 3, 10, 1.0, 1.0), (0, 0))
+        prog = build_kendall_lp(inst)
+        want, want_u, rounds = default_pricing_cut_loop(prog)
+        assert any(held >= 1000 and added * lp._DEVEX_SHARE <= held for held, added in rounds)
+        sol = solve(prog)
+        assert abs(sol.objective - want) <= 1e-9 * abs(want)
+        assert _kendall_order(sol.u, prog.wf) == _kendall_order(want_u, prog.wf)
 
 
 def free_position_program(inst: Instance, A_ub, b_ub) -> LinearProgram:
