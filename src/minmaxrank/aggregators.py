@@ -5,8 +5,9 @@ for the Kendall/Kemeny objective, sort-rounding for the footrule objective,
 the selection/reduction pair for the minimum set-distance variants, and two
 classless median baselines used for benchmarking.
 
-All randomized routines are deterministic given their seed.  Objectives in
-results are exact Fractions recomputed from the returned ranking, and the
+All randomized routines are deterministic given their seed.  Every result's
+ranking is a permutation, on tied input too.  Objectives in results are
+exact Fractions recomputed from the returned ranking, and the
 ``certificate`` (when present) is a relaxation optimum lower-bounding every
 achievable objective of the run's own problem.
 """
@@ -28,7 +29,7 @@ from .distances import (
     minmax_objective,
     scaled_class_costs,
 )
-from .lp import build_footrule_program, build_kendall_lp, solve
+from .lp import build_footrule_program, build_kendall_lp, sigma_rank, solve
 from .rankings import Instance, Permutation, Ranking, RankingClass, twice_positions
 from ._rng import generator
 
@@ -38,7 +39,7 @@ _TIE_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class AggregationResult:
-    ranking: Ranking
+    ranking: Permutation
     objective: Fraction
     certificate: float | None = None
 
@@ -149,9 +150,9 @@ def pivot_rounding(
 
 
 def _family_kind(kind: DistanceKind | None, default: DistanceKind) -> DistanceKind:
-    """``kind`` (``default`` for None) if of default's family; unpromoted."""
+    """``kind`` if it is ``default``, which None stands for."""
     kind = kind or default
-    if kind.positional != default.positional:
+    if kind is not default:
         family = "footrule" if default.positional else "Kendall"
         raise DistanceError(f"{kind} is not a {family}-type distance")
     return kind
@@ -247,17 +248,35 @@ def max_weight_members(inst: Instance) -> list[tuple[int, int, Ranking]]:
     return [(k, i, m) for k, i, m in inst.iter_members() if inst.classes[k].weight == top]
 
 
+def _selected(inst: Instance, member: Ranking, kind: DistanceKind,
+              set_kind: SetDistanceKind, objective: Fraction | None = None
+              ) -> AggregationResult:
+    """A selected member, with ``objective`` if known, as a result.
+
+    A partial ranking's objective can fall below every permutation's, so a
+    tied member is refined to a permutation, each bucket in the order of
+    ``lp.sigma_rank``, and its objective recomputed.
+    """
+    if not isinstance(member, Permutation):
+        order = np.lexsort((sigma_rank(inst), twice_positions([member])[0]))
+        member, objective = Permutation.from_order((order + 1).tolist()), None
+    if objective is None:
+        objective = minmax_objective(member, inst, kind, set_kind)
+    return AggregationResult(member, objective)
+
+
 def pick_rnd_perm(
     inst: Instance,
     kind: DistanceKind,
     set_kind: SetDistanceKind,
     rng_seed=None,
 ) -> AggregationResult:
-    """Uniform random member of the heaviest classes (2-approx in expectation)."""
+    """Uniform random member of the heaviest classes, refined to a
+    permutation if tied (2-approx in expectation for permutation classes)."""
     candidates = max_weight_members(inst)
     rng = generator(rng_seed)
     _, _, chosen = candidates[int(rng.integers(len(candidates)))]
-    return AggregationResult(chosen, minmax_objective(chosen, inst, kind, set_kind))
+    return _selected(inst, chosen, kind, set_kind)
 
 
 def _best_member(inst: Instance, candidates: list, kind: DistanceKind,
@@ -273,22 +292,23 @@ def _best_member(inst: Instance, candidates: list, kind: DistanceKind,
 def pick_opt_perm(
     inst: Instance, kind: DistanceKind, set_kind: SetDistanceKind
 ) -> AggregationResult:
-    """Best member of the heaviest classes; ties keep the first (class, index)."""
+    """Best member of the heaviest classes, refined to a permutation if tied;
+    ties keep the first (class, index)."""
     (_, _, best), obj = _best_member(inst, max_weight_members(inst), kind, set_kind)
-    return AggregationResult(best, obj)
+    return _selected(inst, best, kind, set_kind, obj)
 
 
 def min_pick_perm(inst: Instance, kind: DistanceKind) -> AggregationResult:
-    """Member selection for the minimum set-distance problem (2-approx when
-    every class holds permutations; a tied member is no permutation).
+    """Member selection for the minimum set-distance problem, refined to a
+    permutation if tied (2-approx when every class holds permutations).
 
     Ties keep the first (class, index).  A member's own class costs it 0,
-    so with a single class every member is optimal and the first is returned.
+    so with one class of permutations the first member is returned.
     """
     (_, _, member), objective = _best_member(
         inst, list(inst.iter_members()), kind, SetDistanceKind.MINIMUM
     )
-    return AggregationResult(member, objective)
+    return _selected(inst, member, kind, SetDistanceKind.MINIMUM, objective)
 
 
 def restrict_to_min_witnesses(inst: Instance, kind: DistanceKind) -> Instance:

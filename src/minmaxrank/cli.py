@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import aggregators, exact, lp
-from .distances import DistanceKind, SetDistanceKind, effective_kind, scaled_class_costs
+from .distances import DistanceKind, SetDistanceKind, scaled_class_costs
 from .mallows import TwoLevelConfig, sample_instance
 from .rankings import (
     Instance,
@@ -347,7 +347,6 @@ def cmd_aggregate(args) -> int:
     kind = _DISTANCES[args.distance]
     set_kind = _SET_DISTANCES[args.setdist]
     result = run_algorithm(args.algo, inst, kind, set_kind, args.seed)
-    kind = effective_kind(inst, kind)
     print(f"algorithm: {args.algo}")
     print(f"distance: {kind.value}  setdist: {set_kind.value}")
     print("ranking: " + _format_ranking(result.ranking, parsed.element_names))

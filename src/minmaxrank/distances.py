@@ -1,29 +1,28 @@
 """Pairwise and rank-set distances, and the minmax objective.
 
-Four pairwise distances are supported:
+Two distances are supported, each on permutations and partial rankings
+alike:
 
-* Kendall tau -- pairwise inversions between two permutations (equivalently
-  the minimum number of adjacent transpositions).
-* Spearman footrule -- sum of absolute rank differences.
-* Kemeny -- Kendall tau generalized to partial rankings: oppositely ordered
-  pairs count 1, pairs tied in exactly one of the two rankings count 1/2.
-* Partial footrule -- footrule over fractional tie positions.
+* Kendall tau -- pairs ordered oppositely count 1; on partial rankings,
+  Kemeny's generalization also counts a pair tied in exactly one of the two
+  rankings 1/2.
+* Spearman footrule -- the sum of absolute rank differences; on partial
+  rankings, the partial footrule over fractional tie positions.
 
-All four are computed by one exact integer kernel, ``doubled_distances``:
-twice each distance is an L1 distance between rows of twice-positions
-(footrule) or of pair signs (Kemeny, counting tied-in-one pairs as 1/2 as
-in Fagin et al., "Comparing and aggregating rankings with ties", PODS 2004).
-The footrule is summed as a broadcast; the pair-sign L1 distance is taken
-as an inner product of lifted sign rows, one float64 product per block.
-Values are exact: integers for the permutation distances, half-integer
-Fractions for the partial-ranking ones.  A class costs the mean (median) or
-the least (minimum) distance to its members, times its weight; the minmax
-objective is the worst class.  ``class_cost_reduction`` is the one
-reduction from twice distances to exact scaled class costs (int64 while a
-proven bound allows, Python ints beyond it), and ``scaled_class_costs``
-applies it to one kernel call against the instance's member view.  A
-permutation-only distance (unless ``minmax_objective`` promotes it on tied
-input) on a partial ranking, or unequal ground sets, raise ``DistanceError``.
+Both generalizations are those of Fagin et al., "Comparing and aggregating
+rankings with ties" (PODS 2004), and equal the plain distances on
+permutations.  One exact integer kernel, ``doubled_distances``, computes
+either: twice a distance is an L1 distance between rows of twice-positions
+(footrule) or of pair signs (Kendall tau).  The footrule is summed as a
+broadcast; the pair-sign L1 distance is taken as an inner product of lifted
+sign rows, one float64 product per block.  Values are exact half-integer
+Fractions.  A class costs the mean (median) or the least (minimum) distance
+to its members, times its weight; the minmax objective is the worst class.
+``class_cost_reduction`` is the one reduction from twice distances to exact
+scaled class costs (int64 while a proven bound allows, Python ints beyond
+it), and ``scaled_class_costs`` applies it to one kernel call against the
+instance's member view.  Rankings over unequal ground sets raise
+``DistanceError``.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import numpy as np
 from .rankings import (
     BLOCK_ELEMENTS,
     Instance,
-    Permutation,
     Ranking,
     RankingClass,
     twice_positions,
@@ -52,15 +50,22 @@ class DistanceError(ValueError):
 
 
 class DistanceKind(Enum):
+    """The two distance families, each measuring partial rankings too.
+
+    ``KEMENY`` and ``PARTIAL_FOOTRULE`` are aliases of ``KENDALL_TAU`` and
+    ``SPEARMAN_FOOTRULE`` (the same members), kept because the benchmark's
+    ``oracle-ties`` workload names them.
+    """
+
     KENDALL_TAU = "kendall-tau"
     SPEARMAN_FOOTRULE = "spearman-footrule"
-    KEMENY = "kemeny"
-    PARTIAL_FOOTRULE = "partial-footrule"
+    KEMENY = "kendall-tau"
+    PARTIAL_FOOTRULE = "spearman-footrule"
 
     @property
     def positional(self) -> bool:
-        """True for the footrule-type distances."""
-        return self in (DistanceKind.SPEARMAN_FOOTRULE, DistanceKind.PARTIAL_FOOTRULE)
+        """True for the footrule."""
+        return self is DistanceKind.SPEARMAN_FOOTRULE
 
 
 class SetDistanceKind(Enum):
@@ -68,17 +73,7 @@ class SetDistanceKind(Enum):
     MINIMUM = "minimum"
 
 
-#: distances defined on permutations only, by function name
-_PERMUTATION_ONLY = {
-    DistanceKind.KENDALL_TAU: "kendall_tau",
-    DistanceKind.SPEARMAN_FOOTRULE: "spearman_footrule",
-}
-
-
-def _check(p: Ranking, q: Ranking, kind: DistanceKind) -> None:
-    name = _PERMUTATION_ONLY.get(kind)
-    if name and not (isinstance(p, Permutation) and isinstance(q, Permutation)):
-        raise DistanceError(f"{name} is defined on permutations only")
+def _check(p: Ranking, q: Ranking) -> None:
     if p.n != q.n:
         raise DistanceError(f"rankings over {p.n} and {q.n} elements")
 
@@ -108,7 +103,7 @@ def doubled_distances(p: np.ndarray, q: np.ndarray, positional: bool) -> np.ndar
 
     ``p`` and ``q`` are twice-position arrays (``rankings.twice_positions``).
     Twice the footrule is the L1 distance between them, summed as a
-    broadcast.  Twice the Kemeny distance is the L1 distance between their
+    broadcast.  Twice the Kendall tau is the L1 distance between their
     pair signs, since an opposite pair differs by 2 and a pair tied in
     exactly one ranking by 1.  For signs a, b in {-1, 0, 1},
     |a - b| = |a| + |b| - (ab + |a||b|), so that is
@@ -154,46 +149,13 @@ def _lift(signs: np.ndarray) -> np.ndarray:
     return np.concatenate([signs, np.abs(signs)], axis=1, dtype=np.float64)
 
 
-def _doubled(p: Ranking, q: Ranking, kind: DistanceKind) -> int:
-    _check(p, q, kind)
+def distance(p: Ranking, q: Ranking, kind: DistanceKind) -> Fraction:
+    """The distance of ``kind`` between two rankings over one ground set."""
+    if not isinstance(kind, DistanceKind):
+        raise DistanceError(f"unknown distance kind {kind!r}")
+    _check(p, q)
     d2 = doubled_distances(twice_positions([p]), twice_positions([q]), kind.positional)
-    return int(d2[0, 0])
-
-
-def kendall_tau(p: Permutation, q: Permutation) -> int:
-    """Number of element pairs ordered oppositely by p and q."""
-    return _doubled(p, q, DistanceKind.KENDALL_TAU) // 2
-
-
-def spearman_footrule(p: Permutation, q: Permutation) -> int:
-    """Sum over elements of the absolute rank difference."""
-    return _doubled(p, q, DistanceKind.SPEARMAN_FOOTRULE) // 2
-
-
-def kemeny(p: Ranking, q: Ranking) -> Fraction:
-    """Kendall tau on partial rankings; tied-in-one pairs count 1/2.
-
-    On total orders this equals ``kendall_tau`` exactly.
-    """
-    return Fraction(_doubled(p, q, DistanceKind.KEMENY), 2)
-
-
-def partial_footrule(p: Ranking, q: Ranking) -> Fraction:
-    """Footrule over fractional positions; permutations auto-promote."""
-    return Fraction(_doubled(p, q, DistanceKind.PARTIAL_FOOTRULE), 2)
-
-
-def distance(p: Ranking, q: Ranking, kind: DistanceKind):
-    """Dispatch on DistanceKind; see the individual distance functions."""
-    if kind is DistanceKind.KENDALL_TAU:
-        return kendall_tau(p, q)
-    if kind is DistanceKind.SPEARMAN_FOOTRULE:
-        return spearman_footrule(p, q)
-    if kind is DistanceKind.KEMENY:
-        return kemeny(p, q)
-    if kind is DistanceKind.PARTIAL_FOOTRULE:
-        return partial_footrule(p, q)
-    raise DistanceError(f"unknown distance kind {kind!r}")
+    return Fraction(int(d2[0, 0]), 2)
 
 
 def set_distance(
@@ -221,7 +183,7 @@ def class_cost_reduction(
     weight / 2m (median) or weight / 2 (minimum) that turn twice the
     distances into costs.
 
-    Twice any of the four distances is at most n²: Kemeny counts at most 2
+    Twice either distance is at most n²: Kendall tau counts at most 2
     per pair, and each twice-position row lies within floor(n²/2) of
     n + 1 in L1 (ties average ranks, and |.| is convex).  So a scaled class
     cost is at most n² · max m · max integer factor.  Below 2**63 the costs
@@ -274,21 +236,8 @@ def minmax_objective(
 ) -> Fraction:
     """max over classes of weight * set_distance -- the quantity minimized.
 
-    Tied input is measured by ``effective_kind(inst, kind)``.  One member
-    checks ``p``: classes share n, and only untied input needs permutations.
+    One member checks ``p``'s size: classes share n.
     """
-    kind = effective_kind(inst, kind)
-    _check(p, inst.classes[0].members[0], kind)
+    _check(p, inst.classes[0].members[0])
     costs, scale = scaled_class_costs(twice_positions([p]), inst, kind, set_kind)
     return Fraction(int(costs.max()), scale)
-
-
-def effective_kind(inst: Instance, kind: DistanceKind) -> DistanceKind:
-    """Promote a permutation-only distance when the instance carries ties."""
-    if not inst.has_ties:
-        return kind
-    if kind is DistanceKind.KENDALL_TAU:
-        return DistanceKind.KEMENY
-    if kind is DistanceKind.SPEARMAN_FOOTRULE:
-        return DistanceKind.PARTIAL_FOOTRULE
-    return kind

@@ -211,6 +211,16 @@ def _violated_triangles(u: np.ndarray, present: np.ndarray) -> np.ndarray:
     return ids[np.searchsorted(present, ids) == np.searchsorted(present, ids, side="right")]
 
 
+def sigma_rank(inst: Instance) -> np.ndarray:
+    """Each element's place in sigma: descending pooled weighted wins
+    sum_k sum_y (w[k][x][y] - w[k][y][x]), ties by id; summed from integer
+    net wins, so that equal ones stay equal."""
+    net = inst.above_counts.sum(axis=2) - inst.above_counts.sum(axis=1)
+    wins = sum(k_net * (cls.weight.numerator / (cls.weight.denominator * cls.m))
+               for k_net, cls in zip(net, inst.classes))
+    return np.argsort(np.argsort(-wins, kind="stable"))
+
+
 def build_kendall_lp(inst: Instance) -> LinearProgram:
     """The pairwise-order relaxation of minmax Kendall/Kemeny aggregation.
 
@@ -231,13 +241,7 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     shifts = np.array(
         [float(cls.weight * t / 2) for t, cls in zip(ties, inst.classes)]
     )
-    # sigma: descending pooled weighted wins sum_k sum_y (w[k][x][y] - w[k][y][x]),
-    # ties by id; summed from integer net wins, so that equal ones stay equal
-    net = inst.above_counts.sum(axis=2) - inst.above_counts.sum(axis=1)
-    wins = sum(k_net * (cls.weight.numerator / (cls.weight.denominator * cls.m))
-               for k_net, cls in zip(net, inst.classes))
-    rank = np.empty(n, dtype=np.intp)
-    rank[np.argsort(-wins, kind="stable")] = np.arange(n)
+    rank = sigma_rank(inst)
     lo, hi = np.triu_indices(n, 1)  # pairs in combinations order
     swap = rank[lo] > rank[hi]
     a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)

@@ -212,10 +212,6 @@ class RankingClass:
     def n(self) -> int:
         return self.members[0].n
 
-    @property
-    def has_ties(self) -> bool:
-        return isinstance(self.members[0], PartialRanking)
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -267,10 +263,6 @@ class Instance:
     def class_starts(self) -> tuple[int, ...]:
         """The ``member_tw`` row of each class's first member."""
         return tuple(accumulate((cls.m for cls in self.classes[:-1]), initial=0))
-
-    @property
-    def has_ties(self) -> bool:
-        return any(cls.has_ties for cls in self.classes)
 
     def iter_members(self) -> Iterator[tuple[int, int, Ranking]]:
         """Yield (class index, member index, ranking) over all members."""

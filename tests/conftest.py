@@ -51,6 +51,11 @@ def tied_instance(rng, **kwargs) -> Instance:
     return random_instance(rng, allow_ties=True, **kwargs)
 
 
+def has_ties(inst: Instance) -> bool:
+    """Whether any class of ``inst`` holds partial rankings."""
+    return any(isinstance(member, PartialRanking) for _, _, member in inst.iter_members())
+
+
 def gap_instance() -> Instance:
     """Two one-member classes over n = 4 that disagree on one pair."""
     return Instance(

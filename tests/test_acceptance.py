@@ -30,8 +30,6 @@ from conftest import random_instance, random_partial_ranking, random_permutation
 
 KT = DistanceKind.KENDALL_TAU
 SF = DistanceKind.SPEARMAN_FOOTRULE
-KEM = DistanceKind.KEMENY
-PRS = DistanceKind.PARTIAL_FOOTRULE
 MED = SetDistanceKind.MEDIAN
 MIN = SetDistanceKind.MINIMUM
 
@@ -144,12 +142,13 @@ def test_criterion_5_distance_properties():
     for _ in range(10000):
         n = int(rng.integers(2, 21))
         p, q = random_permutation(rng, n), random_permutation(rng, n)
-        dt, ds = mr.kendall_tau(p, q), mr.spearman_footrule(p, q)
-        assert 0 <= dt == mr.kendall_tau(q, p)
-        assert 0 <= ds == mr.spearman_footrule(q, p)
-        assert mr.kendall_tau(p, p) == 0 and mr.spearman_footrule(p, p) == 0
+        dt, ds = mr.distance(p, q, KT), mr.distance(p, q, SF)
+        assert 0 <= dt == mr.distance(q, p, KT)
+        assert 0 <= ds == mr.distance(q, p, SF)
+        assert mr.distance(p, p, KT) == 0 and mr.distance(p, p, SF) == 0
         assert dt <= ds <= 2 * dt
-    # triangle inequality over all four distances: random triples, n <= 12
+    # triangle inequality over both distances, on permutations and on
+    # partial rankings: random triples, n <= 12
     for _ in range(2500):
         n = int(rng.integers(2, 13))
         for kind in (KT, SF):
@@ -157,17 +156,17 @@ def test_criterion_5_distance_properties():
             assert mr.distance(a, b, kind) <= (
                 mr.distance(a, c, kind) + mr.distance(c, b, kind)
             )
-        for kind in (KEM, PRS):
+        for kind in (KT, SF):
             a, b, c = (random_partial_ranking(rng, n) for _ in range(3))
             dab, dba = mr.distance(a, b, kind), mr.distance(b, a, kind)
             assert dab >= 0 and dab == dba
             assert dab <= mr.distance(a, c, kind) + mr.distance(c, b, kind)
-    # exact agreement on total orders
+    # exact agreement on total orders, as permutations or as partial rankings
     for _ in range(1000):
         n = int(rng.integers(1, 15))
         p, q = random_permutation(rng, n), random_permutation(rng, n)
-        assert mr.kemeny(p, q) == mr.kendall_tau(p, q)
-        assert mr.partial_footrule(p, q) == mr.spearman_footrule(p, q)
+        for kind in (KT, SF):
+            assert mr.distance(p.to_partial(), q.to_partial(), kind) == mr.distance(p, q, kind)
     _passed("criterion 5 (pseudometric axioms, Diaconis-Graham, total-order agreement)")
 
 
@@ -184,7 +183,7 @@ def test_criterion_6_mallows_sampler():
         z *= (1.0 - phi**i) / (1.0 - phi)
     tv = 0.0
     for ranks in permutations(range(1, n + 1)):
-        d = mr.kendall_tau(mr.Permutation(ranks), mr.Permutation.identity(n))
+        d = int(mr.distance(mr.Permutation(ranks), mr.Permutation.identity(n), KT))
         tv += abs(counts.get(ranks, 0) / samples - phi**d / z)
     tv /= 2
     assert tv < 0.01

@@ -17,10 +17,10 @@ from minmaxrank import (
     Permutation,
     RankingClass,
     SetDistanceKind,
+    as_partial,
     brute_force,
     build_footrule_program,
     build_kendall_lp,
-    effective_kind,
     max_weight_members,
     median_footrule_matching_baseline,
     median_pivot_baseline,
@@ -300,9 +300,7 @@ class TestMmktConv:
             ),
         )
         res = mmkt_conv(inst)
-        assert res.objective == minmax_objective(
-            res.ranking, inst, DistanceKind.KEMENY, MED
-        )
+        assert res.objective == minmax_objective(res.ranking, inst, KT, MED)
         assert float(res.objective) <= 2 * res.certificate + TOL
 
     def test_rejects_footrule_kind(self):
@@ -525,6 +523,21 @@ def reference_objective(p, inst, kind, set_kind, skip=None):
     )
 
 
+def refined(member, inst):
+    """``member`` itself if a permutation; else its buckets each ordered by
+    descending pooled weighted wins, then id, counted in Fractions."""
+    if isinstance(member, Permutation):
+        return member
+    elements = range(1, inst.n + 1)
+    wins = {x: sum(
+        cls.weight / cls.m * sum((r.position(y) > r.position(x)) - (r.position(y) < r.position(x))
+                                 for y in elements)
+        for cls in inst.classes for r in map(as_partial, cls.members)
+    ) for x in elements}
+    return Permutation.from_order(
+        sorted(elements, key=lambda x: (member.position(x), -wins[x], x)))
+
+
 @pytest.mark.parametrize("set_kind", [MED, MIN])
 @pytest.mark.parametrize("family", [KT, SF])
 @pytest.mark.parametrize("ties", [False, True])
@@ -536,29 +549,37 @@ def test_objective_and_picks_match_set_distance_reference(ties, family, set_kind
             m_choices=(1, 2, 3, 4), allow_ties=ties,
             weight_choices=(Fraction(1, 3), Fraction(7, 5), Fraction(0.1)),
         )
-        kind = effective_kind(inst, family)
+        kind = family
         members = list(inst.iter_members())
         for p in [m for _, _, m in members] + [random_permutation(rng, inst.n)]:
             assert minmax_objective(p, inst, kind, set_kind) == reference_objective(
                 p, inst, kind, set_kind
             )
 
-        # pick-opt: the first heaviest-class member of least objective
+        # pick-opt: the first heaviest-class member of least objective,
+        # refined if tied
         candidates = max_weight_members(inst)
         scores = [
             reference_objective(m, inst, kind, set_kind) for _, _, m in candidates
         ]
+        best = candidates[scores.index(min(scores))][2]
         res = pick_opt_perm(inst, family, set_kind)
-        assert res.ranking is candidates[scores.index(min(scores))][2]
-        assert res.objective == min(scores)
+        assert res.ranking == refined(best, inst)
+        assert res.objective == reference_objective(res.ranking, inst, kind, set_kind)
+        if best is res.ranking:
+            assert res.objective == min(scores)
 
-        # min-pick: the first member of least score over the other classes
+        # min-pick: the first member of least score over the other classes,
+        # refined if tied
         scores = [
             reference_objective(m, inst, kind, MIN, skip=k) for k, _, m in members
         ]
+        best = members[scores.index(min(scores))][2]
         res = min_pick_perm(inst, family)
-        assert res.ranking is members[scores.index(min(scores))][2]
-        assert res.objective == min(scores)
+        assert res.ranking == refined(best, inst)
+        assert res.objective == reference_objective(res.ranking, inst, kind, MIN)
+        if best is res.ranking:
+            assert res.objective == min(scores)
 
 
 class TestMinPick:
@@ -684,14 +705,14 @@ class TestDegenerateSizes:
         inst = DEGENERATE[name]
         for algo, family in ((mmkt_conv, KT), (mmsp_conv, SF)):
             res = algo(inst)
-            optimum = brute_force(inst, effective_kind(inst, family), MED).value
+            optimum = brute_force(inst, family, MED).value
             assert res.certificate <= optimum + 1e-9
             assert res.objective <= 2 * res.certificate + 1e-9
 
     def test_min_variants_within_four(self, name):
         inst = DEGENERATE[name]
         for algo, family in ((min_mmkt_conv, KT), (min_mmsp_conv, SF)):
-            optimum = brute_force(inst, effective_kind(inst, family), MIN).value
+            optimum = brute_force(inst, family, MIN).value
             assert algo(inst).objective <= 4 * optimum
 
 
@@ -787,10 +808,12 @@ def test_bounds_hold_for_permutation_classes_only():
         PartialRanking.from_buckets([{1, 2, 3, 4, 5}]),
         PartialRanking.from_buckets([{3}, {5}, {1, 2}, {4}]),
     ), Fraction(3, 2)),))
-    # min-pick anchors on the all-tied member, which is no permutation
+    # min-pick selects the all-tied member (objective 0, below every
+    # permutation's) and refines it by pooled wins, which here order it as
+    # the other member does, ties by id: an optimum
     pick = min_pick_perm(tied, KT)
-    assert pick.ranking == tied.classes[0].members[0] and pick.objective == 0
-    assert brute_force(tied, KT, MIN).value == Fraction(3, 4)
+    assert pick.ranking == Permutation.from_order([3, 5, 1, 2, 4])
+    assert pick.objective == brute_force(tied, KT, MIN).value == Fraction(3, 4)
     # 27/4 (9x) before the Kendall program took one column per pair; its
     # optimal vertex moved, and the rounding with it
     assert min_mmkt_conv(tied).objective == Fraction(15, 2)  # 10x

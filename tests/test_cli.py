@@ -10,18 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import minmaxrank
 from minmaxrank import cli, mallows
 from minmaxrank import (
-    DistanceKind,
     Instance,
     PartialRanking,
     Permutation,
     RankingClass,
     as_partial,
-    effective_kind,
+    brute_force,
+    minmax_objective,
     set_distance,
 )
 from minmaxrank.cli import (
@@ -36,7 +36,7 @@ from minmaxrank.cli import (
 from minmaxrank.distances import scaled_class_costs
 from minmaxrank._rng import generator
 
-from conftest import random_instance
+from conftest import random_instance, tied_instance
 
 GAP_FILE = """\
 # the two-class integrality-gap instance
@@ -371,8 +371,8 @@ def tied_file(tmp_path):
     return str(path)
 
 
-_TIED_KEMENY_REPORT = """\
-distance: kemeny  setdist: median
+_TIED_KENDALL_REPORT = """\
+distance: kendall-tau  setdist: median
 ranking: z y x w
 objective: 5/2 (2.5)
 class 1: weight=0.5 cost=5 (5) weighted=5/2 (2.5)
@@ -383,18 +383,22 @@ class 2: weight=2.0 cost=0 (0) weighted=0 (0)
 @pytest.mark.parametrize(
     "flags, expected",
     [
-        (["--algo", "mmkt"],
-         "algorithm: mmkt\n" + _TIED_KEMENY_REPORT + "certificate: 2.068966\n"),
-        (["--algo", "min-mmsp", "--distance", "sf", "--setdist", "min"],
-         "algorithm: min-mmsp\n"
-         "distance: partial-footrule  setdist: minimum\n"
-         # z x y w, with the same class costs, before the footrule program
-         # took its segment form and HiGHS ended on another optimal vertex
-         "ranking: z y w x\n"
-         "objective: 4 (4)\n"
-         "class 1: weight=0.5 cost=6 (6) weighted=3 (3)\n"
-         "class 2: weight=2.0 cost=2 (2) weighted=4 (4)\n"),
-        (["--algo", "pick-opt"], "algorithm: pick-opt\n" + _TIED_KEMENY_REPORT),
+        pytest.param(["--algo", "mmkt"],
+                     "algorithm: mmkt\n" + _TIED_KENDALL_REPORT + "certificate: 2.068966\n",
+                     id="tied-mmkt"),
+        pytest.param(
+            ["--algo", "min-mmsp", "--distance", "sf", "--setdist", "min"],
+            "algorithm: min-mmsp\n"
+            "distance: spearman-footrule  setdist: minimum\n"
+            # z x y w, with the same class costs, before the footrule program
+            # took its segment form and HiGHS ended on another optimal vertex
+            "ranking: z y w x\n"
+            "objective: 4 (4)\n"
+            "class 1: weight=0.5 cost=6 (6) weighted=3 (3)\n"
+            "class 2: weight=2.0 cost=2 (2) weighted=4 (4)\n",
+            id="tied-min-mmsp"),
+        pytest.param(["--algo", "pick-opt"], "algorithm: pick-opt\n" + _TIED_KENDALL_REPORT,
+                     id="tied-pick-opt"),
         # the gene-order sample names its own file, and each listed line
         # must be a whole line of the report
         pytest.param([*GENE_ARGS, "--algo", "mmkt"],
@@ -455,7 +459,7 @@ def test_aggregate_class_lines_match_set_distance(tmp_path, capsys):
             ranking = parse_instance_file(
                 f"{header}\nclass=r lambda=1 : {ranking_text}\n"
             ).instance.classes[0].members[0]
-            kind = effective_kind(inst, cli._DISTANCES[dist])
+            kind = cli._DISTANCES[dist]
             set_kind = cli._SET_DISTANCES[setdist]
             expected = []
             for k, cls in enumerate(inst.classes, start=1):
@@ -592,26 +596,25 @@ def test_extreme_lambda_exits_with_message(argv, weight, code, tmp_path, capsys)
         assert captured.err == "error: Model error\n"
 
 
-def test_tied_instances_run_the_same_under_promoted_kinds():
-    # on tied input kt and sf are promoted to Kemeny and partial footrule,
-    # so passing either name gives the same run
-    rng = generator(14)
-    instances = []
-    while len(instances) < 10:
-        inst = random_instance(rng, allow_ties=True)
-        if inst.has_ties:
-            instances.append(inst)
-    promoted = {"kt": DistanceKind.KEMENY, "sf": DistanceKind.PARTIAL_FOOTRULE}
-    for i, inst in enumerate(instances):
-        for algo, need in cli._ALGORITHMS.items():
-            for dist, setdist in itertools.product(cli._DISTANCES, cli._SET_DISTANCES):
-                if need.distance not in (None, dist) or need.setdist not in (None, setdist):
-                    continue
-                set_kind = cli._SET_DISTANCES[setdist]
-                plain = cli.run_algorithm(algo, inst, cli._DISTANCES[dist], set_kind, i)
-                tied = cli.run_algorithm(algo, inst, promoted[dist], set_kind, i)
-                assert (plain.ranking, plain.objective) == (tied.ranking, tied.objective), (
-                    i, algo, dist, setdist)
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_every_algorithm_returns_a_permutation_on_tied_input(seed):
+    # a selection that returned a tied member could score below every
+    # permutation, so each result must be a permutation that the exact
+    # optimum lower-bounds
+    inst = tied_instance(generator(seed), n_choices=range(2, 8), c_choices=(1, 2, 3))
+    optima = {}
+    for algo, need in cli._ALGORITHMS.items():
+        for dist, setdist in itertools.product(cli._DISTANCES, cli._SET_DISTANCES):
+            if need.distance not in (None, dist) or need.setdist not in (None, setdist):
+                continue
+            kind, set_kind = cli._DISTANCES[dist], cli._SET_DISTANCES[setdist]
+            if (kind, set_kind) not in optima:
+                optima[kind, set_kind] = brute_force(inst, kind, set_kind).value
+            result = cli.run_algorithm(algo, inst, kind, set_kind, seed)
+            assert isinstance(result.ranking, Permutation), (algo, dist, setdist)
+            assert result.objective == minmax_objective(result.ranking, inst, kind, set_kind)
+            assert result.objective >= optima[kind, set_kind], (algo, dist, setdist)
 
 
 @pytest.mark.parametrize("weights, dtype", [
@@ -633,7 +636,7 @@ def test_fractions_take_python_int_numerators(weights, dtype):
             for dist, setdist in itertools.product(cli._DISTANCES, cli._SET_DISTANCES):
                 if need.distance not in (None, dist) or need.setdist not in (None, setdist):
                     continue
-                kind = effective_kind(inst, cli._DISTANCES[dist])
+                kind = cli._DISTANCES[dist]
                 set_kind = cli._SET_DISTANCES[setdist]
                 costs, _ = scaled_class_costs(inst.member_tw, inst, kind, set_kind)
                 assert costs.dtype == dtype

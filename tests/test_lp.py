@@ -40,6 +40,7 @@ from minmaxrank._rng import generator
 
 from conftest import (
     gap_instance,
+    has_ties,
     random_instance,
     random_partial_ranking,
     random_permutation,
@@ -964,7 +965,7 @@ class TestFootruleProgram:
             inst = reference_instance(seed)
             sizes |= {cls.m for cls in inst.classes}
             weights |= {cls.weight for cls in inst.classes}
-            tied += inst.has_ties
+            tied += has_ties(inst)
         assert sizes == {1, 2, 5}
         assert weights == set(REFERENCE_WEIGHTS)
         assert tied >= 10

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from minmaxrank import (
+    DistanceKind,
     Permutation,
     TwoLevelConfig,
-    kendall_tau,
+    distance,
     sample_instance,
     sample_mallows,
 )
 from minmaxrank._rng import generator
+
+KT = DistanceKind.KENDALL_TAU
 
 
 def exact_mallows_law(n, phi):
@@ -22,7 +25,7 @@ def exact_mallows_law(n, phi):
         z *= float(i) if phi == 1.0 else (1.0 - phi**i) / (1.0 - phi)
     ident = Permutation.identity(n)
     return {
-        ranks: phi ** kendall_tau(Permutation(ranks), ident) / z
+        ranks: phi ** int(distance(Permutation(ranks), ident, KT)) / z
         for ranks in permutations(range(1, n + 1))
     }
 
@@ -87,7 +90,8 @@ class TestSampleMallows:
         for phi in (0.3, 0.6, 0.9):
             rng = generator(11)
             total = sum(
-                kendall_tau(sample_mallows(phi, ident, rng), ident) for _ in range(10000)
+                int(distance(sample_mallows(phi, ident, rng), ident, KT))
+                for _ in range(10000)
             )
             means.append(total / 10000)
         assert means[0] < means[1] < means[2]
