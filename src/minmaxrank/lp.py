@@ -9,11 +9,15 @@ Two programs are built here:
   weight*T_k/2).  Pair {a, b} keeps u[b][a] = 1 - u[a][b], a first in sigma
   (descending pooled weighted wins): HiGHS leaves nonbasic columns at their
   lower bound, sigma's side, which steers the vertex it ends on and so the
-  rounding.  ``solve`` adds a ranged row per triple whose triangle its
-  optima violate as a cut, re-solving from the last basis.  Separation
-  checks only the triples through pairs that u leaves unsettled, pairs not
-  within 1e-9/4 of one transitive order, since no other triple can be
-  violated;
+  rounding.  A strictly unanimous pair, one that every member of every
+  class ranks a above b, gets no column: every optimal ranking agrees with
+  it, so it is fixed at sigma's order (``build_kendall_lp`` holds the
+  proof).  On Mallows input (C=3, m=10, phi=0.7) that leaves 5,085 of the
+  44,851 columns at n=300 and 17,006 of 499,501 at n=1,000.  ``solve``
+  adds a ranged row per triple whose triangle its optima violate as a cut,
+  re-solving from the last basis.  Separation checks only the triples
+  through pairs that u leaves unsettled, pairs not within 1e-9/4 of one
+  transitive order, since no other triple can be violated;
 * the footrule program over free positions u(1..n), written exactly as an
   LP in segment form with one row per class: each element's weighted
   absolute deviations from the member positions are convex and piecewise
@@ -71,11 +75,13 @@ class LinearProgram:
 
     Column 0 is the epigraph variable q, the one column with a cost, which
     ``solve`` sets.  A pairwise program, one that carries sigma, keeps
-    u[b][a] of pair {a, b} at column ``_pair_columns(len(rank))``, where
-    ``rank``, each element's place in sigma, puts a first, and the float
-    class weights ``wf`` (C, n, n); its rows are the C class rows, whose
-    ``-b_ub`` are the classes' tie shifts plus their costs at sigma, and
-    ``solve`` adds triangles.  A positional program reads the positions
+    u[b][a] of pair {a, b} at column ``pair_col[a, b] == pair_col[b, a]``,
+    where ``rank``, each element's place in sigma, puts a first, and the
+    float class weights ``wf`` (C, n, n).  A strictly unanimous pair has
+    no column: ``pair_col`` maps it to 0, and it reads as u[b][a] = 0,
+    sigma's order.  Its rows are the C class rows, whose ``-b_ub`` are the
+    classes' tie shifts plus their costs at sigma, and ``solve`` adds
+    triangles.  A positional program reads the positions
     back as u = ``positions`` @ x; its rows are the C class rows.
     """
 
@@ -84,6 +90,7 @@ class LinearProgram:
     bounds: np.ndarray  # (columns, 2), +-inf where unbounded
     wf: np.ndarray | None = None
     rank: np.ndarray | None = None  # place in sigma; a program with sigma is pairwise
+    pair_col: np.ndarray | None = None  # (n, n): the column of each pair, 0 if fixed
     positions: csr_matrix | None = None  # (n, columns): u = positions @ x
 
 
@@ -122,29 +129,28 @@ _FLAT_SLOPE = 1e-12
 _DEVEX_SHARE = 40
 
 
-def _pair_columns(n: int) -> np.ndarray:
-    """(n, n) array: the column of pair {x, y}, in ``combinations`` order."""
-    col = np.zeros((n, n), dtype=np.intp)
-    lo, hi = np.triu_indices(n, 1)
-    col[lo, hi] = col[hi, lo] = np.arange(1, len(lo) + 1)
-    return col
-
-
 def _triangle_rows(triples: np.ndarray, col: np.ndarray,
                    later: np.ndarray) -> tuple[np.ndarray, ...]:
     """Rows 1 <= u[x][y] + u[y][z] + u[z][x] <= 2 of triples (x * n + y) * n + z.
 
-    Both cycles of x < y < z sum to 3, so the row holds both.  u[s][t] is the
-    column of {s, t} where ``later[s, t]`` and 1 less it elsewhere.  Returns
-    (lower, upper, indptr, indices, data) as ``addRows`` takes them.
+    Both cycles of x < y < z sum to 3, so the row holds both.  u[s][t] is v,
+    the column ``col[s, t]`` of {s, t}, where ``later[s, t]`` and 1 - v
+    elsewhere; a fixed pair, mapped to column 0, has v = 0.  The constant of
+    each term written 1 - v, and a fixed pair's whole term, go into the
+    row's bounds.  Returns (lower, upper, indptr, indices, data) as
+    ``addRows`` takes them.
     """
     n = len(col)
     xy, z = np.divmod(triples, n)
     x, y = np.divmod(xy, n)
     s, t = np.stack([x, y, z], axis=1), np.stack([y, z, x], axis=1)
+    cols = col[s, t]
     sign = np.where(later[s, t], 1.0, -1.0)
-    j = (sign < 0).sum(axis=1)  # terms written 1 - column
-    return 1.0 - j, 2.0 - j, np.arange(0, sign.size + 1, 3), col[s, t].ravel(), sign.ravel()
+    j = (sign < 0).sum(axis=1)  # terms written 1 - v
+    kept = cols != 0
+    indptr = np.zeros(len(j) + 1, dtype=np.intp)
+    np.cumsum(kept.sum(axis=1), out=indptr[1:])
+    return 1.0 - j, 2.0 - j, indptr, cols[kept], sign[kept]
 
 
 def _violated_chunk(flat: np.ndarray, n: int, a: np.ndarray, b: np.ndarray,
@@ -224,7 +230,35 @@ def sigma_rank(inst: Instance) -> np.ndarray:
 def build_kendall_lp(inst: Instance) -> LinearProgram:
     """The pairwise-order relaxation of minmax Kendall/Kemeny aggregation.
 
-    It holds the class rows only; ``solve`` adds the triangles.
+    It holds the class rows only; ``solve`` adds the triangles.  Pair {a, b},
+    a first in sigma, has the column v = u[b][a], except when it is strictly
+    unanimous: every member of every class ranks a strictly above b
+    (``above_counts[k][a][b] == m_k`` for all k).  Such a pair is fixed at
+    v = 0 and has no column, and ``pair_col`` maps it to column 0.  Its
+    class-row terms are 0, since w[k][b][a] = 0, so ``b_ub`` is unchanged.
+    Every member gives a at least 2 more net wins than b (the pair itself,
+    and a beats every z that b beats and loses to no z that b does not lose
+    to), so sigma puts a first.  The counts are read in sigma's orientation,
+    so a rounding of the float wins could at worst leave such a pair its
+    column.
+
+    Fixing the pair is sound: every optimal ranking puts a above b (the
+    Pareto property of Kemeny's rule, Young & Levenglick, SIAM J. Appl.
+    Math. 1978, also the base of the data reduction for exact Kemeny
+    aggregation of Betzler, Bredereck & Niedermeier, JAAMAS 2014).  Let a
+    ranking pi put b above a, and swap a and b in it.  For each member g,
+    where a is above b, only {a, b} and the pairs {a, z} and {b, z} of each
+    z between them in pi change.  {a, b} goes from disagree (1) to agree
+    (0).  For each z, the two pairs cost 1 before and 1 after if z is above
+    a in g or below b; 3/2 before and 1/2 after if z is tied with a or b
+    (a tied pair costs 1/2 however pi orders it); 2 before and 0 after if z
+    is between them.  So every member's distance falls by at least 1, and so
+    does every class cost, under the median and the minimum set distance
+    alike, and the worst class cost falls.  The program with the pair fixed
+    is therefore still a relaxation: its optimum lies between the full
+    program's optimum and the true optimum.  Pivot rounding's factor 2 holds for
+    its u unchanged, since ``solve`` checks every triangle of the full u, so
+    u is a feasible point of the full program at the same cost.
     """
     n, num_classes = inst.n, inst.num_classes
     # w[k][x][y] = count * weight / m, looked up in a per-class table of the
@@ -245,13 +279,18 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     lo, hi = np.triu_indices(n, 1)  # pairs in combinations order
     swap = rank[lo] > rank[hi]
     a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    m = np.array([[cls.m] for cls in inst.classes])
+    free = (inst.above_counts[:, a, b] != m).any(axis=0)
+    fa, fb = a[free], b[free]
 
-    # class cost epigraph, column v = u[b][a] of each pair:
+    # class cost epigraph, column v = u[b][a] of each pair that is not fixed:
     # sum_pairs (w[a][b] - w[b][a]) v - q <= -shift_k - sum_pairs w[b][a]
-    ncols = 1 + len(lo)
+    ncols = 1 + len(fa)
+    pair_col = np.zeros((n, n), dtype=np.intp)
+    pair_col[fa, fb] = pair_col[fb, fa] = np.arange(1, ncols)
     block = np.empty((num_classes, ncols))
     block[:, 0] = -1.0
-    np.subtract(wf[:, a, b], wf[:, b, a], out=block[:, 1:])
+    np.subtract(wf[:, fa, fb], wf[:, fb, fa], out=block[:, 1:])
     mask = block != 0
     indptr = np.r_[0, np.cumsum(mask.sum(axis=1))]
     A_ub = csr_matrix((block[mask], np.nonzero(mask)[1], indptr), shape=(num_classes, ncols))
@@ -259,7 +298,8 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     bounds = np.zeros((ncols, 2))
     bounds[0, 1] = np.inf
     bounds[1:, 1] = 1.0
-    return LinearProgram(A_ub, -shifts - wf[:, b, a].sum(axis=1), bounds, wf=wf, rank=rank)
+    return LinearProgram(A_ub, -shifts - wf[:, b, a].sum(axis=1), bounds, wf=wf, rank=rank,
+                         pair_col=pair_col)
 
 
 def build_footrule_program(inst: Instance) -> LinearProgram:
@@ -374,8 +414,9 @@ def solve(lp: LinearProgram) -> FractionalSolution:
 
     The model holds the columns with their bounds, q alone at unit cost, and
     the ``A_ub`` rows as (-inf, b_ub].  A pairwise program (``rank`` is set)
-    then appends a ranged row for each triple one of whose triangles its
-    optimum violates and is solved again, warm from its last basis, until no
+    reads u through ``pair_col``, its fixed pairs at sigma's order, then
+    appends a ranged row for each triple one of whose triangles that full u
+    violates and is solved again, warm from its last basis, until no
     triangle is violated; a positional program separates nothing.  The rows
     come from a finite set, so this ends, and the returned optimum is the
     optimum of the program with every triangle.  Either model is solved
@@ -387,7 +428,8 @@ def solve(lp: LinearProgram) -> FractionalSolution:
     round whose new rows are at most 1/``_DEVEX_SHARE`` of the rows it
     holds.  Such tail rounds take a few dozen iterations, and under the
     default steepest-edge pricing each warm run that iterates pays a
-    start-up cost per row held: on the gene sample, the last two rounds
+    start-up cost per row held: on the gene sample's model with every
+    pair's column, the last two rounds
     (16 and 7 rows added to models of 1,419 and 1,435 rows, 13-20
     iterations) took 11-13 ms each under it and about 3 ms under Devex,
     on a shared 2-core machine.  Earlier rounds add many rows and keep steepest edge, which
@@ -398,8 +440,7 @@ def solve(lp: LinearProgram) -> FractionalSolution:
     highs.setOptionValue("output_flag", False)
     _loaded(highs, highs.setOptionValue("presolve", "off"))
     if pairwise:
-        col = _pair_columns(len(lp.rank))
-        later = lp.rank[:, None] > lp.rank  # u[s][t] is the column of {s, t}
+        later = lp.rank[:, None] > lp.rank  # u[s][t] is v, the column of {s, t}
     lower, upper = lp.bounds.T  # np.inf is kHighsInf
     cost = np.zeros(len(lp.bounds))
     cost[0] = 1.0
@@ -418,7 +459,10 @@ def solve(lp: LinearProgram) -> FractionalSolution:
         iterations += highs.getInfo().simplex_iteration_count
         x = np.array(highs.getSolution().col_value)
         if pairwise:
-            u = np.where(later, x[col], 1.0 - x[col])
+            v = x.copy()
+            v[0] = 0.0  # a fixed pair, mapped to q's column, reads v = 0
+            v = v[lp.pair_col]
+            u = np.where(later, v, 1.0 - v)
             np.fill_diagonal(u, 0.0)
             new = _violated_triangles(u, present)
         else:
@@ -428,7 +472,7 @@ def solve(lp: LinearProgram) -> FractionalSolution:
         if not devex and len(new) * _DEVEX_SHARE <= highs.getNumRow():
             _loaded(highs, highs.setOptionValue("simplex_dual_edge_weight_strategy", 1))
             devex = True
-        _add_rows(highs, *_triangle_rows(new, col, later))
+        _add_rows(highs, *_triangle_rows(new, lp.pair_col, later))
         present = np.sort(np.concatenate([present, new]))
     # a row plus q less its bound is q less its slack; a class row holds -q,
     # so there it is the class's cost

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix, vstack
 
@@ -226,39 +227,48 @@ class TestKendallLP:
             )
 
     def test_gene_sample_size(self):
+        # of the 630 pairs, one is strictly unanimous and has no column
         prog = build_kendall_lp(parse_gene_order_file(GENE_SAMPLE.read_text()).instance)
-        assert len(prog.bounds) == 1 + 630
-        assert prog.A_ub.shape == (11, 1 + 630)
-        # a one-genome class costs one entry per unordered pair, plus q; the
-        # pairs need no pairing rows
-        assert prog.A_ub.nnz == 11 * (1 + 630)
+        assert len(prog.bounds) == 1 + 629
+        assert prog.A_ub.shape == (11, 1 + 629)
+        # a one-genome class costs one entry per pair with a column, plus q;
+        # the pairs need no pairing rows
+        assert prog.A_ub.nnz == 11 * (1 + 629)
+        assert (prog.pair_col == 0).sum() == 36 + 2  # the diagonal, and that pair both ways
         # with all 7,140 triangle rows the program would have 7,151 rows
         assert solve(prog).rows <= 1_600
 
     @pytest.mark.parametrize("orders, rank, row", [
         # 1 and 3 tie on wins (2 each) ahead of 2 (-4), so the smaller id goes
-        # first: sigma is 1, 3, 2, and the columns of {1, 2}, {1, 3} and
-        # {2, 3} are u[2][1], u[3][1] and u[2][3]
-        (([3, 1, 2], [1, 3, 2]), [0, 2, 1], [-1.0, 1.0, 0.0, 1.0]),
-        # the same with 1 and 2 swapped: sigma is 2, 3, 1, and the columns are
-        # u[1][2], u[1][3] and u[3][2]
-        (([3, 2, 1], [2, 3, 1]), [2, 0, 1], [-1.0, 1.0, 1.0, 0.0]),
+        # first: sigma is 1, 3, 2.  {1, 2} and {2, 3} are unanimous and have
+        # no column; {1, 3} has column 1, u[3][1], whose entry is 0
+        (([3, 1, 2], [1, 3, 2]), [0, 2, 1], [-1.0, 0.0]),
+        # the same with 1 and 2 swapped: sigma is 2, 3, 1, and column 1 is
+        # u[3][2]
+        (([3, 2, 1], [2, 3, 1]), [2, 0, 1], [-1.0, 0.0]),
     ])
     def test_pair_columns_are_oriented_by_wins(self, orders, rank, row):
         members = tuple(Permutation.from_order(order) for order in orders)
         inst = Instance(3, (RankingClass(members, 1),))
         prog = build_kendall_lp(inst)
         assert prog.rank.tolist() == rank
+        first, second, last = np.argsort(rank)
+        assert prog.pair_col[first, second] == prog.pair_col[second, first] == 1
+        assert (prog.pair_col[last] == 0).all() and (prog.pair_col[:, last] == 0).all()
         # each class entry is w[a][b] - w[b][a] with a first in sigma, and
         # b_ub is minus the class cost at sigma
         assert prog.A_ub.toarray().tolist() == [row]
         assert prog.b_ub.tolist() == [-0.5]
-        assert abs(solve(prog).objective - 0.5) < TOL
+        sol = solve(prog)
+        assert abs(sol.objective - 0.5) < TOL
+        # both fixed pairs put sigma's last element last, exactly
+        assert sol.u[last].tolist() == [0.0, 0.0, 0.0]
+        assert sorted(sol.u[:, last].tolist()) == [0.0, 1.0, 1.0]
 
     def test_class_rows_read_each_column_as_u_of_the_later_element(self, rng):
         # dyadic weights and class sizes keep the float wins exact, so they
         # tie exactly where the Fraction wins do
-        ties = 0
+        ties = fixed = 0
         for _ in range(20):
             inst = random_instance(rng, m_choices=(1, 2, 4), allow_ties=True)
             n, w = inst.n, class_weights(inst)
@@ -270,13 +280,24 @@ class TestKendallLP:
             u = solve(prog).u
             later = [(a, b) if sigma.index(a) > sigma.index(b) else (b, a)
                      for a, b in combinations(range(n), 2)]
-            v = np.array([u[s, t] for s, t in later])
+            # a pair has no column exactly when every member ranks its
+            # earlier element strictly above its later one, and u reads it on
+            # sigma's side; the other pairs keep combinations order
+            unanimous = [all(inst.above_counts[k, t, s] == cls.m
+                             for k, cls in enumerate(inst.classes)) for s, t in later]
+            cols = [prog.pair_col[s, t] for s, t in later]
+            assert [c == 0 for c in cols] == unanimous
+            assert [c for c in cols if c] == list(range(1, len(prog.bounds)))
+            assert all(u[s, t] == 0.0 and u[t, s] == 1.0
+                       for (s, t), f in zip(later, unanimous) if f)
+            fixed += sum(unanimous)
+            v = np.array([u[s, t] for (s, t), f in zip(later, unanimous) if not f])
             costs = prog.A_ub[:, 1:] @ v - prog.b_ub
             shifts = [float(cls.weight * t / 2) for t, cls in zip(tie_mass(inst), inst.classes)]
             want = [shift + sum(float(wk[x][y]) * u[y, x] for x, y in permutations(range(n), 2))
                     for shift, wk in zip(shifts, w)]
             assert np.allclose(costs, want, rtol=0, atol=1e-9)
-        assert ties > 0
+        assert ties > 0 and fixed > 0
 
     @pytest.mark.parametrize("i", range(3))
     def test_gene_relabellings_keep_certificate_and_ranking(self, i):
@@ -319,15 +340,16 @@ class TestKendallLP:
             assert sol.objective <= float(w.value) + TOL
 
 
-def two_column_kendall_lp(inst: Instance) -> dict:
+def two_column_kendall_lp(inst: Instance, fix_unanimous: bool = False) -> dict:
     """Reference Kendall program: a column per ordered pair and pairing rows.
 
     u[x][y] sits at column 1 + x(n - 1) + y - [y > x].  Class k's row is
     sum_{x != y} w[x][y] u[y][x] - q <= -weight * T_k / 2, each pair has
     u[x][y] + u[y][x] = 1, and each triple x < y < z has both of its cycles
     u[x][y] + u[y][z] + u[z][x] >= 1 and u[y][x] + u[z][y] + u[x][z] >= 1.
-    The weights are exact Fractions rounded once.  Returns the arguments of
-    scipy's ``linprog``.
+    The weights are exact Fractions rounded once.  With ``fix_unanimous``,
+    u[x][y] is fixed at 1 wherever every member ranks x strictly above y.
+    Returns the arguments of scipy's ``linprog``.
     """
     n, num_classes = inst.n, inst.num_classes
     x = np.arange(n)[:, None]
@@ -363,6 +385,9 @@ def two_column_kendall_lp(inst: Instance) -> dict:
     bounds = np.zeros((ncols, 2))
     bounds[0, 1] = np.inf
     bounds[1:, 1] = 1.0
+    if fix_unanimous:
+        m = np.array([cls.m for cls in inst.classes])[:, None, None]
+        bounds[col[(inst.above_counts == m).all(axis=0)], 0] = 1.0
     return dict(
         c=c_vec,
         A_ub=vstack([csr_matrix(classes), triangles]),
@@ -373,17 +398,46 @@ def two_column_kendall_lp(inst: Instance) -> dict:
     )
 
 
-def full_triangle_optimum(inst: Instance) -> float:
+def full_triangle_optimum(inst: Instance, fix_unanimous: bool = False) -> float:
     """HiGHS's optimum of the two-column reference program with every triangle."""
-    res = linprog(**two_column_kendall_lp(inst), method="highs")
+    res = linprog(**two_column_kendall_lp(inst, fix_unanimous), method="highs")
     assert res.status == 0
     return res.fun
 
 
+def pair_columns(n: int) -> np.ndarray:
+    """(n, n) array: the column of pair {x, y}, in ``combinations`` order."""
+    col = np.zeros((n, n), dtype=np.intp)
+    lo, hi = np.triu_indices(n, 1)
+    col[lo, hi] = col[hi, lo] = np.arange(1, len(lo) + 1)
+    return col
+
+
+def full_kendall_lp(inst: Instance) -> LinearProgram:
+    """Reference: ``build_kendall_lp``'s program with a column for every pair.
+
+    Strictly unanimous pairs keep their columns too, in ``combinations``
+    order and oriented by the same sigma, so that ``solve`` runs the same
+    cut loop on the program without the reduction.
+    """
+    prog = build_kendall_lp(inst)
+    A_ub, b_ub = coo_kendall_rows(inst, prog, reduced=False)
+    bounds = np.zeros((A_ub.shape[1], 2))
+    bounds[0, 1] = np.inf
+    bounds[1:, 1] = 1.0
+    return dataclasses.replace(prog, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
+                               pair_col=pair_columns(inst.n))
+
+
 def assert_separation_exact(inst):
+    # the cut loop ends at the optimum of the same program with every
+    # triangle, strictly unanimous pairs fixed in both, and that is no lower
+    # than the optimum of the program with every pair's column
     sol = solve(build_kendall_lp(inst))
-    full = full_triangle_optimum(inst)
+    full = full_triangle_optimum(inst, fix_unanimous=True)
     assert abs(sol.objective - full) <= 1e-7 * max(1.0, abs(full))
+    unfixed = solve(full_kendall_lp(inst)).objective
+    assert sol.objective >= unfixed - 1e-9 * max(1.0, abs(unfixed))
     # every triangle, both orientations: u[x][y] + u[y][z] + u[z][x] >= 1
     u = sol.u
     sums = u[:, :, None] + u[None, :, :] + u.T[:, None, :]
@@ -491,6 +545,91 @@ class TestTriangleSeparation:
         sol = solve(build_kendall_lp(inst))
         assert sol.rows - 3 < 161_700 // 10
         assert elapsed < 120
+
+
+def near_order_instance(seed: int) -> Instance:
+    """A tied instance of 1-3 classes over n <= 7 whose members are one
+    random order, each moved by up to two adjacent swaps and cut into
+    buckets at random, so that strictly unanimous pairs occur."""
+    rng = generator(seed)
+    n = int(rng.integers(2, 8))
+    base = [int(x) + 1 for x in rng.permutation(n)]
+    classes = []
+    for _ in range(int(rng.integers(1, 4))):
+        members = []
+        for _ in range(int(rng.integers(1, 4))):
+            order = list(base)
+            for i in rng.integers(0, n - 1, size=int(rng.integers(0, 3))):
+                order[i], order[i + 1] = order[i + 1], order[i]
+            buckets = [[order[0]]]
+            for x in order[1:]:
+                if rng.random() < 0.3:
+                    buckets[-1].append(x)
+                else:
+                    buckets.append([x])
+            members.append(PartialRanking.from_buckets(buckets))
+        weight = REFERENCE_WEIGHTS[int(rng.integers(len(REFERENCE_WEIGHTS)))]
+        classes.append(RankingClass(tuple(members), weight))
+    return Instance(n, tuple(classes))
+
+
+class TestUnanimousPairs:
+    @pytest.mark.parametrize("classes", [
+        # {1, 2} split by the two members; {1, 3} and {2, 3} unanimous
+        [(Permutation.identity(3), Permutation((2, 1, 3)))],
+        # {2, 3} tied in one class, which keeps its column
+        [(Permutation.identity(3),), (PartialRanking.from_buckets([{1}, {2, 3}]),)],
+    ], ids=["split", "tied"])
+    def test_hand_made_pair_keeps_its_column(self, classes):
+        inst = Instance(3, tuple(RankingClass(members, 1) for members in classes))
+        prog = build_kendall_lp(inst)
+        assert len(prog.bounds) == 1 + 1
+        assert (prog.pair_col > 0).sum() == 2  # one pair, both ways
+        sol = solve(prog)
+        assert abs(sol.objective - 0.5) < 1e-12
+        assert abs(sol.objective - solve(full_kendall_lp(inst)).objective) < 1e-12
+        assert abs(sol.objective - full_triangle_optimum(inst)) < 1e-9
+        # u reads the two fixed pairs exactly as the members order them
+        fixed = [(x, y) for x, y in permutations(range(3), 2) if prog.pair_col[x, y] == 0]
+        assert len(fixed) == 4
+        assert all(sol.u[x, y] == float(x < y) for x, y in fixed)
+
+    def test_every_pair_unanimous_leaves_only_q(self):
+        # one permutation member: every pair is fixed, and the model is q
+        # and the class row, solved once at cost 0
+        p = Permutation((3, 1, 4, 2))
+        prog = build_kendall_lp(Instance(4, (RankingClass((p,), Fraction(2, 3)),)))
+        assert len(prog.bounds) == 1 and prog.A_ub.shape == (1, 1)
+        assert (prog.pair_col == 0).all()
+        sol = solve(prog)
+        assert (sol.runs, sol.rows, sol.objective) == (1, 1, 0.0)
+        want = [[float(p.rank_of(x + 1) < p.rank_of(y + 1)) if x != y else 0.0
+                 for y in range(4)] for x in range(4)]
+        assert sol.u.tolist() == want
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_lies_between_the_full_program_and_the_optimum(self, seed):
+        # tied instances near a common order, where unanimous pairs occur
+        inst = near_order_instance(seed)
+        sol = solve(build_kendall_lp(inst))
+        full = solve(full_kendall_lp(inst)).objective
+        assert sol.objective >= full - 1e-9 * max(1.0, abs(full))
+        opt = brute_force(inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN).value
+        assert sol.objective <= float(opt) * (1 + 1e-9) + 1e-12
+
+    def test_mmkt_at_n1000(self):
+        # 96.6% of the 499,500 pairs are strictly unanimous; one mmkt_conv
+        # call took 2.9 s and 442 MB peak RSS with every pair's column, and
+        # 0.56 s and 230 MB without the unanimous ones, on a shared 2-core
+        # machine
+        inst = sample_instance(TwoLevelConfig.create(1000, 3, 10, 0.7, 0.7), (0, 0))
+        start = time.perf_counter()
+        res = mmkt_conv(inst)
+        elapsed = time.perf_counter() - start
+        assert float(res.objective) <= 2 * res.certificate + TOL
+        assert len(build_kendall_lp(inst).bounds) == 1 + 17_005
+        assert elapsed < 60
 
 
 def near_order_u(rng, n, offsets, cycles=0):
@@ -613,12 +752,12 @@ class TestViolatedTriangles:
         assert peak <= 4 * 2**20
 
     def test_triangle_rows_are_the_documented_cycles(self):
-        # sigma puts element 3 first, then 0, 4, 1, 2; u[s][t] is the column
-        # of {s, t} when s comes later in sigma, and 1 less it otherwise
+        # sigma puts element 3 first, then 0, 4, 1, 2; u[s][t] is v, the
+        # column of {s, t}, when s comes later in sigma, and 1 - v otherwise
         n = 5
         rank = np.array([1, 3, 4, 0, 2])
         later = rank[:, None] > rank
-        col = lp._pair_columns(n)
+        col = pair_columns(n)
         triples = np.array([(0 * n + 1) * n + 2, (0 * n + 3) * n + 4, (1 * n + 3) * n + 4])
         lower, upper, indptr, indices, data = lp._triangle_rows(triples, col, later)
         rows = csr_matrix((data, indices, indptr), shape=(3, 1 + 10)).toarray()
@@ -634,8 +773,22 @@ class TestViolatedTriangles:
         # 1 <= (forward cycle) <= 2, less the j constant terms of each row
         assert lower.tolist() == [-1.0, 0.0, -1.0] and upper.tolist() == [0.0, 1.0, 0.0]
 
+        # fix {0, 1} (u[0][1] = 1 - 0) and {0, 4} (u[4][0] = 0): their terms
+        # leave the rows, and the bounds are those of the full rows
+        fixed = col.copy()
+        fixed[[0, 1, 0, 4], [1, 0, 4, 0]] = 0
+        lower, upper, indptr, indices, data = lp._triangle_rows(triples, fixed, later)
+        rows = csr_matrix((data, indices, indptr), shape=(3, 1 + 10)).toarray()
+        want[0, col[0, 1]] = want[1, col[4, 0]] = 0.0
+        assert (rows == want).all()
+        assert indptr.tolist() == [0, 2, 4, 7]
+        assert lower.tolist() == [-1.0, 0.0, -1.0] and upper.tolist() == [0.0, 1.0, 0.0]
+
     def test_pair_columns_follow_combinations_order(self):
-        col = lp._pair_columns(5)
+        # identity and reversal split every pair, so none is fixed
+        members = (Permutation.identity(5), Permutation((5, 4, 3, 2, 1)))
+        col = build_kendall_lp(Instance(5, (RankingClass(members, 1),))).pair_col
+        assert (col == pair_columns(5)).all()
         assert [col[x, y] for x, y in combinations(range(5), 2)] == list(range(1, 11))
         assert (col == col.T).all()
 
@@ -743,7 +896,7 @@ def default_pricing_cut_loop(prog: LinearProgram) -> tuple:
     highs = highspy._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
-    col = lp._pair_columns(len(prog.rank))
+    col = prog.pair_col
     later = prog.rank[:, None] > prog.rank
     cost = np.zeros(len(prog.bounds))
     cost[0] = 1.0
@@ -756,7 +909,8 @@ def default_pricing_cut_loop(prog: LinearProgram) -> tuple:
         highs.run()
         assert highs.getModelStatus() == highspy.HighsModelStatus.kOptimal
         x = np.array(highs.getSolution().col_value)
-        u = np.where(later, x[col], 1.0 - x[col])
+        v = np.where(col > 0, x[col], 0.0)
+        u = np.where(later, v, 1.0 - v)
         np.fill_diagonal(u, 0.0)
         new = lp._violated_triangles(u, present)
         if not len(new):
@@ -831,22 +985,27 @@ def reference_instance(seed: int) -> Instance:
                          weight_choices=REFERENCE_WEIGHTS)
 
 
-def coo_kendall_rows(inst: Instance, prog: LinearProgram) -> tuple:
+def coo_kendall_rows(inst: Instance, prog: LinearProgram, reduced: bool = True) -> tuple:
     """``build_kendall_lp``'s class rows and ``b_ub``, assembled from COO parts.
 
     The reference for its direct CSR assembly: it reads the weights and
-    sigma off ``prog`` and derives the rest as that assembly once did.
+    sigma off ``prog`` and derives the rest as that assembly once did, with
+    a column for each pair in ``combinations`` order, less the strictly
+    unanimous ones if ``reduced``.
     """
     num_classes, wf, rank = inst.num_classes, prog.wf, prog.rank
     lo, hi = np.triu_indices(inst.n, 1)
     swap = rank[lo] > rank[hi]
     a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)
-    coef = wf[:, a, b] - wf[:, b, a]
+    counts = inst.above_counts.tolist()
+    kept = [not reduced or any(counts[k][x][y] < cls.m for k, cls in enumerate(inst.classes))
+            for x, y in zip(a.tolist(), b.tolist())]
+    coef = (wf[:, a, b] - wf[:, b, a])[:, kept]
     k_idx, j_idx = np.nonzero(coef)
     rows = np.r_[np.arange(num_classes), k_idx]
     cols = np.r_[np.zeros(num_classes, dtype=int), 1 + j_idx]
     A_ub = csr_matrix((np.r_[np.full(num_classes, -1.0), coef[k_idx, j_idx]], (rows, cols)),
-                      shape=(num_classes, 1 + len(lo)))
+                      shape=(num_classes, 1 + sum(kept)))
     shifts = np.array([float(cls.weight * t / 2) for t, cls in zip(tie_mass(inst), inst.classes)])
     return A_ub, -shifts - wf[:, b, a].sum(axis=1)
 
@@ -915,12 +1074,15 @@ def assembly_instances(case) -> list[Instance]:
 
 class TestDirectAssembly:
     # the Kendall builder writes A_ub's CSR arrays directly; the COO assembly
-    # it replaced must give the same bytes, explicit zeros included
+    # it replaced, less the strictly unanimous pairs' columns, must give the
+    # same bytes, explicit zeros included
     @pytest.mark.parametrize("case", [*range(40), "tied", "gene"])
     def test_matches_coo_assembly(self, case):
         for inst in assembly_instances(case):
             prog = build_kendall_lp(inst)
-            assert row_bytes(prog.A_ub, prog.b_ub) == row_bytes(*coo_kendall_rows(inst, prog))
+            A_ub, b_ub = coo_kendall_rows(inst, prog)
+            assert row_bytes(prog.A_ub, prog.b_ub) == row_bytes(A_ub, b_ub)
+            assert prog.bounds.shape == (A_ub.shape[1], 2)
 
 
 def pooled_median_midpoints(inst: Instance) -> list[Fraction]:
@@ -1105,7 +1267,7 @@ class TestFootruleProgram:
 def test_program_fields():
     # q's unit cost and n follow from the columns and sigma, so no field holds them
     assert [f.name for f in dataclasses.fields(LinearProgram)] == [
-        "A_ub", "b_ub", "bounds", "wf", "rank", "positions"]
+        "A_ub", "b_ub", "bounds", "wf", "rank", "pair_col", "positions"]
 
 
 class TestSolveErrors:
