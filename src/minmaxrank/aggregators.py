@@ -25,7 +25,8 @@ from .distances import (
     DistanceError,
     DistanceKind,
     SetDistanceKind,
-    doubled_distances,
+    class_cost_reduction,
+    member_distances,
     minmax_objective,
     scaled_class_costs,
 )
@@ -245,7 +246,8 @@ def mmsp_conv(
 def max_weight_members(inst: Instance) -> list[tuple[int, int, Ranking]]:
     """All (class, index, member) candidates from the heaviest classes."""
     top = max(cls.weight for cls in inst.classes)
-    return [(k, i, m) for k, i, m in inst.iter_members() if inst.classes[k].weight == top]
+    heaviest = [cls.weight == top for cls in inst.classes]
+    return [(k, i, m) for k, i, m in inst.iter_members() if heaviest[k]]
 
 
 def _selected(inst: Instance, member: Ranking, kind: DistanceKind,
@@ -279,14 +281,11 @@ def pick_rnd_perm(
     return _selected(inst, chosen, kind, set_kind)
 
 
-def _best_member(inst: Instance, candidates: list, kind: DistanceKind,
-                 set_kind: SetDistanceKind) -> tuple[tuple, Fraction]:
-    """The first (class, index, member) of least objective, and its objective."""
-    rows = [inst.class_starts[k] + i for k, i, _ in candidates]
-    costs, scale = scaled_class_costs(inst.member_tw[rows], inst, kind, set_kind)
+def _least(costs: np.ndarray, scale: int) -> tuple[int, Fraction]:
+    """The first row of least worst class cost, and that cost."""
     worst = costs.max(axis=1).tolist()
     j = worst.index(min(worst))
-    return candidates[j], Fraction(worst[j], scale)
+    return j, Fraction(worst[j], scale)
 
 
 def pick_opt_perm(
@@ -294,8 +293,22 @@ def pick_opt_perm(
 ) -> AggregationResult:
     """Best member of the heaviest classes, refined to a permutation if tied;
     ties keep the first (class, index)."""
-    (_, _, best), obj = _best_member(inst, max_weight_members(inst), kind, set_kind)
-    return _selected(inst, best, kind, set_kind, obj)
+    candidates = max_weight_members(inst)
+    rows = [inst.class_starts[k] + i for k, i, _ in candidates]
+    j, objective = _least(*scaled_class_costs(inst.member_tw[rows], inst, kind, set_kind))
+    return _selected(inst, candidates[j][2], kind, set_kind, objective)
+
+
+def _nearest_member(inst: Instance, kind: DistanceKind) -> tuple[tuple, Fraction, np.ndarray]:
+    """The first (class, index, member) of least minimum-distance objective,
+    its objective, and its twice distances to every member.
+
+    One member-by-member kernel call (``member_distances``) gives all three.
+    """
+    d2 = member_distances(inst, kind)
+    costs, scale = class_cost_reduction(inst, SetDistanceKind.MINIMUM)
+    j, objective = _least(costs(d2), scale)
+    return list(inst.iter_members())[j], objective, d2[j]
 
 
 def min_pick_perm(inst: Instance, kind: DistanceKind) -> AggregationResult:
@@ -305,9 +318,7 @@ def min_pick_perm(inst: Instance, kind: DistanceKind) -> AggregationResult:
     Ties keep the first (class, index).  A member's own class costs it 0,
     so with one class of permutations the first member is returned.
     """
-    (_, _, member), objective = _best_member(
-        inst, list(inst.iter_members()), kind, SetDistanceKind.MINIMUM
-    )
+    (_, _, member), objective, _ = _nearest_member(inst, kind)
     return _selected(inst, member, kind, SetDistanceKind.MINIMUM, objective)
 
 
@@ -319,14 +330,11 @@ def restrict_to_min_witnesses(inst: Instance, kind: DistanceKind) -> Instance:
     weights are unchanged.  A median aggregate of the restricted instance
     approximates the original minimum-distance problem.
     """
-    (k_star, _, anchor), _ = _best_member(
-        inst, list(inst.iter_members()), kind, SetDistanceKind.MINIMUM
-    )
-    d2 = doubled_distances(twice_positions([anchor]), inst.member_tw, kind.positional)
-    lows = np.minimum.reduceat(d2[0], inst.class_starts)
+    (k_star, _, anchor), _, d2 = _nearest_member(inst, kind)
+    lows = np.minimum.reduceat(d2, inst.class_starts)
     classes = []
     for j, (cls, start, lo) in enumerate(zip(inst.classes, inst.class_starts, lows)):
-        kept = [s for s, d in zip(cls.members, d2[0, start:]) if d == lo]
+        kept = [s for s, d in zip(cls.members, d2[start:]) if d == lo]
         classes.append(RankingClass((anchor,) if j == k_star else kept, cls.weight))
     return Instance(inst.n, tuple(classes))
 

@@ -13,16 +13,21 @@ Both generalizations are those of Fagin et al., "Comparing and aggregating
 rankings with ties" (PODS 2004), and equal the plain distances on
 permutations.  One exact integer kernel, ``doubled_distances``, computes
 either: twice a distance is an L1 distance between rows of twice-positions
-(footrule) or of pair signs (Kendall tau).  The footrule is summed as a
-broadcast; the pair-sign L1 distance is taken as an inner product of lifted
-sign rows, one float64 product per block.  Values are exact half-integer
-Fractions.  A class costs the mean (median) or the least (minimum) distance
-to its members, times its weight; the minmax objective is the worst class.
-``class_cost_reduction`` is the one reduction from twice distances to exact
-scaled class costs (int64 while a proven bound allows, Python ints beyond
-it), and ``scaled_class_costs`` applies it to one kernel call against the
-instance's member view.  Rankings over unequal ground sets raise
-``DistanceError``.
+(footrule) or of pair signs (Kendall tau, ``sign_distances``).  The
+footrule is summed as a broadcast; the pair-sign L1 distance is taken as an
+inner product of lifted sign rows, one float64 product per block.  Values
+are exact half-integer Fractions.  A class costs the mean (median) or the
+least (minimum) distance to its members, times its weight; the minmax
+objective is the worst class.  ``class_cost_reduction`` is the one
+reduction from twice distances to exact scaled class costs (int64 while a
+proven bound allows, Python ints beyond it).  ``scaled_class_costs`` gives
+the costs of any rows: under the median Kendall distance from the
+instance's pairwise counts ``Instance.above_counts``, in O(C n²) a row,
+since a class's summed distance is linear in a row's pair orders;
+otherwise through one kernel call against the instance's member view
+(``member_tw``, or the members' pair signs ``member_signs``), which
+``member_distances`` also reads for the members' own distances.  Rankings
+over unequal ground sets raise ``DistanceError``.
 """
 
 from __future__ import annotations
@@ -103,9 +108,31 @@ def doubled_distances(p: np.ndarray, q: np.ndarray, positional: bool) -> np.ndar
 
     ``p`` and ``q`` are twice-position arrays (``rankings.twice_positions``).
     Twice the footrule is the L1 distance between them, summed as a
-    broadcast.  Twice the Kendall tau is the L1 distance between their
-    pair signs, since an opposite pair differs by 2 and a pair tied in
-    exactly one ranking by 1.  For signs a, b in {-1, 0, 1},
+    broadcast, with rows taken in blocks so that no temporary exceeds
+    BLOCK_ELEMENTS elements.  Twice the Kendall tau is ``sign_distances``
+    of their pair signs.
+    """
+    if not positional:
+        return sign_distances(pair_signs(p), pair_signs(q))
+    out = np.empty((len(p), len(q)), dtype=np.int64)
+    width = max(1, p.shape[1])
+    q_rows = max(1, min(len(q), BLOCK_ELEMENTS // width))
+    p_rows = max(1, BLOCK_ELEMENTS // (q_rows * width))
+    for j in range(0, len(q), q_rows):
+        q_block = q[None, j:j + q_rows]
+        for i in range(0, len(p), p_rows):
+            out[i:i + p_rows, j:j + q_rows] = np.abs(
+                p[i:i + p_rows, None] - q_block
+            ).sum(axis=2)
+    return out
+
+
+def sign_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(len p, len q) int64 twice Kendall distances between pair-sign rows.
+
+    ``p`` and ``q`` are ``pair_signs`` rows.  Twice the Kendall tau is the
+    L1 distance between pair signs, since an opposite pair differs by 2 and
+    a pair tied in exactly one ranking by 1.  For signs a, b in {-1, 0, 1},
     |a - b| = |a| + |b| - (ab + |a||b|), so that is
     nnz(s_p) + nnz(s_q) - [s_p, |s_p|] . [s_q, |s_q|]: one float64 inner
     product per block, exact because every partial sum is an integer of
@@ -113,19 +140,6 @@ def doubled_distances(p: np.ndarray, q: np.ndarray, positional: bool) -> np.ndar
     chunks once a block of lifted rows would not fit, so no temporary
     exceeds BLOCK_ELEMENTS elements, however many rows there are.
     """
-    if positional:
-        out = np.empty((len(p), len(q)), dtype=np.int64)
-        width = max(1, p.shape[1])
-        q_rows = max(1, min(len(q), BLOCK_ELEMENTS // width))
-        p_rows = max(1, BLOCK_ELEMENTS // (q_rows * width))
-        for j in range(0, len(q), q_rows):
-            q_block = q[None, j:j + q_rows]
-            for i in range(0, len(p), p_rows):
-                out[i:i + p_rows, j:j + q_rows] = np.abs(
-                    p[i:i + p_rows, None] - q_block
-                ).sum(axis=2)
-        return out
-    p, q = pair_signs(p), pair_signs(q)
     nnz = np.count_nonzero(p, axis=1)[:, None] + np.count_nonzero(q, axis=1)
     out = nnz.astype(np.int64, copy=False)
     width = p.shape[1]
@@ -171,6 +185,33 @@ def set_distance(
     return Fraction(min(ds))
 
 
+def _class_factors(inst: Instance, set_kind: SetDistanceKind) -> tuple[np.ndarray, int]:
+    """The (C, 1) integer factors that turn twice distances into exact
+    weighted class costs, and their scale.
+
+    Factor k over the scale is weight_k / 2m_k (median), applied to class
+    k's summed twice distance, or weight_k / 2 (minimum), applied to its
+    least one; the scale is the least common denominator of these.
+
+    Twice either distance is at most n²: Kendall tau counts at most 2
+    per pair, and each twice-position row lies within floor(n²/2) of
+    n + 1 in L1 (ties average ranks, and |.| is convex).  So a scaled class
+    cost is at most n² · max m · max integer factor.  Below 2**63 the
+    factors are int64; otherwise they are Python ints in an object array,
+    and so are the costs scaled by them.
+    """
+    median = set_kind is SetDistanceKind.MEDIAN
+    # factor k is nums[k] / dens[k], kept in integers: Fraction arithmetic
+    # would cost more than reducing one row
+    nums = [cls.weight.numerator for cls in inst.classes]
+    dens = [cls.weight.denominator * (2 * cls.m if median else 2) for cls in inst.classes]
+    scale = math.lcm(*(d // math.gcd(a, d) for a, d in zip(nums, dens)))
+    int_factors = [a * scale // d for a, d in zip(nums, dens)]
+    bound = inst.n ** 2 * max(cls.m for cls in inst.classes) * max(int_factors)
+    dtype = np.int64 if bound < 2**63 else object
+    return np.array(int_factors, dtype=dtype)[:, None], scale
+
+
 def class_cost_reduction(
     inst: Instance, set_kind: SetDistanceKind
 ) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
@@ -179,31 +220,14 @@ def class_cost_reduction(
     Returns a function of a (rows, M) int64 array of twice the distances
     to the members of ``inst.member_tw``, giving the (rows, C) array whose
     entry [g, k], over the returned scale, is weight_k * set_distance(row g,
-    class k).  The scale is the least common denominator of the factors
-    weight / 2m (median) or weight / 2 (minimum) that turn twice the
-    distances into costs.
-
-    Twice either distance is at most n²: Kendall tau counts at most 2
-    per pair, and each twice-position row lies within floor(n²/2) of
-    n + 1 in L1 (ties average ranks, and |.| is convex).  So a scaled class
-    cost is at most n² · max m · max integer factor.  Below 2**63 the costs
-    are int64; otherwise they are Python ints in an object array.  Both go
+    class k), and that scale (``_class_factors``).  The costs are int64, or
+    Python ints in an object array when their bound reaches 2**63.  Both go
     through the same operations, so callers need not tell them apart, but
     must pass a Python ``int`` to ``Fraction``.
     """
-    median = set_kind is SetDistanceKind.MEDIAN
-    reduce = np.add.reduce if median else np.minimum.reduce
-    # factor k is nums[k] / dens[k], kept in integers: Fraction arithmetic
-    # would cost more than reducing one row
-    nums = [cls.weight.numerator for cls in inst.classes]
-    dens = [cls.weight.denominator * (2 * cls.m if median else 2) for cls in inst.classes]
-    scale = math.lcm(*(d // math.gcd(a, d) for a, d in zip(nums, dens)))
-    int_factors = [a * scale // d for a, d in zip(nums, dens)]
-    sizes = [cls.m for cls in inst.classes]
-    bound = inst.n ** 2 * max(sizes) * max(int_factors)
-    dtype = np.int64 if bound < 2**63 else object
-    weights = np.array(int_factors, dtype=dtype)[:, None]
-    spans = list(pairwise((*inst.class_starts, sum(sizes))))
+    weights, scale = _class_factors(inst, set_kind)
+    reduce = np.add.reduce if set_kind is SetDistanceKind.MEDIAN else np.minimum.reduce
+    spans = list(pairwise((*inst.class_starts, len(inst.member_tw))))
 
     def costs(d2: np.ndarray) -> np.ndarray:
         # class by class over the members' columns: contiguous when d2 is
@@ -211,9 +235,54 @@ def class_cost_reduction(
         per_class = np.empty((len(spans), len(d2)), dtype=d2.dtype)
         for k, (a, b) in enumerate(spans):
             reduce(d2.T[a:b], axis=0, out=per_class[k])
-        return (per_class.astype(dtype, copy=False) * weights).T
+        return (per_class.astype(weights.dtype, copy=False) * weights).T
 
     return costs, scale
+
+
+def _median_kendall_sums(rows: np.ndarray, inst: Instance) -> np.ndarray:
+    """(C, len rows) int64: twice class k's summed Kendall distance to each
+    twice-position row, from the counts ``inst.above_counts``.
+
+    With A = above_counts[k], a pair that a row ranks x above y costs
+    class k's m_k members m_k + A[y][x] - A[x][y] (an agreeing member 0,
+    an opposite one 2, a tying one 1), and a pair the row ties costs
+    A[x][y] + A[y][x] (1 for each member that orders it).  Summed over
+    ordered pairs that is
+
+        m_k N + sum_{x, y} A[x][y] (1 - 2 [row ranks x strictly above y]),
+
+    N the pairs the row orders strictly: one int64 product with the
+    counts, O(C n²) a row, whatever the class sizes.  Rows go in blocks
+    and the x in chunks, so the (rows, x, n) comparison and its +-1 weights
+    stay within BLOCK_ELEMENTS elements.
+    """
+    n, num_classes = inst.n, inst.num_classes
+    counts = inst.above_counts.reshape(num_classes, n * n)
+    out = np.zeros((num_classes, len(rows)), dtype=np.int64)
+    ordered = np.zeros(len(rows), dtype=np.int64)
+    row_step = max(1, min(len(rows), BLOCK_ELEMENTS // n))
+    x_step = max(1, BLOCK_ELEMENTS // (row_step * n))
+    for i in range(0, len(rows), row_step):
+        block = rows[i:i + row_step]
+        for x in range(0, n, x_step):
+            above = block[:, x:x + x_step, None] < block[:, None, :]
+            ordered[i:i + row_step] += above.sum(axis=(1, 2))
+            signs = np.where(above, -1, 1).reshape(len(block), -1)
+            out[:, i:i + row_step] += counts[:, x * n:(x + x_step) * n] @ signs.T
+    out += np.array([[cls.m] for cls in inst.classes]) * ordered
+    return out
+
+
+def member_distances(inst: Instance, kind: DistanceKind) -> np.ndarray:
+    """(M, M) int64 twice distances between the instance's members.
+
+    Read off its member views: ``member_tw`` for the footrule, and
+    ``member_signs`` for Kendall tau, so that no pair signs are built here.
+    """
+    if kind.positional:
+        return doubled_distances(inst.member_tw, inst.member_tw, True)
+    return sign_distances(inst.member_signs, inst.member_signs)
 
 
 def scaled_class_costs(
@@ -221,11 +290,21 @@ def scaled_class_costs(
 ) -> tuple[np.ndarray, int]:
     """Exact weighted class costs of twice-position rows, and their scale.
 
-    One ``doubled_distances`` call against the instance's member view,
-    reduced by ``class_cost_reduction``.
+    Under the median Kendall distance a class's summed distance is linear
+    in a row's pair orders, so it comes from the counts
+    (``_median_kendall_sums``).  Otherwise it is one kernel call against the
+    instance's member view, ``member_tw`` or, under Kendall tau, the
+    members' pair signs ``member_signs``, reduced by
+    ``class_cost_reduction``.
     """
+    if set_kind is SetDistanceKind.MEDIAN and not kind.positional:
+        weights, scale = _class_factors(inst, set_kind)
+        sums = _median_kendall_sums(rows, inst)
+        return (sums.astype(weights.dtype, copy=False) * weights).T, scale
     costs, scale = class_cost_reduction(inst, set_kind)
-    return costs(doubled_distances(rows, inst.member_tw, kind.positional)), scale
+    if kind.positional:
+        return costs(doubled_distances(rows, inst.member_tw, True)), scale
+    return costs(sign_distances(pair_signs(rows), inst.member_signs)), scale
 
 
 def minmax_objective(

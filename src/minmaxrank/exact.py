@@ -20,7 +20,8 @@ splits into
     and do not depend on the prefix: one product per call.
 Every partial sum is an integer below 2**53, so the products are exact.
 The twice distances then go through ``distances.class_cost_reduction``,
-the same exact reduction the objective uses: int64 costs while
+the exact reduction of member distances, whose integer class factors the
+objective scales by too: int64 costs while
 n² · max m · max integer factor < 2**63, Python ints beyond that.  Rank
 arrays are built only for the rows of least cost, and the reported value
 is an exact Fraction.

@@ -39,8 +39,9 @@ Devex: the few iterations of such a round do not earn back steepest
 edge's start-up cost on every row held.  The Kendall program's class
 weights and the tie mass read the instance's pairwise-count view
 ``Instance.above_counts``; members' pairwise orders are counted nowhere
-else.  Both programs write their
-``A_ub`` straight as CSR arrays.  Fractional solutions keep u (the pair
+else.  Both programs keep their C class rows as one dense (C, columns)
+``A_ub``, the array each builder fills, and ``solve`` loads each row's
+nonzeros into HiGHS.  Fractional solutions keep u (the pair
 orders, or the positions read back through ``LinearProgram.positions``)
 and the solve counts.  Both read their optimum the same way: each
 ``A_ub`` row plus q less its bound is q less the row's slack, a class
@@ -57,7 +58,7 @@ import numpy as np
 from scipy.optimize._highspy import _core as highspy
 from scipy.sparse import csr_matrix
 
-from .distances import BLOCK_ELEMENTS
+from .distances import BLOCK_ELEMENTS, _pairs
 from .rankings import Instance
 
 
@@ -85,7 +86,7 @@ class LinearProgram:
     back as u = ``positions`` @ x; its rows are the C class rows.
     """
 
-    A_ub: csr_matrix
+    A_ub: np.ndarray  # (rows, columns), dense
     b_ub: np.ndarray
     bounds: np.ndarray  # (columns, 2), +-inf where unbounded
     wf: np.ndarray | None = None
@@ -276,7 +277,7 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
         [float(cls.weight * t / 2) for t, cls in zip(ties, inst.classes)]
     )
     rank = sigma_rank(inst)
-    lo, hi = np.triu_indices(n, 1)  # pairs in combinations order
+    lo, hi = _pairs(n)  # pairs in combinations order
     swap = rank[lo] > rank[hi]
     a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)
     m = np.array([[cls.m] for cls in inst.classes])
@@ -288,12 +289,9 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     ncols = 1 + len(fa)
     pair_col = np.zeros((n, n), dtype=np.intp)
     pair_col[fa, fb] = pair_col[fb, fa] = np.arange(1, ncols)
-    block = np.empty((num_classes, ncols))
-    block[:, 0] = -1.0
-    np.subtract(wf[:, fa, fb], wf[:, fb, fa], out=block[:, 1:])
-    mask = block != 0
-    indptr = np.r_[0, np.cumsum(mask.sum(axis=1))]
-    A_ub = csr_matrix((block[mask], np.nonzero(mask)[1], indptr), shape=(num_classes, ncols))
+    A_ub = np.empty((num_classes, ncols))
+    A_ub[:, 0] = -1.0
+    np.subtract(wf[:, fa, fb], wf[:, fb, fa], out=A_ub[:, 1:])
 
     bounds = np.zeros((ncols, 2))
     bounds[0, 1] = np.inf
@@ -371,13 +369,9 @@ def build_footrule_program(inst: Instance) -> LinearProgram:
                               side="right") - (starts[:, None] * n + h * m[:, None])
     num_gaps = len(h)
     ncols = 1 + n + num_gaps
-    block = np.empty((num_classes, 1 + num_gaps))
-    block[:, 0] = -1.0
-    np.multiply(away * lam[:, None], 2 * at_left - m[:, None], out=block[:, 1:])
-    mask = block != 0
-    cols = np.nonzero(mask)[1]
-    A_ub = csr_matrix((block[mask], cols + n * (cols > 0), np.r_[0, np.cumsum(mask.sum(axis=1))]),
-                      shape=(num_classes, ncols))
+    A_ub = np.zeros((num_classes, ncols))
+    A_ub[:, 0] = -1.0
+    np.multiply(away * lam[:, None], 2 * at_left - m[:, None], out=A_ub[:, 1 + n:])
     cost_at_anchor = np.add.reduceat(np.abs(quad - anchor).sum(axis=1), starts) * lam / 4
 
     # u(h): its base column, then its gap columns, which are in element order
@@ -413,11 +407,12 @@ def solve(lp: LinearProgram) -> FractionalSolution:
     """Solve ``lp`` on one HiGHS model and read the structured solution back out.
 
     The model holds the columns with their bounds, q alone at unit cost, and
-    the ``A_ub`` rows as (-inf, b_ub].  A pairwise program (``rank`` is set)
-    reads u through ``pair_col``, its fixed pairs at sigma's order, then
-    appends a ranged row for each triple one of whose triangles that full u
-    violates and is solved again, warm from its last basis, until no
-    triangle is violated; a positional program separates nothing.  The rows
+    the nonzeros of the dense ``A_ub`` rows as (-inf, b_ub].  A pairwise
+    program (``rank`` is set) reads u through ``pair_col``, its fixed pairs
+    at sigma's order, then appends a ranged row for each triple one of whose
+    triangles that full u violates and is solved again, warm from its last
+    basis, until no triangle is violated; a positional program separates
+    nothing.  The rows
     come from a finite set, so this ends, and the returned optimum is the
     optimum of the program with every triangle.  Either model is solved
     without presolve: it only slowed the first, cold Kendall solve and a
@@ -445,8 +440,11 @@ def solve(lp: LinearProgram) -> FractionalSolution:
     cost = np.zeros(len(lp.bounds))
     cost[0] = 1.0
     _loaded(highs, highs.addCols(len(cost), cost, lower, upper, 0, [], [], []))
+    nonzero = lp.A_ub != 0  # HiGHS takes each row's nonzeros, by ascending column
+    indptr = np.zeros(len(lp.A_ub) + 1, dtype=np.intp)
+    np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
     _add_rows(highs, np.full(len(lp.b_ub), -highspy.kHighsInf), lp.b_ub,
-              lp.A_ub.indptr, lp.A_ub.indices, lp.A_ub.data)
+              indptr, np.nonzero(nonzero)[1], lp.A_ub[nonzero])
     present = np.empty(0, dtype=np.int64)  # ascending ids of the triples added
     runs = iterations = 0
     devex = False
@@ -475,6 +473,7 @@ def solve(lp: LinearProgram) -> FractionalSolution:
         _add_rows(highs, *_triangle_rows(new, lp.pair_col, later))
         present = np.sort(np.concatenate([present, new]))
     # a row plus q less its bound is q less its slack; a class row holds -q,
-    # so there it is the class's cost
-    costs = lp.A_ub @ x + x[0] - lp.b_ub
+    # so there it is the class's cost.  Each row is summed left to right, so
+    # the optimum does not hang on the summation order of a BLAS product
+    costs = np.cumsum(lp.A_ub * x, axis=1)[:, -1] + x[0] - lp.b_ub
     return FractionalSolution(float(costs.max()), u, runs, highs.getNumRow(), iterations)

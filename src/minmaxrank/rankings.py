@@ -16,10 +16,12 @@ buckets (``PartialRanking.from_buckets``), and ``as_partial`` promotes either
 kind to a partial ranking.  All types are immutable after construction and
 validate their invariants in ``__post_init__``, raising ``RankingError``;
 they are safe to share across threads or processes.  An
-instance carries two read-only array views, each built on first use: the
+instance carries three read-only array views, each built on first use: the
 member view ``Instance.member_tw`` of twice-positions, and from it the
-pairwise-count view ``Instance.above_counts``, the one place members'
-pairwise orders are counted.
+members' pair signs ``Instance.member_signs``, which every member-level
+Kendall distance reads, and the pairwise-count view
+``Instance.above_counts``, the one place members' pairwise orders are
+counted.
 """
 
 from __future__ import annotations
@@ -240,6 +242,15 @@ class Instance:
         tw = twice_positions([member for _, _, member in self.iter_members()])
         tw.flags.writeable = False
         return tw
+
+    @cached_property
+    def member_signs(self) -> np.ndarray:
+        """(M, n(n-1)/2) read-only int8 ``distances.pair_signs`` of ``member_tw``."""
+        from .distances import pair_signs  # distances imports this module
+
+        signs = pair_signs(self.member_tw)
+        signs.flags.writeable = False
+        return signs
 
     @cached_property
     def above_counts(self) -> np.ndarray:

@@ -45,7 +45,8 @@ from minmaxrank.aggregators import (
     _rounded_matrix,
     positions_to_order,
 )
-from minmaxrank.distances import BLOCK_ELEMENTS
+from minmaxrank import distances
+from minmaxrank.distances import BLOCK_ELEMENTS, pair_signs
 from minmaxrank._rng import generator
 from minmaxrank.cli import parse_gene_order_file
 from minmaxrank.mallows import TwoLevelConfig, sample_instance
@@ -661,6 +662,23 @@ class TestRestrictToMinWitnesses:
         )
         restricted = restrict_to_min_witnesses(inst, KT)
         assert restricted.classes[1].members == (a, b)
+
+    def test_builds_member_pair_signs_once(self, rng, monkeypatch):
+        # the selection and the anchor's witnesses both read the cached
+        # Instance.member_signs, and the anchor's distances are a row of the
+        # member-by-member matrix
+        calls = []
+
+        def counted(tw):
+            calls.append(len(tw))
+            return pair_signs(tw)
+
+        monkeypatch.setattr(distances, "pair_signs", counted)
+        inst = tied_instance(rng, m_choices=(2, 3))
+        restricted = restrict_to_min_witnesses(inst, KT)
+        assert calls == [len(inst.member_tw)]
+        assert restrict_to_min_witnesses(inst, KT) == restricted
+        assert calls == [len(inst.member_tw)]
 
 
 class TestMinConvVariants:

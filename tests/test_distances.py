@@ -1,9 +1,11 @@
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minmaxrank import distances
 from minmaxrank import (
@@ -20,7 +22,8 @@ from minmaxrank import (
     set_distance,
 )
 from minmaxrank._rng import generator
-from minmaxrank.distances import doubled_distances
+from minmaxrank.distances import class_cost_reduction, doubled_distances, scaled_class_costs
+from minmaxrank.mallows import TwoLevelConfig, sample_instance
 from minmaxrank.rankings import twice_positions
 
 from conftest import (
@@ -34,6 +37,7 @@ from conftest import (
 
 KT = DistanceKind.KENDALL_TAU
 SF = DistanceKind.SPEARMAN_FOOTRULE
+MEDIAN = SetDistanceKind.MEDIAN
 
 
 def pair_count_kendall(p, q):
@@ -419,3 +423,45 @@ class TestDoubledDistances:
         tw = np.array([[258, 4], [4, 258], [300, 300], [0, 0]])
         assert distances.pair_signs(tw).tolist() == [[1], [-1], [0], [0]]
         assert distances.pair_signs(tw[:, :0]).shape == (4, 0)
+
+
+class TestMedianKendallFromCounts:
+    # under the median Kendall distance scaled_class_costs reads the class
+    # costs off Instance.above_counts; set_distance, one member at a time,
+    # is the reference
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([7, distances.BLOCK_ELEMENTS]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_set_distance(self, seed, block):
+        rng = generator(seed)
+        inst = random_instance(rng, n_choices=range(1, 9), c_choices=(1, 2, 3),
+                               m_choices=(1, 2, 4), allow_ties=bool(rng.integers(2)),
+                               weight_choices=(Fraction(1, 3), Fraction(1), Fraction(7, 5)))
+        rows = ([random_permutation(rng, inst.n) for _ in range(2)]
+                + [random_partial_ranking(rng, inst.n) for _ in range(2)])
+        # a block of 7 elements takes one x at a time, or one row
+        with mock.patch.object(distances, "BLOCK_ELEMENTS", block):
+            costs, scale = scaled_class_costs(twice_positions(rows), inst, KT, MEDIAN)
+            objectives = [minmax_objective(p, inst, KT, MEDIAN) for p in rows]
+        want = [[cls.weight * set_distance(p, cls, KT, MEDIAN) for cls in inst.classes]
+                for p in rows]
+        assert [[Fraction(c, scale) for c in row] for row in costs.tolist()] == want
+        assert objectives == [max(row) for row in want]
+
+    def test_objective_memory_at_n1000(self):
+        # the n = 1,000 instance of test_lp.py's test_mmkt_at_n1000; through
+        # the member kernel, the 30 members' pair signs alone take 14 MB,
+        # and this call's traced peak was 100.6 MB
+        inst = sample_instance(TwoLevelConfig.create(1000, 3, 10, 0.7, 0.7), (0, 0))
+        inst.above_counts  # built first: the instance's view, not the objective's
+        p = random_permutation(generator(10), inst.n)
+        tracemalloc.start()
+        try:
+            got = minmax_objective(p, inst, KT, MEDIAN)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        reduce, scale = class_cost_reduction(inst, MEDIAN)
+        member_costs = reduce(doubled_distances(twice_positions([p]), inst.member_tw, False))
+        assert got == Fraction(int(member_costs.max()), scale)
+        # the (1, 65, 1000) comparison and its int64 weights; 1.1 MB measured
+        assert peak < 2 * 2**20

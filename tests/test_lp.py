@@ -233,7 +233,7 @@ class TestKendallLP:
         assert prog.A_ub.shape == (11, 1 + 629)
         # a one-genome class costs one entry per pair with a column, plus q;
         # the pairs need no pairing rows
-        assert prog.A_ub.nnz == 11 * (1 + 629)
+        assert np.count_nonzero(prog.A_ub) == 11 * (1 + 629)
         assert (prog.pair_col == 0).sum() == 36 + 2  # the diagonal, and that pair both ways
         # with all 7,140 triangle rows the program would have 7,151 rows
         assert solve(prog).rows <= 1_600
@@ -257,7 +257,7 @@ class TestKendallLP:
         assert (prog.pair_col[last] == 0).all() and (prog.pair_col[:, last] == 0).all()
         # each class entry is w[a][b] - w[b][a] with a first in sigma, and
         # b_ub is minus the class cost at sigma
-        assert prog.A_ub.toarray().tolist() == [row]
+        assert prog.A_ub.tolist() == [row]
         assert prog.b_ub.tolist() == [-0.5]
         sol = solve(prog)
         assert abs(sol.objective - 0.5) < TOL
@@ -425,7 +425,7 @@ def full_kendall_lp(inst: Instance) -> LinearProgram:
     bounds = np.zeros((A_ub.shape[1], 2))
     bounds[0, 1] = np.inf
     bounds[1:, 1] = 1.0
-    return dataclasses.replace(prog, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
+    return dataclasses.replace(prog, A_ub=A_ub.toarray(), b_ub=b_ub, bounds=bounds,
                                pair_col=pair_columns(inst.n))
 
 
@@ -901,8 +901,9 @@ def default_pricing_cut_loop(prog: LinearProgram) -> tuple:
     cost = np.zeros(len(prog.bounds))
     cost[0] = 1.0
     highs.addCols(len(cost), cost, prog.bounds[:, 0], prog.bounds[:, 1], 0, [], [], [])
+    rows = csr_matrix(prog.A_ub)
     highs.addRows(len(prog.b_ub), np.full(len(prog.b_ub), -highspy.kHighsInf), prog.b_ub,
-                  prog.A_ub.nnz, prog.A_ub.indptr, prog.A_ub.indices, prog.A_ub.data)
+                  rows.nnz, rows.indptr, rows.indices, rows.data)
     present = np.empty(0, dtype=np.int64)
     rounds = []
     while True:
@@ -919,7 +920,7 @@ def default_pricing_cut_loop(prog: LinearProgram) -> tuple:
         lower, upper, indptr, indices, data = lp._triangle_rows(new, col, later)
         highs.addRows(len(lower), lower, upper, len(data), indptr, indices, data)
         present = np.sort(np.concatenate([present, new]))
-    return float((prog.A_ub @ x + x[0] - prog.b_ub).max()), u, rounds
+    return float((rows @ x + x[0] - prog.b_ub).max()), u, rounds
 
 
 class TestPricingSwitch:
@@ -942,7 +943,7 @@ def free_position_program(inst: Instance, A_ub, b_ub) -> LinearProgram:
     bounds[:, 1] = np.inf
     bounds[1:1 + n, 0] = -np.inf
     positions = csr_matrix((np.ones(n), 1 + np.arange(n), np.arange(n + 1)), shape=(n, ncols))
-    return LinearProgram(A_ub, b_ub, bounds, positions=positions)
+    return LinearProgram(A_ub.toarray(), b_ub, bounds, positions=positions)
 
 
 def slack_footrule_program(inst: Instance) -> LinearProgram:
@@ -988,10 +989,10 @@ def reference_instance(seed: int) -> Instance:
 def coo_kendall_rows(inst: Instance, prog: LinearProgram, reduced: bool = True) -> tuple:
     """``build_kendall_lp``'s class rows and ``b_ub``, assembled from COO parts.
 
-    The reference for its direct CSR assembly: it reads the weights and
-    sigma off ``prog`` and derives the rest as that assembly once did, with
-    a column for each pair in ``combinations`` order, less the strictly
-    unanimous ones if ``reduced``.
+    The reference for its dense class rows: it reads the weights and
+    sigma off ``prog`` and derives the rest as the builder's COO assembly
+    once did, with a column for each pair in ``combinations`` order, less
+    the strictly unanimous ones if ``reduced``.
     """
     num_classes, wf, rank = inst.num_classes, prog.wf, prog.rank
     lo, hi = np.triu_indices(inst.n, 1)
@@ -1057,10 +1058,6 @@ def worst_class_cost(inst: Instance, u: np.ndarray) -> float:
         for cls, tw in zip(inst.classes, np.split(inst.member_tw, inst.class_starts[1:])))
 
 
-def row_bytes(A_ub, b_ub) -> list[bytes]:
-    return [x.tobytes() for x in (A_ub.indptr, A_ub.indices, A_ub.data, b_ub)]
-
-
 def assembly_instances(case) -> list[Instance]:
     if case == "gene":
         return [parse_gene_order_file(GENE_SAMPLE.read_text()).instance]
@@ -1073,15 +1070,17 @@ def assembly_instances(case) -> list[Instance]:
 
 
 class TestDirectAssembly:
-    # the Kendall builder writes A_ub's CSR arrays directly; the COO assembly
-    # it replaced, less the strictly unanimous pairs' columns, must give the
-    # same bytes, explicit zeros included
+    # the Kendall builder fills its dense class rows directly; the COO
+    # assembly it replaced, less the strictly unanimous pairs' columns, must
+    # give the same rows and bounds, bit for bit
     @pytest.mark.parametrize("case", [*range(40), "tied", "gene"])
     def test_matches_coo_assembly(self, case):
         for inst in assembly_instances(case):
             prog = build_kendall_lp(inst)
             A_ub, b_ub = coo_kendall_rows(inst, prog)
-            assert row_bytes(prog.A_ub, prog.b_ub) == row_bytes(A_ub, b_ub)
+            assert prog.A_ub.dtype == np.float64 and prog.A_ub.shape == A_ub.shape
+            assert prog.A_ub.tobytes() == A_ub.toarray().tobytes()
+            assert prog.b_ub.tobytes() == b_ub.tobytes()
             assert prog.bounds.shape == (A_ub.shape[1], 2)
 
 
@@ -1158,7 +1157,7 @@ class TestFootruleProgram:
         assert all(cls.m == 1 for cls in inst.classes)
         prog = build_footrule_program(inst)
         lam = np.array([float(cls.weight) for cls in inst.classes])
-        gaps = prog.A_ub[:, 1 + inst.n:].toarray()
+        gaps = prog.A_ub[:, 1 + inst.n:]
         assert np.isin(np.abs(gaps), [0.0, *lam]).all()
         sol = solve(prog)
         ref = solve(slack_footrule_program(inst)).objective
@@ -1278,7 +1277,7 @@ class TestSolveErrors:
         ([[0.0]], [0.0], [-np.inf, np.inf], "Unbounded"),  # min x over free x
     ], ids=["infeasible", "unbounded"])
     def test_model_status(self, rank, A_ub, b_ub, bounds, status):
-        prog = LinearProgram(A_ub=csr_matrix(A_ub), b_ub=np.array(b_ub),
+        prog = LinearProgram(A_ub=np.array(A_ub), b_ub=np.array(b_ub),
                              bounds=np.array([bounds]), rank=rank)
         with pytest.raises(SolverError, match=f"^{status}$"):
             solve(prog)

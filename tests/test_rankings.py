@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -243,10 +244,22 @@ class TestMemberView:
         assert peak < 4 * 2**20
 
     def test_built_view_leaves_equality_hash_and_repr(self):
-        for view in ("member_tw", "above_counts"):
+        views = [name for name, attr in vars(Instance).items()
+                 if isinstance(attr, cached_property)]
+        assert {"member_tw", "member_signs", "above_counts"} <= set(views)
+        for view in views:
             built, fresh = self.instance(), self.instance()
-            getattr(built, view)
+            value = getattr(built, view)
             assert view in vars(built) and view not in vars(fresh)
+            # every view is read-only: an array that refuses writes, or a tuple
+            assert isinstance(value, tuple) or not value.flags.writeable
             assert built == fresh
             assert hash(built) == hash(fresh)
             assert repr(built) == repr(fresh)
+
+    def test_member_signs_are_the_pair_signs_of_member_tw(self):
+        inst = self.instance()
+        signs = inst.member_signs
+        assert signs.dtype == np.int8
+        # pairs (1, 2), (1, 3), (2, 3): -1 when the first is above
+        assert signs.tolist() == [[-1, -1, -1], [1, 1, -1], [0, -1, -1]]
