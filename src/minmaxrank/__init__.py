@@ -6,7 +6,6 @@ from .rankings import (
     Permutation,
     RankingClass,
     RankingError,
-    as_partial,
 )
 from .distances import (
     DistanceError,
@@ -63,7 +62,6 @@ __all__ = [
     "SolverError",
     "TooLarge",
     "TwoLevelConfig",
-    "as_partial",
     "brute_force",
     "build_footrule_program",
     "build_kendall_lp",

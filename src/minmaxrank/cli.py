@@ -25,9 +25,7 @@ exception type to its code.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
-import functools
 import itertools
 import statistics
 import sys
@@ -45,7 +43,6 @@ from .rankings import (
     Permutation,
     Ranking,
     RankingClass,
-    as_partial,
     twice_positions,
 )
 
@@ -193,8 +190,10 @@ def _format_weight(w: Fraction) -> str:
 
 def _format_ranking(ranking: Ranking, names: Sequence[str]) -> str:
     """Names best to worst, with each tie group in braces."""
+    if isinstance(ranking, Permutation):
+        return " ".join(names[x - 1] for x in ranking.order())
     parts = []
-    for bucket in as_partial(ranking).buckets:
+    for bucket in ranking.buckets:
         toks = [names[x - 1] for x in sorted(bucket)]
         parts.append(toks[0] if len(toks) == 1 else "{ %s }" % " ".join(toks))
     return " ".join(parts)
@@ -399,34 +398,6 @@ class BenchmarkRow:
     seconds: float
 
 
-def _run_trial(
-    n, num_classes, per_class, phi2, seed, algos, dist_flag, set_flag, point
-) -> list[BenchmarkRow]:
-    trial, phi1 = point
-    cfg = TwoLevelConfig.create(n, num_classes, per_class, phi1, phi2)
-    # keyed by (seed, trial) only: the same uniform stream serves every phi1,
-    # coupling the sweeps and letting workers reproduce the serial run
-    inst = sample_instance(cfg, (seed, trial))
-    kind = _DISTANCES[dist_flag]
-    set_kind = _SET_DISTANCES[set_flag]
-    rows = []
-    for algo_idx, algo in enumerate(algos):
-        start = time.perf_counter()
-        result = run_algorithm(
-            algo, inst, kind, set_kind, seed=(seed, trial, 1000 + algo_idx)
-        )
-        rows.append(
-            BenchmarkRow(
-                trial,
-                phi1,
-                algo,
-                float(result.objective),
-                time.perf_counter() - start,
-            )
-        )
-    return rows
-
-
 def run_benchmark(
     n: int,
     num_classes: int,
@@ -437,20 +408,31 @@ def run_benchmark(
     seed: int,
     dist_flag: str = "kt",
     set_flag: str = "med",
-    workers: int = 1,
 ) -> list[BenchmarkRow]:
     """Run the two-level Mallows sweep; rows sorted by (trial, phi1, algo)."""
     algos = _BENCH_ALGOS[(set_flag, dist_flag)]
-    run = functools.partial(
-        _run_trial, n, num_classes, per_class, phi2, seed, algos, dist_flag, set_flag
-    )
-    points = itertools.product(range(trials), phi1_list)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, points))
-    else:
-        chunks = list(map(run, points))
-    rows = [row for chunk in chunks for row in chunk]
+    kind = _DISTANCES[dist_flag]
+    set_kind = _SET_DISTANCES[set_flag]
+    rows = []
+    for trial, phi1 in itertools.product(range(trials), phi1_list):
+        cfg = TwoLevelConfig.create(n, num_classes, per_class, phi1, phi2)
+        # keyed by (seed, trial) only: the same uniform stream serves every
+        # phi1, coupling the sweeps
+        inst = sample_instance(cfg, (seed, trial))
+        for algo_idx, algo in enumerate(algos):
+            start = time.perf_counter()
+            result = run_algorithm(
+                algo, inst, kind, set_kind, seed=(seed, trial, 1000 + algo_idx)
+            )
+            rows.append(
+                BenchmarkRow(
+                    trial,
+                    phi1,
+                    algo,
+                    float(result.objective),
+                    time.perf_counter() - start,
+                )
+            )
     rows.sort(key=lambda r: (r.trial, r.phi1, r.algo))
     return rows
 
@@ -482,7 +464,7 @@ def cmd_benchmark(args) -> int:
     ) as out:
         rows = run_benchmark(
             args.n, args.classes, args.per_class, args.phi1_list, args.phi2,
-            args.trials, args.seed, args.distance, args.setdist, args.workers,
+            args.trials, args.seed, args.distance, args.setdist,
         )
         out.write(format_benchmark_csv(rows, args.phi1_list, algos))
     return 0
@@ -553,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--seed", type=_seed, default=0)
     ben.add_argument("--distance", choices=sorted(_DISTANCES), default="kt")
     ben.add_argument("--setdist", choices=sorted(_SET_DISTANCES), default="med")
-    ben.add_argument("--workers", type=_positive_int, default=1)
     ben.add_argument("--out", default=None)
     ben.set_defaults(func=cmd_benchmark)
 

@@ -6,20 +6,20 @@ tie buckets; tied elements share the fractional position
 
     position(x) = #{ranked strictly higher} + (bucket size + 1) / 2,
 
-which coincides with the rank on total orders.  Positions are kept as exact
-half-integers (``Fraction`` with denominator 1 or 2) so comparisons never
-hit floating-point ties.
+which coincides with the rank on total orders.  Positions are kept doubled,
+as integers (``twice_positions``), so half-integers stay exact and
+comparisons never hit floating-point ties.
 
 A permutation is built from its ranks (``Permutation(ranks)``) or its
 best-to-worst order (``Permutation.from_order``), a partial ranking from its
-buckets (``PartialRanking.from_buckets``), and ``as_partial`` promotes either
-kind to a partial ranking.  All types are immutable after construction and
-validate their invariants in ``__post_init__``, raising ``RankingError``;
-they are safe to share across threads or processes.  An
-instance carries three read-only array views, each built on first use: the
-member view ``Instance.member_tw`` of twice-positions, and from it the
-members' pair signs ``Instance.member_signs``, which every member-level
-Kendall distance reads, and the pairwise-count view
+buckets (``PartialRanking.from_buckets``).  Every algorithm and distance
+reads either kind through ``twice_positions``.  All types are immutable
+after construction and validate their invariants in ``__post_init__``,
+raising ``RankingError``; they are safe to share across threads or
+processes.  An instance carries three read-only array views, each built
+on first use: the member view ``Instance.member_tw`` of twice-positions,
+and from it the members' pair signs ``Instance.member_signs``, which every
+member-level Kendall distance reads, and the pairwise-count view
 ``Instance.above_counts``, the one place members' pairwise orders are
 counted.
 """
@@ -70,12 +70,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.ranks)
 
-    def rank_of(self, x: int) -> int:
-        """Rank of element x (1-based)."""
-        if not 1 <= x <= self.n:
-            raise RankingError(f"element {x} outside 1..{self.n}")
-        return self.ranks[x - 1]
-
     def inverse(self) -> "Permutation":
         """The inverse permutation: entry t holds the element ranked t."""
         inv = [0] * self.n
@@ -87,10 +81,6 @@ class Permutation:
         """Elements listed best-to-worst (the inverse as a sequence)."""
         return self.inverse().ranks
 
-    def to_partial(self) -> "PartialRanking":
-        """Equivalent partial ranking with one element per bucket."""
-        return PartialRanking(tuple(frozenset((x,)) for x in self.order()))
-
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
@@ -101,8 +91,10 @@ class Permutation:
         n = len(order)
         ranks = [0] * n
         for pos, x in enumerate(order, start=1):
-            if not isinstance(x, int) or not 1 <= x <= n:
-                raise RankingError(f"element {x!r} outside 1..{n}")
+            if not isinstance(x, int):
+                raise RankingError(f"element {x!r} is not an integer")
+            if not 1 <= x <= n:
+                raise RankingError(f"element {x} outside 1..{n}")
             if ranks[x - 1] != 0:
                 raise RankingError(f"element {x} listed more than once")
             ranks[x - 1] = pos
@@ -127,8 +119,10 @@ class PartialRanking:
             if not b:
                 raise RankingError("empty bucket")
             for x in b:
-                if not isinstance(x, int) or not 1 <= x <= n:
-                    raise RankingError(f"element {x!r} outside 1..{n}")
+                if not isinstance(x, int):
+                    raise RankingError(f"element {x!r} is not an integer")
+                if not 1 <= x <= n:
+                    raise RankingError(f"element {x} outside 1..{n}")
                 if twice[x - 1] != 0:
                     raise RankingError(f"element {x} appears in more than one bucket")
                 twice[x - 1] = 2 * higher + len(b) + 1
@@ -139,27 +133,12 @@ class PartialRanking:
     def n(self) -> int:
         return len(self._twice_positions)
 
-    def position(self, x: int) -> Fraction:
-        """Fractional position of element x; half-integer valued."""
-        if not 1 <= x <= self.n:
-            raise RankingError(f"element {x} outside 1..{self.n}")
-        return Fraction(self._twice_positions[x - 1], 2)
-
-    def tied_pair_count(self) -> int:
-        """Number of unordered pairs sharing a bucket."""
-        return sum(len(b) * (len(b) - 1) // 2 for b in self.buckets)
-
     @classmethod
     def from_buckets(cls, buckets: Iterable[Iterable[int]]) -> "PartialRanking":
         return cls(tuple(frozenset(b) for b in buckets))
 
 
 Ranking = Union[Permutation, PartialRanking]
-
-
-def as_partial(r: Ranking) -> PartialRanking:
-    """Promote a permutation to a singleton-bucket partial ranking."""
-    return r.to_partial() if isinstance(r, Permutation) else r
 
 
 def twice_positions(rankings: Sequence[Ranking]) -> np.ndarray:

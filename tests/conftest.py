@@ -4,14 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from minmaxrank import Instance, PartialRanking, Permutation, RankingClass, as_partial
+from minmaxrank import Instance, PartialRanking, Permutation, RankingClass
 from minmaxrank._rng import generator
+from minmaxrank.rankings import twice_positions
 
 WEIGHT_CHOICES = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
 def random_permutation(rng, n: int) -> Permutation:
     return Permutation.from_order([int(x) + 1 for x in rng.permutation(n)])
+
+
+def singleton_buckets(p: Permutation) -> PartialRanking:
+    """``p`` as a partial ranking with one element per bucket."""
+    return PartialRanking.from_buckets([x] for x in p.order())
+
+
+def positions(r) -> list[Fraction]:
+    """The position of each element of ``r``, indexed by element - 1."""
+    return [Fraction(int(t), 2) for t in twice_positions([r])[0]]
 
 
 def random_partial_ranking(rng, n: int, tie_prob: float = 0.4) -> PartialRanking:

@@ -26,7 +26,12 @@ from minmaxrank import DistanceKind, SetDistanceKind
 from minmaxrank._rng import generator
 from minmaxrank.cli import _BENCH_ALGOS, parse_gene_order_file, run_benchmark
 
-from conftest import random_instance, random_partial_ranking, random_permutation
+from conftest import (
+    random_instance,
+    random_partial_ranking,
+    random_permutation,
+    singleton_buckets,
+)
 
 KT = DistanceKind.KENDALL_TAU
 SF = DistanceKind.SPEARMAN_FOOTRULE
@@ -166,7 +171,8 @@ def test_criterion_5_distance_properties():
         n = int(rng.integers(1, 15))
         p, q = random_permutation(rng, n), random_permutation(rng, n)
         for kind in (KT, SF):
-            assert mr.distance(p.to_partial(), q.to_partial(), kind) == mr.distance(p, q, kind)
+            assert (mr.distance(singleton_buckets(p), singleton_buckets(q), kind)
+                    == mr.distance(p, q, kind))
     _passed("criterion 5 (pseudometric axioms, Diaconis-Graham, total-order agreement)")
 
 

@@ -17,7 +17,6 @@ from minmaxrank import (
     Permutation,
     RankingClass,
     SetDistanceKind,
-    as_partial,
     brute_force,
     build_footrule_program,
     build_kendall_lp,
@@ -51,7 +50,7 @@ from minmaxrank._rng import generator
 from minmaxrank.cli import parse_gene_order_file
 from minmaxrank.mallows import TwoLevelConfig, sample_instance
 
-from conftest import gap_instance, random_instance, random_permutation, tied_instance
+from conftest import gap_instance, positions, random_instance, random_permutation, tied_instance
 
 KT = DistanceKind.KENDALL_TAU
 SF = DistanceKind.SPEARMAN_FOOTRULE
@@ -529,14 +528,14 @@ def refined(member, inst):
     descending pooled weighted wins, then id, counted in Fractions."""
     if isinstance(member, Permutation):
         return member
-    elements = range(1, inst.n + 1)
+    elements = range(inst.n)
     wins = {x: sum(
-        cls.weight / cls.m * sum((r.position(y) > r.position(x)) - (r.position(y) < r.position(x))
-                                 for y in elements)
-        for cls in inst.classes for r in map(as_partial, cls.members)
+        cls.weight / cls.m * sum((r[y] > r[x]) - (r[y] < r[x]) for y in elements)
+        for cls in inst.classes for r in map(positions, cls.members)
     ) for x in elements}
+    own = positions(member)
     return Permutation.from_order(
-        sorted(elements, key=lambda x: (member.position(x), -wins[x], x)))
+        [x + 1 for x in sorted(elements, key=lambda x: (own[x], -wins[x], x))])
 
 
 @pytest.mark.parametrize("set_kind", [MED, MIN])

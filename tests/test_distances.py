@@ -16,7 +16,6 @@ from minmaxrank import (
     Permutation,
     RankingClass,
     SetDistanceKind,
-    as_partial,
     distance,
     minmax_objective,
     set_distance,
@@ -29,9 +28,11 @@ from minmaxrank.rankings import twice_positions
 from conftest import (
     gap_instance,
     has_ties,
+    positions,
     random_instance,
     random_partial_ranking,
     random_permutation,
+    singleton_buckets,
     tied_instance,
 )
 
@@ -43,19 +44,19 @@ MEDIAN = SetDistanceKind.MEDIAN
 def pair_count_kendall(p, q):
     """Independent O(n^2) oracle: count oppositely ordered pairs directly."""
     total = 0
-    for x, y in combinations(range(1, p.n + 1), 2):
-        if (p.rank_of(x) - p.rank_of(y)) * (q.rank_of(x) - q.rank_of(y)) < 0:
+    for x, y in combinations(range(p.n), 2):
+        if (p.ranks[x] - p.ranks[y]) * (q.ranks[x] - q.ranks[y]) < 0:
             total += 1
     return total
 
 
 def pair_count_kemeny(p, q):
     """Independent oracle for the Kemeny distance via positions."""
-    p, q = as_partial(p), as_partial(q)
+    p, q = positions(p), positions(q)
     total = Fraction(0)
-    for x, y in combinations(range(1, p.n + 1), 2):
-        dp = p.position(x) - p.position(y)
-        dq = q.position(x) - q.position(y)
+    for x, y in combinations(range(len(p)), 2):
+        dp = p[x] - p[y]
+        dq = q[x] - q[y]
         if dp * dq < 0:
             total += 1
         elif (dp == 0) != (dq == 0):
@@ -65,8 +66,7 @@ def pair_count_kemeny(p, q):
 
 def position_footrule(p, q):
     """Independent oracle for the partial footrule via positions."""
-    p, q = as_partial(p), as_partial(q)
-    return sum(abs(p.position(x) - q.position(x)) for x in range(1, p.n + 1))
+    return sum(abs(a - b) for a, b in zip(positions(p), positions(q)))
 
 
 def test_one_distance_per_family():
@@ -147,7 +147,7 @@ class TestKemeny:
         for _ in range(100):
             n = int(rng.integers(1, 10))
             p, q = random_permutation(rng, n), random_permutation(rng, n)
-            assert distance(p.to_partial(), q, KT) == pair_count_kendall(p, q)
+            assert distance(singleton_buckets(p), q, KT) == pair_count_kendall(p, q)
 
     def test_matches_position_oracle(self, rng):
         for _ in range(100):
@@ -178,7 +178,7 @@ class TestPartialFootrule:
         for _ in range(100):
             n = int(rng.integers(1, 10))
             p, q = random_permutation(rng, n), random_permutation(rng, n)
-            assert distance(p.to_partial(), q.to_partial(), SF) == distance(p, q, SF)
+            assert distance(singleton_buckets(p), singleton_buckets(q), SF) == distance(p, q, SF)
 
     def test_matches_position_oracle(self, rng):
         for _ in range(100):

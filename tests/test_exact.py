@@ -106,7 +106,7 @@ def test_relabeling_invariance(rng):
             # move element x to name relabel[x-1], keeping ranks
             ranks = [0] * inst.n
             for x in range(1, inst.n + 1):
-                ranks[relabel[x - 1] - 1] = p.rank_of(x)
+                ranks[relabel[x - 1] - 1] = p.ranks[x - 1]
             return Permutation(tuple(ranks))
 
         relabeled = Instance(

@@ -1,6 +1,8 @@
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,13 +15,12 @@ from minmaxrank import (
     Permutation,
     RankingClass,
     RankingError,
-    as_partial,
     max_weight_members,
 )
 from minmaxrank._rng import generator
 from minmaxrank.rankings import BLOCK_ELEMENTS, twice_positions
 
-from conftest import random_partial_ranking, tied_instance
+from conftest import positions, random_partial_ranking, singleton_buckets, tied_instance
 
 perm_strategy = st.integers(1, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -30,12 +31,11 @@ class TestMakePermutation:
     def test_identity(self):
         p = Permutation((1, 2, 3))
         assert p == Permutation.identity(3)
-        assert [p.rank_of(x) for x in (1, 2, 3)] == [1, 2, 3]
+        assert p.order() == (1, 2, 3)
 
     def test_transposition(self):
         p = Permutation((2, 1, 3))
-        assert p.rank_of(1) == 2
-        assert p.rank_of(2) == 1
+        assert p.order() == (2, 1, 3)
 
     def test_duplicate_rank(self):
         with pytest.raises(RankingError, match="rank 1 appears more than once"):
@@ -77,43 +77,33 @@ class TestInverse:
     @settings(max_examples=150)
     def test_inverse_composes_to_identity(self, p):
         inv = p.inverse()
-        assert all(inv.rank_of(p.rank_of(x)) == x for x in range(1, p.n + 1))
+        assert all(inv.ranks[p.ranks[x - 1] - 1] == x for x in range(1, p.n + 1))
 
 
 class TestPosition:
     def test_tied_pair(self):
         r = PartialRanking.from_buckets([{1, 2}, {3}])
-        assert r.position(1) == Fraction(3, 2)
-        assert r.position(2) == Fraction(3, 2)
-        assert r.position(3) == 3
+        assert positions(r) == [Fraction(3, 2), Fraction(3, 2), 3]
 
     def test_total_order_equals_rank(self):
         r = PartialRanking.from_buckets([{1}, {2}, {3}])
-        assert r.position(2) == 2
+        assert positions(r)[1] == 2
 
     def test_single_bucket(self):
         r = PartialRanking.from_buckets([{1, 2, 3}])
-        assert r.position(3) == 2
-
-    def test_out_of_range(self):
-        r = PartialRanking.from_buckets([{1, 2}])
-        with pytest.raises(RankingError, match=r"element 3 outside 1\.\.2"):
-            r.position(3)
+        assert positions(r)[2] == 2
 
     def test_positions_sum(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 10))
             r = random_partial_ranking(rng, n)
-            total = sum(r.position(x) for x in range(1, n + 1))
-            assert total == Fraction(n * (n + 1), 2)
+            assert sum(positions(r)) == Fraction(n * (n + 1), 2)
 
     def test_permutation_promotion_preserves_positions(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 9))
             p = Permutation.from_order([int(x) + 1 for x in rng.permutation(n)])
-            r = as_partial(p)
-            assert r.buckets == tuple(frozenset((x,)) for x in p.order())
-            assert all(r.position(x) == p.rank_of(x) for x in range(1, n + 1))
+            assert positions(singleton_buckets(p)) == list(p.ranks)
 
     def test_twice_positions_mixes_kinds(self, rng):
         for _ in range(50):
@@ -122,9 +112,13 @@ class TestPosition:
             r = random_partial_ranking(rng, n)
             tw = twice_positions([p, r])
             assert tw.shape == (2, n) and tw.dtype.kind == "i"
+            assert tw[0].tolist() == [2 * rank for rank in p.ranks]
+            # position(x) = #{ranked strictly higher} + (bucket size + 1) / 2
+            bucket_of = {x: i for i, b in enumerate(r.buckets) for x in b}
             for x in range(1, n + 1):
-                assert tw[0, x - 1] == 2 * as_partial(p).position(x)
-                assert tw[1, x - 1] == 2 * r.position(x)
+                higher = sum(bucket_of[y] < bucket_of[x] for y in bucket_of)
+                size = sum(bucket_of[y] == bucket_of[x] for y in bucket_of)
+                assert tw[1, x - 1] == 2 * higher + size + 1
 
 
 class TestPartialRankingValidation:
@@ -141,8 +135,10 @@ class TestPartialRankingValidation:
             PartialRanking((frozenset({1}), frozenset()))
 
     def test_tied_pair_count(self):
-        assert PartialRanking.from_buckets([{1, 2, 3}, {4}]).tied_pair_count() == 3
-        assert PartialRanking.from_buckets([{1}, {2}]).tied_pair_count() == 0
+        # tied elements, and only they, share a position
+        for buckets, tied in (([{1, 2, 3}, {4}], 3), ([{1}, {2}], 0)):
+            tw = twice_positions([PartialRanking.from_buckets(buckets)])[0]
+            assert sum(a == b for a, b in combinations(tw, 2)) == tied
 
 
 class TestClassesAndInstances:
@@ -178,15 +174,21 @@ class TestClassesAndInstances:
 
 @pytest.mark.parametrize("build, message", [
     (lambda: Permutation((1, 2.0)), r"rank 2\.0 is not an integer"),
-    (lambda: Permutation.identity(3).rank_of(4), r"element 4 outside 1\.\.3"),
     (lambda: Permutation.from_order([1, 3]), r"element 3 outside 1\.\.2"),
+    (lambda: Permutation.from_order(np.array([2, 1, 3])),
+     rf"element {re.escape(repr(np.int64(2)))} is not an integer"),
+    (lambda: Permutation.from_order([2.0, 1, 3]), r"element 2\.0 is not an integer"),
+    (lambda: PartialRanking.from_buckets([[np.int64(1)]]),
+     rf"element {re.escape(repr(np.int64(1)))} is not an integer"),
+    (lambda: PartialRanking.from_buckets([[1], [2.0]]), r"element 2\.0 is not an integer"),
     (lambda: Permutation.from_order([2, 2]), r"element 2 listed more than once"),
     (lambda: PartialRanking(()), r"partial ranking must have at least one element"),
     (lambda: RankingClass((Permutation.identity(2), Permutation.identity(3))),
      r"members have differing ground-set sizes"),
     (lambda: Instance(2, ()), r"instance must have at least one class"),
-], ids=["rank-not-int", "rank-of-range", "from-order-range", "from-order-repeat",
-        "empty-partial", "member-sizes", "no-classes"])
+], ids=["rank-not-int", "from-order-range", "from-order-numpy", "from-order-float",
+        "bucket-numpy", "bucket-float", "from-order-repeat", "empty-partial",
+        "member-sizes", "no-classes"])
 def test_invalid_input_names_its_fault(build, message):
     with pytest.raises(RankingError, match=f"^{message}$"):
         build()
