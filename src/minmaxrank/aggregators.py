@@ -30,7 +30,7 @@ from .distances import (
     minmax_objective,
     scaled_class_costs,
 )
-from .lp import build_footrule_program, build_kendall_lp, sigma_rank, solve
+from .lp import build_footrule_program, build_kendall_lp, pairwise_weights, sigma_rank, solve
 from .rankings import Instance, Permutation, Ranking, RankingClass, twice_positions
 from ._rng import generator
 
@@ -150,38 +150,37 @@ def pivot_rounding(
     return [x + 1 for x in _pivot_sort(h == 1, choose)], trace
 
 
-def _family_kind(kind: DistanceKind | None, default: DistanceKind) -> DistanceKind:
-    """``kind`` if it is ``default``, which None stands for."""
-    kind = kind or default
-    if kind is not default:
-        family = "footrule" if default.positional else "Kendall"
-        raise DistanceError(f"{kind} is not a {family}-type distance")
-    return kind
+def _footrule_kind(kind: DistanceKind | None) -> DistanceKind:
+    """The footrule, if ``kind`` is it or None."""
+    if kind not in (None, DistanceKind.SPEARMAN_FOOTRULE):
+        raise DistanceError(f"{kind} is not a footrule-type distance")
+    return DistanceKind.SPEARMAN_FOOTRULE
 
 
-def _kendall_order(u: np.ndarray, wf: np.ndarray) -> list[int]:
+def _kendall_order(u: np.ndarray, inst: Instance) -> list[int]:
     """Pivot rounding's order of u: elements (1-based) best-to-worst.
 
-    The pivots are scored only when the rounding h of u has a cycle.  A
-    tournament is transitive exactly when its row sums are n - 1, ..., 0,
-    and every quicksort split by a transitive h keeps h's order, whichever
-    pivot each level picks; so its order is read off the row sums.
+    The pivots are scored, on the class weights of ``inst``, only when the
+    rounding h of u has a cycle.  A tournament is transitive exactly when
+    its row sums are n - 1, ..., 0, and every quicksort split by a
+    transitive h keeps h's order, whichever pivot each level picks; so its
+    order is read off the row sums.
     """
+    n = len(u)
     wins = _rounded_matrix(u).sum(axis=1)
     order = np.argsort(-wins, kind="stable")
-    if (wins[order] == np.arange(len(wins))[::-1]).all():
+    if (wins[order] == np.arange(n)[::-1]).all():
         return (order + 1).tolist()
-    return pivot_rounding(u, wf)[0]
+    return pivot_rounding(u, pairwise_weights(inst, np.arange(n * n).reshape(n, n)))[0]
 
 
 def _mmkt(inst: Instance) -> tuple[Permutation, float]:
     """The rounded Kendall LP optimum and the optimum's value."""
-    prog = build_kendall_lp(inst)
-    sol = solve(prog)
-    return Permutation.from_order(_kendall_order(sol.u, prog.wf)), sol.objective
+    sol = solve(build_kendall_lp(inst))
+    return Permutation.from_order(_kendall_order(sol.u, inst)), sol.objective
 
 
-def mmkt_conv(inst: Instance, kind: DistanceKind | None = None) -> AggregationResult:
+def mmkt_conv(inst: Instance) -> AggregationResult:
     """LP relaxation plus deterministic pivot rounding (median Kendall/Kemeny).
 
     The returned permutation costs at most twice the relaxation optimum,
@@ -191,9 +190,8 @@ def mmkt_conv(inst: Instance, kind: DistanceKind | None = None) -> AggregationRe
     therefore yields h's order, so that order is read off h directly, and
     ``pivot_rounding`` scores pivots only when h has a cycle.
     """
-    kind = _family_kind(kind, DistanceKind.KENDALL_TAU)
     perm, certificate = _mmkt(inst)
-    objective = minmax_objective(perm, inst, kind, SetDistanceKind.MEDIAN)
+    objective = minmax_objective(perm, inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN)
     return AggregationResult(perm, objective, certificate=certificate)
 
 
@@ -237,7 +235,7 @@ def mmsp_conv(
     optimum + 2 x certificate <= 3 x optimum.  Permutation members g give
     w_k|s - u| <= f_k(u) through |s - u| <= |g - u|: 2 x certificate.
     """
-    kind = _family_kind(kind, DistanceKind.SPEARMAN_FOOTRULE)
+    kind = _footrule_kind(kind)
     perm, certificate = _mmsp(inst, rng_seed)
     objective = minmax_objective(perm, inst, kind, SetDistanceKind.MEDIAN)
     return AggregationResult(perm, objective, certificate=certificate)
@@ -339,16 +337,14 @@ def restrict_to_min_witnesses(inst: Instance, kind: DistanceKind) -> Instance:
     return Instance(inst.n, tuple(classes))
 
 
-def min_mmkt_conv(
-    inst: Instance, kind: DistanceKind | None = None
-) -> AggregationResult:
+def min_mmkt_conv(inst: Instance) -> AggregationResult:
     """Pivot rounding on the witness-restricted instance (min set-distance).
 
     The objective is evaluated against the original instance under the
     minimum set-distance; when every class holds permutations, the
     reduction guarantees a factor of 4.
     """
-    kind = _family_kind(kind, DistanceKind.KENDALL_TAU)
+    kind = DistanceKind.KENDALL_TAU
     perm, _ = _mmkt(restrict_to_min_witnesses(inst, kind))
     return AggregationResult(
         perm, minmax_objective(perm, inst, kind, SetDistanceKind.MINIMUM))
@@ -359,7 +355,7 @@ def min_mmsp_conv(
 ) -> AggregationResult:
     """Sort-rounding on the witness-restricted instance (min set-distance);
     a factor of 4 when every class holds permutations."""
-    kind = _family_kind(kind, DistanceKind.SPEARMAN_FOOTRULE)
+    kind = _footrule_kind(kind)
     perm, _ = _mmsp(restrict_to_min_witnesses(inst, kind), rng_seed)
     return AggregationResult(
         perm, minmax_objective(perm, inst, kind, SetDistanceKind.MINIMUM))

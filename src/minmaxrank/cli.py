@@ -282,7 +282,7 @@ class _Algorithm(NamedTuple):
 
 
 _ALGORITHMS = {
-    "mmkt": _Algorithm("kt", "med", lambda i, k, s, r: aggregators.mmkt_conv(i, k)),
+    "mmkt": _Algorithm("kt", "med", lambda i, k, s, r: aggregators.mmkt_conv(i)),
     "mmsp": _Algorithm("sf", "med", lambda i, k, s, r: aggregators.mmsp_conv(i, k, r)),
     "pick-rnd": _Algorithm(
         None, None, lambda i, k, s, r: aggregators.pick_rnd_perm(i, k, s, r)
@@ -293,9 +293,7 @@ _ALGORITHMS = {
     "min-pick": _Algorithm(
         None, "min", lambda i, k, s, r: aggregators.min_pick_perm(i, k)
     ),
-    "min-mmkt": _Algorithm(
-        "kt", "min", lambda i, k, s, r: aggregators.min_mmkt_conv(i, k)
-    ),
+    "min-mmkt": _Algorithm("kt", "min", lambda i, k, s, r: aggregators.min_mmkt_conv(i)),
     "min-mmsp": _Algorithm(
         "sf", "min", lambda i, k, s, r: aggregators.min_mmsp_conv(i, k, r)
     ),

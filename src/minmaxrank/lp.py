@@ -36,12 +36,13 @@ from HiGHS's default dual steepest-edge pricing (Forrest & Goldfarb,
 Math. Programming 1992) to Devex (Harris, Math. Programming 1973) at the
 first cut round that adds at most 1/40 of the rows it holds, and keeps
 Devex: the few iterations of such a round do not earn back steepest
-edge's start-up cost on every row held.  The Kendall program's class
-weights and the tie mass read the instance's pairwise-count view
-``Instance.above_counts``; members' pairwise orders are counted nowhere
-else.  Both programs keep their C class rows as one dense (C, columns)
-``A_ub``, the array each builder fills, and ``solve`` loads each row's
-nonzeros into HiGHS.  Fractional solutions keep u (the pair
+edge's start-up cost on every row held.  The Kendall class weights, which
+``pairwise_weights`` reads at the pairs a caller asks for, and the tie
+mass read the instance's pairwise-count view ``Instance.above_counts``;
+members' pairwise orders are counted nowhere else, and no program keeps a
+copy of the counts.  Both programs keep their C class rows as one dense
+(C, columns) ``A_ub``, the array each builder fills, and ``solve`` loads
+each row's nonzeros into HiGHS.  Fractional solutions keep u (the pair
 orders, or the positions read back through ``LinearProgram.positions``)
 and the solve counts.  Both read their optimum the same way: each
 ``A_ub`` row plus q less its bound is q less the row's slack, a class
@@ -58,7 +59,7 @@ import numpy as np
 from scipy.optimize._highspy import _core as highspy
 from scipy.sparse import csr_matrix
 
-from .distances import BLOCK_ELEMENTS, _pairs
+from .distances import BLOCK_ELEMENTS
 from .rankings import Instance
 
 
@@ -77,19 +78,19 @@ class LinearProgram:
     Column 0 is the epigraph variable q, the one column with a cost, which
     ``solve`` sets.  A pairwise program, one that carries sigma, keeps
     u[b][a] of pair {a, b} at column ``pair_col[a, b] == pair_col[b, a]``,
-    where ``rank``, each element's place in sigma, puts a first, and the
-    float class weights ``wf`` (C, n, n).  A strictly unanimous pair has
-    no column: ``pair_col`` maps it to 0, and it reads as u[b][a] = 0,
-    sigma's order.  Its rows are the C class rows, whose ``-b_ub`` are the
-    classes' tie shifts plus their costs at sigma, and ``solve`` adds
-    triangles.  A positional program reads the positions
-    back as u = ``positions`` @ x; its rows are the C class rows.
+    where ``rank``, each element's place in sigma, puts a first; it holds
+    no class weights, which ``pairwise_weights`` reads at the pairs a
+    reader needs.  A strictly unanimous pair has no column: ``pair_col``
+    maps it to 0, and it reads as u[b][a] = 0, sigma's order.  Its rows are
+    the C class rows, whose ``-b_ub`` are the classes' tie shifts plus their
+    costs at sigma, and ``solve`` adds triangles.  A positional program
+    reads the positions back as u = ``positions`` @ x; its rows are the C
+    class rows.
     """
 
     A_ub: np.ndarray  # (rows, columns), dense
     b_ub: np.ndarray
     bounds: np.ndarray  # (columns, 2), +-inf where unbounded
-    wf: np.ndarray | None = None
     rank: np.ndarray | None = None  # place in sigma; a program with sigma is pairwise
     pair_col: np.ndarray | None = None  # (n, n): the column of each pair, 0 if fixed
     positions: csr_matrix | None = None  # (n, columns): u = positions @ x
@@ -218,6 +219,20 @@ def _violated_triangles(u: np.ndarray, present: np.ndarray) -> np.ndarray:
     return ids[np.searchsorted(present, ids) == np.searchsorted(present, ids, side="right")]
 
 
+def pairwise_weights(inst: Instance, cells: np.ndarray) -> np.ndarray:
+    """w[k][x][y] = count * weight / m at the flat cells x * n + y, (C, *cells.shape).
+
+    Each class looks its counts up in a table of the m + 1 possible ones;
+    Python's int true division rounds each exact quotient correctly, like
+    float(Fraction), whatever the operand sizes.
+    """
+    return np.stack([
+        np.array([c * cls.weight.numerator / (cls.weight.denominator * cls.m)
+                  for c in range(cls.m + 1)])[counts.take(cells)]
+        for cls, counts in zip(inst.classes, inst.above_counts)
+    ])
+
+
 def sigma_rank(inst: Instance) -> np.ndarray:
     """Each element's place in sigma: descending pooled weighted wins
     sum_k sum_y (w[k][x][y] - w[k][y][x]), ties by id; summed from integer
@@ -262,42 +277,34 @@ def build_kendall_lp(inst: Instance) -> LinearProgram:
     u is a feasible point of the full program at the same cost.
     """
     n, num_classes = inst.n, inst.num_classes
-    # w[k][x][y] = count * weight / m, looked up in a per-class table of the
-    # m + 1 possible counts; Python's int true division rounds each exact
-    # quotient correctly, like float(Fraction), whatever the operand sizes
-    wf = np.stack([
-        np.array([
-            c * cls.weight.numerator / (cls.weight.denominator * cls.m)
-            for c in range(cls.m + 1)
-        ])[counts]
-        for cls, counts in zip(inst.classes, inst.above_counts)
-    ])
     ties = tie_mass(inst)
     shifts = np.array(
         [float(cls.weight * t / 2) for t, cls in zip(ties, inst.classes)]
     )
     rank = sigma_rank(inst)
-    lo, hi = _pairs(n)  # pairs in combinations order
+    # fixed[a, b]: a first in sigma and every member ranks a strictly above b
+    m = np.array([cls.m for cls in inst.classes])[:, None, None]
+    fixed = (inst.above_counts == m).all(axis=0) & (rank[:, None] < rank)
+    lo, hi = np.nonzero(np.triu(~(fixed | fixed.T), 1))  # free pairs, combinations order
     swap = rank[lo] > rank[hi]
-    a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)
-    m = np.array([[cls.m] for cls in inst.classes])
-    free = (inst.above_counts[:, a, b] != m).any(axis=0)
-    fa, fb = a[free], b[free]
+    fa, fb = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    w_ab, w_ba = pairwise_weights(inst, np.stack([fa * n + fb, fb * n + fa])).swapaxes(0, 1)
 
     # class cost epigraph, column v = u[b][a] of each pair that is not fixed:
-    # sum_pairs (w[a][b] - w[b][a]) v - q <= -shift_k - sum_pairs w[b][a]
+    # sum_pairs (w[a][b] - w[b][a]) v - q <= -shift_k - sum_pairs w[b][a] over
+    # the free pairs (a fixed pair's w[b][a] is 0), added pair by pair per class
     ncols = 1 + len(fa)
     pair_col = np.zeros((n, n), dtype=np.intp)
     pair_col[fa, fb] = pair_col[fb, fa] = np.arange(1, ncols)
     A_ub = np.empty((num_classes, ncols))
     A_ub[:, 0] = -1.0
-    np.subtract(wf[:, fa, fb], wf[:, fb, fa], out=A_ub[:, 1:])
+    np.subtract(w_ab, w_ba, out=A_ub[:, 1:])
 
     bounds = np.zeros((ncols, 2))
     bounds[0, 1] = np.inf
     bounds[1:, 1] = 1.0
-    return LinearProgram(A_ub, -shifts - wf[:, b, a].sum(axis=1), bounds, wf=wf, rank=rank,
-                         pair_col=pair_col)
+    return LinearProgram(A_ub, -shifts - np.ascontiguousarray(w_ba.T).sum(axis=0), bounds,
+                         rank=rank, pair_col=pair_col)
 
 
 def build_footrule_program(inst: Instance) -> LinearProgram:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from minmaxrank import Instance, PartialRanking, Permutation, RankingClass
@@ -23,6 +24,15 @@ def singleton_buckets(p: Permutation) -> PartialRanking:
 def positions(r) -> list[Fraction]:
     """The position of each element of ``r``, indexed by element - 1."""
     return [Fraction(int(t), 2) for t in twice_positions([r])[0]]
+
+
+def float_weights(inst: Instance) -> np.ndarray:
+    """(C, n, n) float w[k][x][y] = count * weight / m, each rounded once from
+    its exact Fraction: the reference for the Kendall class weights."""
+    return np.stack([
+        np.array([float(c * cls.weight / cls.m) for c in range(cls.m + 1)])[counts]
+        for cls, counts in zip(inst.classes, inst.above_counts)
+    ])
 
 
 def random_partial_ranking(rng, n: int, tie_prob: float = 0.4) -> PartialRanking:

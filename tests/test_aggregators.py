@@ -50,7 +50,14 @@ from minmaxrank._rng import generator
 from minmaxrank.cli import parse_gene_order_file
 from minmaxrank.mallows import TwoLevelConfig, sample_instance
 
-from conftest import gap_instance, positions, random_instance, random_permutation, tied_instance
+from conftest import (
+    float_weights,
+    gap_instance,
+    positions,
+    random_instance,
+    random_permutation,
+    tied_instance,
+)
 
 KT = DistanceKind.KENDALL_TAU
 SF = DistanceKind.SPEARMAN_FOOTRULE
@@ -218,8 +225,8 @@ def test_pivot_rounding_matches_reference_on_lp_solutions():
     # arithmetic and their float ratios differ only by summation order
     for trial in range(8):
         cfg = TwoLevelConfig.create(10, 3, 10, 0.7, 0.7)
-        prog = build_kendall_lp(sample_instance(cfg, (4, trial)))
-        assert_same_rounding(solve(prog).u, prog.wf)
+        inst = sample_instance(cfg, (4, trial))
+        assert_same_rounding(solve(build_kendall_lp(inst)).u, float_weights(inst))
 
 
 @contextmanager
@@ -271,9 +278,8 @@ class TestMmktConv:
     def test_bound_and_per_level_invariant(self, rng):
         for _ in range(40):
             inst = random_instance(rng)
-            prog = build_kendall_lp(inst)
-            sol = solve(prog)
-            order, trace = pivot_rounding(sol.u, prog.wf)
+            sol = solve(build_kendall_lp(inst))
+            order, trace = pivot_rounding(sol.u, float_weights(inst))
             for level in trace:
                 for a, b in zip(level.a_costs, level.b_costs):
                     assert a <= 2 * b + TOL
@@ -303,10 +309,6 @@ class TestMmktConv:
         assert res.objective == minmax_objective(res.ranking, inst, KT, MED)
         assert float(res.objective) <= 2 * res.certificate + TOL
 
-    def test_rejects_footrule_kind(self):
-        with pytest.raises(DistanceError, match="is not a Kendall-type distance"):
-            mmkt_conv(gap_instance(), SF)
-
 
 def has_three_cycle(h):
     """A tournament is transitive exactly when it has no 3-cycle."""
@@ -329,17 +331,17 @@ def pivot_calls(monkeypatch):
 
 @pytest.fixture(scope="module")
 def mallows300():
-    """A seeded n=300 Mallows instance and pivot rounding's ranking of it."""
+    """A seeded n=300 Mallows instance, its LP solution and pivot rounding's
+    ranking of it."""
     inst = sample_instance(TwoLevelConfig.create(300, 3, 10, 0.7, 0.7), 0)
-    prog = build_kendall_lp(inst)
-    sol = solve(prog)
-    return inst, prog, sol, Permutation.from_order(pivot_rounding(sol.u, prog.wf)[0])
+    sol = solve(build_kendall_lp(inst))
+    return inst, sol, Permutation.from_order(pivot_rounding(sol.u, float_weights(inst))[0])
 
 
 class TestTransitiveShortcut:
     def test_matches_pivot_rounding_on_lp_solutions(self, mallows300):
-        inst300, prog300, sol300, _ = mallows300
-        cases = [(sol300.u, prog300.wf)]
+        inst300, sol300, _ = mallows300
+        cases = [(sol300.u, inst300)]
         sources = [restrict_to_min_witnesses(inst300, KT)]
         for n, seeds in ((10, range(6)), (40, range(3))):
             for seed in seeds:
@@ -348,12 +350,11 @@ class TestTransitiveShortcut:
         # the gene sample's rounding has cycles whatever vertex HiGHS returns
         sources.append(parse_gene_order_file(GENE_SAMPLE.read_text()).instance)
         for source in sources:
-            prog = build_kendall_lp(source)
-            cases.append((solve(prog).u, prog.wf))
+            cases.append((solve(build_kendall_lp(source)).u, source))
         transitive = []
-        for u, wf in cases:
+        for u, inst in cases:
             transitive.append(not has_three_cycle(_rounded_matrix(u)))
-            assert _kendall_order(u, wf) == pivot_rounding(u, wf)[0]
+            assert _kendall_order(u, inst) == pivot_rounding(u, float_weights(inst))[0]
         # both branches run: the order read off h, and the pivot fallback
         assert any(transitive) and not all(transitive)
 
@@ -363,12 +364,14 @@ class TestTransitiveShortcut:
         for x, y in ((0, 1), (1, 2), (2, 0)):
             u[x, y], u[y, x] = 0.6, 0.4
         assert has_three_cycle(_rounded_matrix(u))
-        wf = np.ones((1, 3, 3)) - np.eye(3)
-        assert _kendall_order(u, wf) == pivot_rounding(u, wf)[0]
+        # the Condorcet cycle's class: each pair 2 : 1 around 1 > 2 > 3 > 1
+        members = tuple(Permutation(p) for p in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+        inst = Instance(3, (RankingClass(members, 1),))
+        assert _kendall_order(u, inst) == pivot_rounding(u, float_weights(inst))[0]
         assert len(pivot_calls) == 1
 
     def test_transitive_rounding_scores_no_pivot(self, monkeypatch, mallows300):
-        inst, _, _, want = mallows300
+        inst, _, want = mallows300
 
         def refuse(*args):
             raise AssertionError("pivot_rounding ran on a transitive rounding")

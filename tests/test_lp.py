@@ -39,6 +39,7 @@ from minmaxrank.mallows import TwoLevelConfig, sample_instance
 from minmaxrank._rng import generator
 
 from conftest import (
+    float_weights,
     gap_instance,
     has_ties,
     positions,
@@ -56,12 +57,13 @@ def class_weights(inst: Instance) -> list:
     """Exact w[k][x][y] = count * weight / m from ``Instance.above_counts``.
 
     count is the number of class k's members ranking x+1 strictly above
-    y+1.  It also checks that the Kendall program's float class weights
-    ``wf`` are these values as floats.
+    y+1.  It also checks that ``lp.pairwise_weights`` gives these values as
+    floats at every cell.
     """
     w = [[[c * cls.weight / cls.m for c in row] for row in counts]
          for cls, counts in zip(inst.classes, inst.above_counts.tolist())]
-    assert build_kendall_lp(inst).wf.tolist() == [
+    cells = np.arange(inst.n ** 2).reshape(inst.n, inst.n)
+    assert lp.pairwise_weights(inst, cells).tolist() == [
         [[float(v) for v in row] for row in wk] for wk in w]
     return w
 
@@ -321,12 +323,11 @@ class TestKendallLP:
         weight, m = Fraction(0.1), 512
         members = tuple(random_permutation(rng, 4) for _ in range(m))
         inst = Instance(4, (RankingClass(members, weight),))
-        prog = build_kendall_lp(inst)
         want = [
             [float(Fraction(c * weight, m)) for c in row]
             for row in inst.above_counts[0].tolist()
         ]
-        assert prog.wf[0].tolist() == want
+        assert lp.pairwise_weights(inst, np.arange(16).reshape(4, 4))[0].tolist() == want
         res = mmkt_conv(inst)
         assert float(res.objective) <= 2 * res.certificate + TOL
 
@@ -354,8 +355,7 @@ def two_column_kendall_lp(inst: Instance, fix_unanimous: bool = False) -> dict:
     y = np.arange(n)[None, :]
     col = 1 + x * (n - 1) + y - (y > x)
     ncols = 1 + n * (n - 1)
-    wf = np.array([[[float(c * cls.weight / cls.m) for c in row] for row in counts]
-                   for cls, counts in zip(inst.classes, inst.above_counts.tolist())])
+    wf = float_weights(inst)
     classes = np.zeros((num_classes, ncols))
     classes[:, 0] = -1.0
     off = ~np.eye(n, dtype=bool)
@@ -571,6 +571,12 @@ def near_order_instance(seed: int) -> Instance:
     return Instance(n, tuple(classes))
 
 
+@pytest.fixture(scope="module")
+def mallows1000():
+    """The n = 1,000 Mallows instance (C=3, m=10, phi=(0.7, 0.7)), sampled once."""
+    return sample_instance(TwoLevelConfig.create(1000, 3, 10, 0.7, 0.7), (0, 0))
+
+
 class TestUnanimousPairs:
     @pytest.mark.parametrize("classes", [
         # {1, 2} split by the two members; {1, 3} and {2, 3} unanimous
@@ -616,18 +622,33 @@ class TestUnanimousPairs:
         opt = brute_force(inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN).value
         assert sol.objective <= float(opt) * (1 + 1e-9) + 1e-12
 
-    def test_mmkt_at_n1000(self):
+    def test_mmkt_at_n1000(self, mallows1000):
         # 96.6% of the 499,500 pairs are strictly unanimous; one mmkt_conv
         # call took 2.9 s and 442 MB peak RSS with every pair's column, and
         # 0.56 s and 230 MB without the unanimous ones, on a shared 2-core
         # machine
-        inst = sample_instance(TwoLevelConfig.create(1000, 3, 10, 0.7, 0.7), (0, 0))
+        inst = mallows1000
         start = time.perf_counter()
         res = mmkt_conv(inst)
         elapsed = time.perf_counter() - start
         assert float(res.objective) <= 2 * res.certificate + TOL
         assert len(build_kendall_lp(inst).bounds) == 1 + 17_005
         assert elapsed < 60
+
+    def test_build_memory_at_n1000(self, mallows1000):
+        # class weights are read at the 17,005 free pairs only and strict
+        # unanimity on one (n, n) mask; a (C, n, n) float table of the
+        # weights and gathers over all 499,500 pairs peaked at 59.1 MiB
+        inst = mallows1000
+        inst.above_counts  # built first: the instance's view, not the build's
+        tracemalloc.start()
+        try:
+            prog = build_kendall_lp(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(prog.bounds) == 1 + 17_005
+        assert peak <= 16 * 2**20  # 10.9 MiB measured
 
 
 def near_order_u(rng, n, offsets, cycles=0):
@@ -931,7 +952,7 @@ class TestPricingSwitch:
         assert any(held >= 1000 and added * lp._DEVEX_SHARE <= held for held, added in rounds)
         sol = solve(prog)
         assert abs(sol.objective - want) <= 1e-9 * abs(want)
-        assert _kendall_order(sol.u, prog.wf) == _kendall_order(want_u, prog.wf)
+        assert _kendall_order(sol.u, inst) == _kendall_order(want_u, inst)
 
 
 def free_position_program(inst: Instance, A_ub, b_ub) -> LinearProgram:
@@ -987,12 +1008,14 @@ def reference_instance(seed: int) -> Instance:
 def coo_kendall_rows(inst: Instance, prog: LinearProgram, reduced: bool = True) -> tuple:
     """``build_kendall_lp``'s class rows and ``b_ub``, assembled from COO parts.
 
-    The reference for its dense class rows: it reads the weights and
-    sigma off ``prog`` and derives the rest as the builder's COO assembly
-    once did, with a column for each pair in ``combinations`` order, less
-    the strictly unanimous ones if ``reduced``.
+    The reference for its dense class rows: it reads sigma off ``prog``,
+    takes the weights from ``float_weights`` and derives the rest as the
+    builder's COO assembly once did, with a column for each pair in
+    ``combinations`` order, less the strictly unanimous ones if ``reduced``.
+    Its ``b_ub`` sums each class's terms over every pair, the order the
+    builder must keep for a bit-identical bound.
     """
-    num_classes, wf, rank = inst.num_classes, prog.wf, prog.rank
+    num_classes, wf, rank = inst.num_classes, float_weights(inst), prog.rank
     lo, hi = np.triu_indices(inst.n, 1)
     swap = rank[lo] > rank[hi]
     a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)
@@ -1264,7 +1287,7 @@ class TestFootruleProgram:
 def test_program_fields():
     # q's unit cost and n follow from the columns and sigma, so no field holds them
     assert [f.name for f in dataclasses.fields(LinearProgram)] == [
-        "A_ub", "b_ub", "bounds", "wf", "rank", "pair_col", "positions"]
+        "A_ub", "b_ub", "bounds", "rank", "pair_col", "positions"]
 
 
 class TestSolveErrors:
