@@ -43,11 +43,11 @@ members' pairwise orders are counted nowhere else, and no program keeps a
 copy of the counts.  Both programs keep their C class rows as one dense
 (C, columns) ``A_ub``, the array each builder fills, and ``solve`` loads
 each row's nonzeros into HiGHS.  Fractional solutions keep u (the pair
-orders, or the positions read back through ``LinearProgram.positions``)
-and the solve counts.  Both read their optimum the same way: each
-``A_ub`` row plus q less its bound is q less the row's slack, a class
-row's is its class's cost, and the largest is the worst class cost at the
-solution.
+orders, or the positions read back through ``LinearProgram.positions``,
+one signed element id per column) and the solve counts.  Both read their
+optimum the same way: each ``A_ub`` row plus q less its bound is q less
+the row's slack, a class row's is its class's cost, and the largest is
+the worst class cost at the solution.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize._highspy import _core as highspy
-from scipy.sparse import csr_matrix
 
 from .distances import BLOCK_ELEMENTS
 from .rankings import Instance
@@ -84,7 +83,8 @@ class LinearProgram:
     maps it to 0, and it reads as u[b][a] = 0, sigma's order.  Its rows are
     the C class rows, whose ``-b_ub`` are the classes' tie shifts plus their
     costs at sigma, and ``solve`` adds triangles.  A positional program
-    reads the positions back as u = ``positions`` @ x; its rows are the C
+    reads the positions back as u(h) = the sum of sign(p_j) x_j over the
+    columns j with |p_j| = h + 1, p = ``positions``; its rows are the C
     class rows.
     """
 
@@ -93,7 +93,7 @@ class LinearProgram:
     bounds: np.ndarray  # (columns, 2), +-inf where unbounded
     rank: np.ndarray | None = None  # place in sigma; a program with sigma is pairwise
     pair_col: np.ndarray | None = None  # (n, n): the column of each pair, 0 if fixed
-    positions: csr_matrix | None = None  # (n, columns): u = positions @ x
+    positions: np.ndarray | None = None  # (columns,) ints: +-(h + 1) moves element h, 0 none
 
 
 @dataclass(frozen=True)
@@ -321,7 +321,9 @@ def build_footrule_program(inst: Instance) -> LinearProgram:
 
         u(h) = a_h + (h's gap columns right of a_h) - (those left of it),
 
-    with a_h in a fixed base column 1 + h, so that u = ``positions @ x``.
+    with a_h in a fixed base column 1 + h.  ``positions`` names, per column,
+    the element it moves and the sign: +(h + 1) for h's base column and its
+    gap columns right of a_h, -(h + 1) for those left of it, 0 for q.
     Class row k is sum_j s_kj x_j - q <= -cost_k(a), s_kj being class k's
     slope on gap j in the direction away from a_h.  u(h) stays within h's
     member positions, since every class cost falls as u(h) moves towards
@@ -374,23 +376,13 @@ def build_footrule_program(inst: Instance) -> LinearProgram:
     at_left = np.searchsorted(np.sort(member_keys, axis=None),
                               (np.arange(num_classes)[:, None] * n + h) * span + left,
                               side="right") - (starts[:, None] * n + h * m[:, None])
-    num_gaps = len(h)
-    ncols = 1 + n + num_gaps
+    ncols = 1 + n + len(h)
     A_ub = np.zeros((num_classes, ncols))
     A_ub[:, 0] = -1.0
     np.multiply(away * lam[:, None], 2 * at_left - m[:, None], out=A_ub[:, 1 + n:])
     cost_at_anchor = np.add.reduceat(np.abs(quad - anchor).sum(axis=1), starts) * lam / 4
 
-    # u(h): its base column, then its gap columns, which are in element order
-    indices = np.empty(n + num_gaps, dtype=np.intp)
-    data = np.ones(n + num_gaps)
-    indptr = np.r_[0, np.cumsum(np.bincount(h, minlength=n) + 1)]
-    indices[indptr[:-1]] = 1 + idx
-    own = np.arange(num_gaps) + h + 1
-    indices[own] = 1 + n + np.arange(num_gaps)
-    data[own] = away
-    positions = csr_matrix((data, indices, indptr), shape=(n, ncols))
-
+    positions = np.r_[0, idx + 1, np.where(away > 0, h + 1, -(h + 1))]
     bounds = np.zeros((ncols, 2))
     bounds[0, 1] = np.inf
     bounds[1:1 + n] = anchor[:, None] / 4
@@ -471,7 +463,9 @@ def solve(lp: LinearProgram) -> FractionalSolution:
             np.fill_diagonal(u, 0.0)
             new = _violated_triangles(u, present)
         else:
-            u, new = lp.positions @ x, []  # a positional program separates nothing
+            # a positional program separates nothing; bincount adds element
+            # h's terms from 0.0 in column order, its base and then its gaps
+            u, new = np.bincount(np.abs(lp.positions), np.sign(lp.positions) * x)[1:], []
         if not len(new):
             break
         if not devex and len(new) * _DEVEX_SHARE <= highs.getNumRow():

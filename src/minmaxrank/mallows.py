@@ -17,7 +17,6 @@ generator makes seeded draws reproducible across platforms and processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .rankings import Instance, Permutation, RankingClass
 from ._rng import generator
@@ -25,33 +24,24 @@ from ._rng import generator
 
 @dataclass(frozen=True)
 class TwoLevelConfig:
+    """num_classes classes of per_class members each, all of weight 1."""
+
     n: int
     num_classes: int
-    per_class: tuple[int, ...]
+    per_class: int
     phi1: float
     phi2: float
-    weights: tuple[Fraction, ...]
 
     @classmethod
-    def create(cls, n, num_classes, per_class, phi1, phi2, weights=None):
-        """Build a config; scalar per_class/weights are replicated per class."""
-        if isinstance(per_class, int):
-            per_class = (per_class,) * num_classes
-        if weights is None:
-            weights = (Fraction(1),) * num_classes
-        else:
-            weights = tuple(Fraction(w) for w in weights)
-        return cls(n, num_classes, tuple(per_class), phi1, phi2, weights)
+    def create(cls, n, num_classes, per_class, phi1, phi2):
+        """Build a config, validated as the constructor validates it."""
+        return cls(n, num_classes, per_class, phi1, phi2)
 
     def __post_init__(self):
         if self.n < 1 or self.num_classes < 1:
             raise ValueError("n and num_classes must be positive")
-        if len(self.per_class) != self.num_classes:
-            raise ValueError("per_class length must match num_classes")
-        if any(m < 1 for m in self.per_class):
+        if self.per_class < 1:
             raise ValueError("per-class counts must be positive")
-        if len(self.weights) != self.num_classes:
-            raise ValueError("weights length must match num_classes")
         for phi in (self.phi1, self.phi2):
             if not 0.0 < phi <= 1.0:
                 raise ValueError(f"dispersion must be in (0, 1], got {phi}")
@@ -95,7 +85,7 @@ def sample_instance(cfg: TwoLevelConfig, rng_seed=None) -> Instance:
     identity = Permutation.identity(cfg.n)
     centers = [sample_mallows(cfg.phi1, identity, rng) for _ in range(cfg.num_classes)]
     classes = []
-    for center, m, weight in zip(centers, cfg.per_class, cfg.weights):
-        members = tuple(sample_mallows(cfg.phi2, center, rng) for _ in range(m))
-        classes.append(RankingClass(members, weight))
+    for center in centers:
+        members = tuple(sample_mallows(cfg.phi2, center, rng) for _ in range(cfg.per_class))
+        classes.append(RankingClass(members))
     return Instance(cfg.n, tuple(classes))

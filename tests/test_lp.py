@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import time
 import tracemalloc
@@ -961,8 +962,19 @@ def free_position_program(inst: Instance, A_ub, b_ub) -> LinearProgram:
     bounds = np.zeros((ncols, 2))
     bounds[:, 1] = np.inf
     bounds[1:1 + n, 0] = -np.inf
-    positions = csr_matrix((np.ones(n), 1 + np.arange(n), np.arange(n + 1)), shape=(n, ncols))
+    positions = np.zeros(ncols, dtype=np.intp)
+    positions[1:1 + n] = np.arange(1, n + 1)
     return LinearProgram(A_ub.toarray(), b_ub, bounds, positions=positions)
+
+
+def dense_positions(prog: LinearProgram) -> np.ndarray:
+    """The (n, columns) matrix D with u = D @ x, rebuilt from ``positions``:
+    D[h, j] = sign(p_j) where |p_j| = h + 1, and 0 elsewhere."""
+    p = prog.positions
+    moving = np.flatnonzero(p)
+    dense = np.zeros((np.abs(p).max(), len(p)), dtype=np.intp)
+    dense[np.abs(p[moving]) - 1, moving] = np.sign(p[moving])
+    return dense
 
 
 def slack_footrule_program(inst: Instance) -> LinearProgram:
@@ -1163,7 +1175,7 @@ class TestFootruleProgram:
         res = linprog(q_only, A_ub=prog.A_ub, b_ub=prog.b_ub, bounds=prog.bounds,
                       method="highs", options={"presolve": False})
         assert res.status == 0
-        assert np.allclose(sol.u, prog.positions @ res.x, rtol=0, atol=1e-9)
+        assert np.allclose(sol.u, dense_positions(prog) @ res.x, rtol=0, atol=1e-9)
         assert (sol.iterations, sol.rows) == (res.nit, inst.num_classes)
         # the optimum read from the rows is the worst class cost at u
         for ref in (res.fun, worst_class_cost(inst, sol.u)):
@@ -1196,7 +1208,8 @@ class TestFootruleProgram:
             gaps = sum(len(set(col) | {a}) - 1 for col, a in
                        zip((inst.member_tw / 2).T.tolist(), anchors[:, 0].tolist()))
             assert prog.A_ub.shape == (inst.num_classes, 1 + n + gaps)
-            assert prog.positions.shape == (n, 1 + n + gaps)
+            assert prog.positions.dtype.kind == "i" and prog.positions.shape == (1 + n + gaps,)
+            assert dense_positions(prog).shape == (n, 1 + n + gaps)
             assert (prog.bounds[1 + n:, 1] > 0).all()
 
     def test_anchors_are_pooled_median_midpoints(self, rng):
@@ -1222,7 +1235,8 @@ class TestFootruleProgram:
         # each towards the other place; 3 and 4 have none
         assert prog.bounds[1:5, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
         assert prog.A_ub.shape == (2, 1 + 4 + 2)
-        assert prog.positions.toarray()[:, 5:].tolist() == [[1, 0], [0, -1], [0, 0], [0, 0]]
+        assert prog.positions.tolist() == [0, 1, 2, 3, 4, 1, -2]
+        assert dense_positions(prog)[:, 5:].tolist() == [[1, 0], [0, -1], [0, 0], [0, 0]]
 
     def test_gap_instance_size(self):
         inst = gap_instance()
@@ -1288,6 +1302,23 @@ def test_program_fields():
     # q's unit cost and n follow from the columns and sigma, so no field holds them
     assert [f.name for f in dataclasses.fields(LinearProgram)] == [
         "A_ub", "b_ub", "bounds", "rank", "pair_col", "positions"]
+
+
+def test_src_does_not_import_scipy_sparse():
+    # the footrule readback is one signed vector, so the package needs no
+    # sparse matrices; tests may still build their reference programs with them
+    imported = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "minmaxrank").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            imported += [(path.name, name) for name in names
+                         if name == "scipy.sparse" or name.startswith("scipy.sparse.")]
+    assert imported == []
 
 
 class TestSolveErrors:

@@ -1,5 +1,5 @@
+import dataclasses
 from collections import Counter
-from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -48,19 +48,17 @@ class TestParams:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TwoLevelConfig.create(5, 2, (3,), 0.5, 0.7)
-        with pytest.raises(ValueError):
             TwoLevelConfig.create(5, 2, 3, 0.5, 1.7)
         cfg = TwoLevelConfig.create(5, 2, 3, 0.5, 0.7)
-        assert cfg.per_class == (3, 3)
-        assert cfg.weights == (1, 1)
+        assert cfg == TwoLevelConfig(5, 2, 3, 0.5, 0.7)
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "n", "num_classes", "per_class", "phi1", "phi2"]
 
     @pytest.mark.parametrize("args, message", [
         ((0, 2, 3, 0.5, 0.7), "n and num_classes must be positive"),
-        ((5, 0, (), 0.5, 0.7), "n and num_classes must be positive"),
-        ((5, 2, (3, 0), 0.5, 0.7), "per-class counts must be positive"),
-        ((5, 2, 3, 0.5, 0.7, (Fraction(1),)), "weights length must match num_classes"),
-    ], ids=["n", "classes", "per-class", "weights"])
+        ((5, 0, 3, 0.5, 0.7), "n and num_classes must be positive"),
+        ((5, 2, 0, 0.5, 0.7), "per-class counts must be positive"),
+    ], ids=["n", "classes", "per-class"])
     def test_config_rejection_names_its_fault(self, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             TwoLevelConfig.create(*args)
@@ -99,12 +97,12 @@ class TestSampleMallows:
 
 class TestSampleInstance:
     def test_shape_and_weights(self):
-        cfg = TwoLevelConfig.create(7, 3, (1, 2, 3), 0.5, 0.7, weights=(1, 2, 1))
+        cfg = TwoLevelConfig.create(7, 3, 2, 0.5, 0.7)
         inst = sample_instance(cfg, 12)
         assert inst.n == 7
         assert inst.num_classes == 3
-        assert [c.m for c in inst.classes] == [1, 2, 3]
-        assert [c.weight for c in inst.classes] == [1, 2, 1]
+        assert [c.m for c in inst.classes] == [2, 2, 2]
+        assert [c.weight for c in inst.classes] == [1, 1, 1]
 
     def test_deterministic_given_seed(self):
         cfg = TwoLevelConfig.create(6, 3, 4, 0.7, 0.7)
