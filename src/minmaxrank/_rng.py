@@ -1,8 +1,7 @@
 """Seeded random generator construction shared across modules.
 
 Philox is counter-based and splittable, so seed tuples derived from
-(seed, trial, ...) give independent streams and parallel runs reproduce
-serial ones exactly.
+(seed, trial, ...) give independent streams.
 """
 
 from __future__ import annotations

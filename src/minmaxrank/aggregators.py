@@ -214,8 +214,7 @@ def positions_to_order(u: np.ndarray, rng_seed=None) -> list[int]:
             groups.append([i])
     rng = generator(rng_seed)
     for g in groups:
-        if len(g) > 1:
-            rng.shuffle(g)
+        rng.shuffle(g)
     return [i + 1 for g in groups for i in g]
 
 

@@ -499,6 +499,9 @@ def _dispersion_list(text: str) -> list[float]:
     values = [_dispersion(tok) for tok in text.split(",") if tok]
     if not values:
         raise argparse.ArgumentTypeError("needs at least one value")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"repeated value {value}")
     return values
 
 

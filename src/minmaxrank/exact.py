@@ -29,6 +29,7 @@ is an exact Fraction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -62,17 +63,8 @@ class OptimalSolution:
 
 @lru_cache(maxsize=8)
 def _lexicographic_table(s: int) -> np.ndarray:
-    """Read-only (s!, s) array of the permutations of range(s), in lexicographic order.
-
-    The table for k elements is the one for k - 1 under each first element
-    f in turn, with its entries >= f shifted up by one.
-    """
-    table = np.zeros((1, 0), dtype=np.intp)
-    for k in range(1, s + 1):
-        table = np.concatenate([
-            np.column_stack([np.full(len(table), f), table + (table >= f)])
-            for f in range(k)
-        ])
+    """Read-only (s!, s) array of the permutations of range(s), in lexicographic order."""
+    table = np.array(list(itertools.permutations(range(s))), dtype=np.intp)
     table.flags.writeable = False
     return table
 

@@ -49,9 +49,6 @@ class TwoLevelConfig:
 
 def _insertion_offset(rng, size: int, phi: float) -> int:
     """Offset k in 0..size-1 with probability proportional to phi ** k."""
-    if size == 1:
-        rng.random()  # keep the stream aligned across sizes and phis
-        return 0
     if phi == 1.0:
         total = float(size)
     else:

@@ -557,6 +557,7 @@ def test_exact_enumerates_once(gap_file, monkeypatch, capsys):
         ["exact", "--n-limit", "-1", *GENE_ARGS],
         ["exact", "--n-limit", "0", *GENE_ARGS],
         ["benchmark", "--trials", "x"],
+        ["benchmark", "--phi1-list", "0.5,0.5"],
     ],
 )
 def test_bad_benchmark_flag_exit_2(argv, capsys):
