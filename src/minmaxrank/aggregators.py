@@ -24,17 +24,17 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .distances import (
-    BLOCK_ELEMENTS,
     DistanceError,
     DistanceKind,
     SetDistanceKind,
     class_cost_reduction,
+    least_worst,
     member_distances,
     minmax_objective,
     scaled_class_costs,
 )
 from .lp import build_footrule_program, build_kendall_lp, pairwise_weights, sigma_rank, solve
-from .rankings import Instance, Permutation, Ranking, RankingClass, twice_positions
+from .rankings import BLOCK_ELEMENTS, Instance, Permutation, Ranking, RankingClass, twice_positions
 from ._rng import generator
 
 _B_TOLERANCE = 1e-12
@@ -281,13 +281,6 @@ def pick_rnd_perm(
     return _selected(inst, chosen, kind, set_kind)
 
 
-def _least(costs: np.ndarray, scale: int) -> tuple[int, Fraction]:
-    """The first row of least worst class cost, and that cost."""
-    worst = costs.max(axis=1).tolist()
-    j = worst.index(min(worst))
-    return j, Fraction(worst[j], scale)
-
-
 def pick_opt_perm(
     inst: Instance, kind: DistanceKind, set_kind: SetDistanceKind
 ) -> AggregationResult:
@@ -295,7 +288,7 @@ def pick_opt_perm(
     ties keep the first (class, index)."""
     candidates = max_weight_members(inst)
     rows = [inst.class_starts[k] + i for k, i, _ in candidates]
-    j, objective = _least(*scaled_class_costs(inst.member_tw[rows], inst, kind, set_kind))
+    j, objective = least_worst(*scaled_class_costs(inst.member_tw[rows], inst, kind, set_kind))
     return _selected(inst, candidates[j][2], kind, set_kind, objective)
 
 
@@ -307,7 +300,7 @@ def _nearest_member(inst: Instance, kind: DistanceKind) -> tuple[tuple, Fraction
     """
     d2 = member_distances(inst, kind)
     costs, scale = class_cost_reduction(inst, SetDistanceKind.MINIMUM)
-    j, objective = _least(costs(d2), scale)
+    j, objective = least_worst(costs(d2), scale)
     return list(inst.iter_members())[j], objective, d2[j]
 
 

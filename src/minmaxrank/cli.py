@@ -6,9 +6,11 @@ serializer so files round-trip), and each data line reads
 
     class=<id> lambda=<weight> : token token { tied tokens } token ...
 
-listing one ranking best-to-worst, with tie groups in braces.  Element
-names are mapped to 1..n in first-seen order; every line must cover the
-same ground set, and all lines of a class must carry the same weight.
+listing one ranking best-to-worst, with tie groups in braces.  A class
+with a brace on any of its lines holds partial rankings (``{ a } b c`` is
+one without ties), the others permutations.  Element names are mapped to
+1..n in first-seen order; every line must cover the same ground set, and
+all lines of a class must carry the same weight.
 
 Gene-order files have one genome per line: a name, a tab, and a signed
 permutation of 1..n.  Signs are stripped and each genome becomes its own
@@ -98,6 +100,7 @@ def parse_instance_file(text: str) -> ParsedFile:
         return names[name]
 
     entries: list[tuple[int, str, Fraction, list[list[int]]]] = []
+    braced: set[str] = set()  # classes with a line that holds a '{'
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -137,6 +140,8 @@ def parse_instance_file(text: str) -> ParsedFile:
         if len(set(flat)) != len(flat):
             raise ParseError(line_no, "element repeated within a ranking")
         entries.append((line_no, class_id, weight, buckets))
+        if "{" in ranking_part:
+            braced.add(class_id)
 
     if not entries:
         raise ParseError(0, "no rankings in file")
@@ -170,10 +175,9 @@ def parse_instance_file(text: str) -> ParsedFile:
                 raise ParseError(
                     line_no, f"class {class_id} has inconsistent lambda"
                 )
-        tied = any(any(len(b) > 1 for b in buckets) for _, _, buckets in rows)
         members: list[Ranking] = []
         for _, _, buckets in rows:
-            if tied:
+            if class_id in braced:
                 members.append(PartialRanking.from_buckets(buckets))
             else:
                 members.append(Permutation.from_order([b[0] for b in buckets]))
@@ -189,13 +193,15 @@ def _format_weight(w: Fraction) -> str:
 
 
 def _format_ranking(ranking: Ranking, names: Sequence[str]) -> str:
-    """Names best to worst, with each tie group in braces."""
+    """Names best to worst, tie groups in braces; a partial ranking without
+    ties braces every element, so that it parses back as a partial ranking."""
     if isinstance(ranking, Permutation):
         return " ".join(names[x - 1] for x in ranking.order())
+    untied = len(ranking.buckets) == ranking.n
     parts = []
     for bucket in ranking.buckets:
         toks = [names[x - 1] for x in sorted(bucket)]
-        parts.append(toks[0] if len(toks) == 1 else "{ %s }" % " ".join(toks))
+        parts.append(toks[0] if len(toks) == 1 and not untied else "{ %s }" % " ".join(toks))
     return " ".join(parts)
 
 

@@ -13,15 +13,17 @@ Both generalizations are those of Fagin et al., "Comparing and aggregating
 rankings with ties" (PODS 2004), and equal the plain distances on
 permutations.  One exact integer kernel, ``doubled_distances``, computes
 either: twice a distance is an L1 distance between rows of twice-positions
-(footrule) or of pair signs (Kendall tau, ``sign_distances``).  The
+(footrule) or of pair signs (Kendall tau, ``sign_distances``; the signs
+come from ``rankings.pair_signs``, which this module re-exports).  The
 footrule is summed as a broadcast; the pair-sign L1 distance is taken as an
 inner product of lifted sign rows, one float64 product per block.  Values
 are exact half-integer Fractions.  A class costs the mean (median) or the
 least (minimum) distance to its members, times its weight; the minmax
 objective is the worst class.  ``class_cost_reduction`` is the one
 reduction from twice distances to exact scaled class costs (int64 while a
-proven bound allows, Python ints beyond it).  ``scaled_class_costs`` gives
-the costs of any rows: under the median Kendall distance from the
+proven bound allows, Python ints beyond it), and ``least_worst`` the one
+pick of a first row of least worst class cost.  ``scaled_class_costs``
+gives the costs of any rows: under the median Kendall distance from the
 instance's pairwise counts ``Instance.above_counts``, in O(C n²) a row,
 since a class's summed distance is linear in a row's pair orders;
 otherwise through one kernel call against the instance's member view
@@ -36,7 +38,6 @@ import math
 from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import pairwise
 
 import numpy as np
@@ -46,6 +47,7 @@ from .rankings import (
     Instance,
     Ranking,
     RankingClass,
+    pair_signs,
     twice_positions,
 )
 
@@ -81,26 +83,6 @@ class SetDistanceKind(Enum):
 def _check(p: Ranking, q: Ranking) -> None:
     if p.n != q.n:
         raise DistanceError(f"rankings over {p.n} and {q.n} elements")
-
-
-@lru_cache(maxsize=8)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, 1)
-
-
-def pair_signs(tw: np.ndarray) -> np.ndarray:
-    """(len, n(n-1)/2) int8 array of sign(tw[:, x] - tw[:, y]) over pairs x < y.
-
-    -1 means x is ranked above y, 1 below, 0 tied.  ``tw`` is any
-    non-negative int array: twice-positions, ranks or a permutation table.
-    The pair columns are gathered in the narrowest dtype that holds its
-    largest entry and compared, not subtracted, so no int64 temporary of
-    the result's size is built.
-    """
-    x, y = _pairs(tw.shape[1])
-    narrow = tw.astype(np.min_scalar_type(int(tw.max(initial=0))))
-    first, second = narrow.take(x, axis=1), narrow.take(y, axis=1)
-    return (first > second).view(np.int8) - (first < second).view(np.int8)
 
 
 def doubled_distances(p: np.ndarray, q: np.ndarray, positional: bool) -> np.ndarray:
@@ -238,6 +220,17 @@ def class_cost_reduction(
         return (per_class.astype(weights.dtype, copy=False) * weights).T
 
     return costs, scale
+
+
+def least_worst(costs: np.ndarray, scale: int) -> tuple[int, Fraction]:
+    """The first row of least worst class cost, and that cost.
+
+    ``costs`` and ``scale`` are as ``class_cost_reduction`` and
+    ``scaled_class_costs`` give them, int64 or Python ints.
+    """
+    worst = costs.max(axis=1)
+    j = int(worst.argmin())
+    return j, Fraction(int(worst[j]), scale)
 
 
 def _median_kendall_sums(rows: np.ndarray, inst: Instance) -> np.ndarray:

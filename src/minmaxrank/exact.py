@@ -22,9 +22,10 @@ Every partial sum is an integer below 2**53, so the products are exact.
 The twice distances then go through ``distances.class_cost_reduction``,
 the exact reduction of member distances, whose integer class factors the
 objective scales by too: int64 costs while
-n² · max m · max integer factor < 2**63, Python ints beyond that.  Rank
-arrays are built only for the rows of least cost, and the reported value
-is an exact Fraction.
+n² · max m · max integer factor < 2**63, Python ints beyond that.  Each
+block's first row of least cost (``distances.least_worst``, the selections'
+rule too) becomes a rank array and replaces the incumbent only when
+strictly cheaper; the reported value is an exact Fraction.
 """
 
 from __future__ import annotations
@@ -39,15 +40,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .distances import (
-    BLOCK_ELEMENTS,
-    DistanceKind,
-    SetDistanceKind,
-    class_cost_reduction,
-    pair_signs,
-)
+from .distances import DistanceKind, SetDistanceKind, class_cost_reduction, least_worst
 from .lp import build_footrule_program, build_kendall_lp, solve
-from .rankings import Instance, Permutation
+from .rankings import BLOCK_ELEMENTS, Instance, Permutation, pair_signs
 
 
 class TooLarge(ValueError):
@@ -58,7 +53,6 @@ class TooLarge(ValueError):
 class OptimalSolution:
     ranking: Permutation
     value: Fraction
-    all_optima: tuple[Permutation, ...] | None = None
 
 
 @lru_cache(maxsize=8)
@@ -138,12 +132,10 @@ def brute_force(
     kind: DistanceKind,
     set_kind: SetDistanceKind,
     n_limit: int = 8,
-    collect_all: bool = False,
 ) -> OptimalSolution:
     """Enumerate all n! permutations and return the minmax minimizer.
 
-    Ties are broken toward the lexicographically smallest rank array; pass
-    ``collect_all`` to also get every minimizer.
+    Ties are broken toward the lexicographically smallest rank array.
     """
     n = inst.n
     if n > n_limit:
@@ -155,24 +147,12 @@ def brute_force(
     class_costs, scale = class_cost_reduction(inst, set_kind)
     ranks = range(1, n + 1)
     best = None
-    optima: list[list[int]] = []
     for prefix in permutations(ranks, n - s):
         rest = np.array(sorted(set(ranks).difference(prefix)))
-        worst = class_costs(score(prefix, rest)).max(axis=1)
-        lo = worst.min()
-        if best is None or lo < best:
-            best, optima = lo, []
-        elif not (collect_all and lo == best):
-            continue
-        hits = np.flatnonzero(worst == lo)
-        block = np.empty((len(hits), n), dtype=np.int64)
-        block[:, :n - s] = prefix
-        block[:, n - s:] = rest[table[hits]]
-        optima += block.tolist()
-
-    value = Fraction(int(best), scale)
-    all_optima = tuple(Permutation(tuple(r)) for r in optima) if collect_all else None
-    return OptimalSolution(Permutation(tuple(optima[0])), value, all_optima)
+        j, value = least_worst(class_costs(score(prefix, rest)), scale)
+        if best is None or value < best:
+            best, ranking = value, (*prefix, *rest[table[j]].tolist())
+    return OptimalSolution(Permutation(ranking), best)
 
 
 def relaxation_gap(inst: Instance, kind: DistanceKind, optimum: Fraction) -> float:

@@ -58,8 +58,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize._highspy import _core as highspy
 
-from .distances import BLOCK_ELEMENTS
-from .rankings import Instance
+from .rankings import BLOCK_ELEMENTS, Instance
 
 
 class SolverError(RuntimeError):

@@ -18,17 +18,18 @@ after construction and validate their invariants in ``__post_init__``,
 raising ``RankingError``; they are safe to share across threads or
 processes.  An instance carries three read-only array views, each built
 on first use: the member view ``Instance.member_tw`` of twice-positions,
-and from it the members' pair signs ``Instance.member_signs``, which every
-member-level Kendall distance reads, and the pairwise-count view
-``Instance.above_counts``, the one place members' pairwise orders are
-counted.
+and from it the members' pair signs ``Instance.member_signs`` (this
+module's ``pair_signs``), which every member-level Kendall distance reads,
+and the pairwise-count view ``Instance.above_counts``, the one place
+members' pairwise orders are counted.  This module imports no other
+module of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -159,6 +160,26 @@ def twice_positions(rankings: Sequence[Ranking]) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n, 1)
+
+
+def pair_signs(tw: np.ndarray) -> np.ndarray:
+    """(len, n(n-1)/2) int8 array of sign(tw[:, x] - tw[:, y]) over pairs x < y.
+
+    -1 means x is ranked above y, 1 below, 0 tied.  ``tw`` is any
+    non-negative int array: twice-positions, ranks or a permutation table.
+    The pair columns are gathered in the narrowest dtype that holds its
+    largest entry and compared, not subtracted, so no int64 temporary of
+    the result's size is built.
+    """
+    x, y = _pairs(tw.shape[1])
+    narrow = tw.astype(np.min_scalar_type(int(tw.max(initial=0))))
+    first, second = narrow.take(x, axis=1), narrow.take(y, axis=1)
+    return (first > second).view(np.int8) - (first < second).view(np.int8)
+
+
 @dataclass(frozen=True)
 class RankingClass:
     """A set of rankings sharing a violation cost weight.
@@ -224,9 +245,7 @@ class Instance:
 
     @cached_property
     def member_signs(self) -> np.ndarray:
-        """(M, n(n-1)/2) read-only int8 ``distances.pair_signs`` of ``member_tw``."""
-        from .distances import pair_signs  # distances imports this module
-
+        """(M, n(n-1)/2) read-only int8 ``pair_signs`` of ``member_tw``."""
         signs = pair_signs(self.member_tw)
         signs.flags.writeable = False
         return signs

@@ -44,7 +44,7 @@ from minmaxrank.aggregators import (
     _rounded_matrix,
     positions_to_order,
 )
-from minmaxrank import distances
+from minmaxrank import distances, rankings
 from minmaxrank.distances import BLOCK_ELEMENTS, pair_signs
 from minmaxrank._rng import generator
 from minmaxrank.cli import parse_gene_order_file
@@ -275,9 +275,10 @@ class TestMmktConv:
         assert res.objective == 1
         assert abs(res.certificate - 0.5) < TOL
 
-    def test_bound_and_per_level_invariant(self, rng):
+    @pytest.mark.parametrize("allow_ties", [False, True])
+    def test_bound_and_per_level_invariant(self, rng, allow_ties):
         for _ in range(40):
-            inst = random_instance(rng)
+            inst = random_instance(rng, allow_ties=allow_ties)
             sol = solve(build_kendall_lp(inst))
             order, trace = pivot_rounding(sol.u, float_weights(inst))
             for level in trace:
@@ -668,14 +669,15 @@ class TestRestrictToMinWitnesses:
     def test_builds_member_pair_signs_once(self, rng, monkeypatch):
         # the selection and the anchor's witnesses both read the cached
         # Instance.member_signs, and the anchor's distances are a row of the
-        # member-by-member matrix
+        # member-by-member matrix; both modules' names are counted
         calls = []
 
         def counted(tw):
             calls.append(len(tw))
             return pair_signs(tw)
 
-        monkeypatch.setattr(distances, "pair_signs", counted)
+        for module in (rankings, distances):
+            monkeypatch.setattr(module, "pair_signs", counted)
         inst = tied_instance(rng, m_choices=(2, 3))
         restricted = restrict_to_min_witnesses(inst, KT)
         assert calls == [len(inst.member_tw)]

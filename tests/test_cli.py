@@ -172,16 +172,13 @@ def named_instances(draw):
         weight = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
         tied = n >= 2 and draw(st.booleans())
         members = []
-        for g in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, 3))):
             order = draw(st.permutations(range(1, n + 1)))
             if not tied:
                 members.append(Permutation.from_order(order))
                 continue
-            # bucket boundaries; the first member always ties its top two so
-            # the class parses back as partial rankings
+            # bucket boundaries
             cuts = draw(st.sets(st.integers(1, n - 1)))
-            if g == 0:
-                cuts.discard(1)
             ends = [0, *sorted(cuts), n]
             members.append(
                 PartialRanking.from_buckets([order[a:b] for a, b in zip(ends, ends[1:])])

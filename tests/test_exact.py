@@ -70,17 +70,16 @@ def test_too_large():
     brute_force(inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN, n_limit=9)
 
 
-def test_lexicographic_tie_break_and_all_optima():
-    # single class of all 2-element permutations: both are optimal
-    inst = Instance(
-        2,
-        (RankingClass((Permutation.identity(2), Permutation((2, 1))), 1),),
-    )
-    opt = brute_force(
-        inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN, collect_all=True
-    )
+def test_lexicographic_tie_break():
+    # single class of all 2-element permutations: both are optimal, and the
+    # identity comes first
+    reversal = Permutation((2, 1))
+    inst = Instance(2, (RankingClass((Permutation.identity(2), reversal), 1),))
+    opt = brute_force(inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN)
     assert opt.ranking == Permutation.identity(2)
-    assert set(opt.all_optima) == {Permutation.identity(2), Permutation((2, 1))}
+    assert minmax_objective(
+        reversal, inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN
+    ) == opt.value
 
 
 def test_matches_direct_enumeration(rng):
@@ -126,17 +125,15 @@ def test_relabeling_invariance(rng):
 
 def test_optima_across_blocks_in_lexicographic_order():
     # identity and reversal disagree on every pair, so each of the 8!
-    # permutations has Kendall distances summing to 28 and median cost 14
+    # permutations has Kendall distances summing to 28 and median cost 14;
+    # every block ties, and only the first block's first row may win
     inst = Instance(
         8,
         (RankingClass((Permutation.identity(8), Permutation(tuple(range(8, 0, -1)))), 1),),
     )
-    opt = brute_force(
-        inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN, collect_all=True
-    )
+    opt = brute_force(inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN)
     assert opt.value == 14
     assert opt.ranking == Permutation.identity(8)
-    assert [p.ranks for p in opt.all_optima] == list(permutations(range(1, 9)))
 
 
 def _costs_dtype(inst, set_kind):
@@ -161,17 +158,16 @@ def test_matches_direct_enumeration_all_kinds():
                           for r in permutations(range(1, n + 1))]
                 best = min(v for v, _ in values)
                 expected = [r for v, r in values if v == best]
-                opt = brute_force(inst, kind, sk, collect_all=True)
+                opt = brute_force(inst, kind, sk)
                 assert opt.value == best
                 assert type(opt.value.numerator) is int
                 assert opt.ranking.ranks == expected[0]
-                assert [p.ranks for p in opt.all_optima] == expected
 
 
-def test_all_optima_across_blocks_match_one_kernel_call():
-    # at n = 7 each first rank is one block; the optima must be every
-    # least-cost row of all 7! in lexicographic order, and no row of a
-    # block whose own least cost is higher
+def test_first_optimum_across_blocks_matches_one_kernel_call():
+    # at n = 7 each first rank is one block; the optimum must be the first
+    # least-cost row of all 7! in lexicographic order, with that row's cost,
+    # and some of them lie past the first block
     rng = generator(7)
     rows = np.array(list(permutations(range(1, 8))))
     spans_blocks = False
@@ -181,11 +177,11 @@ def test_all_optima_across_blocks_match_one_kernel_call():
         for kind, sk in product(DistanceKind, SetDistanceKind):
             costs, scale = scaled_class_costs(2 * rows, inst, kind, sk)
             worst = costs.max(axis=1)
-            expected = [tuple(r) for r in rows[worst == worst.min()].tolist()]
-            opt = brute_force(inst, kind, sk, collect_all=True)
-            assert opt.value == Fraction(int(worst.min()), scale)
-            assert [p.ranks for p in opt.all_optima] == expected
-            spans_blocks |= len({r[0] for r in expected}) > 1
+            first = int(worst.argmin())
+            opt = brute_force(inst, kind, sk)
+            assert opt.ranking.ranks == tuple(rows[first].tolist())
+            assert opt.value == Fraction(int(worst[first]), scale)
+            spans_blocks |= rows[first][0] != 1
     assert spans_blocks
 
 

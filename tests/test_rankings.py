@@ -1,8 +1,10 @@
+import ast
 import re
 import tracemalloc
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,3 +267,16 @@ class TestMemberView:
         assert signs.dtype == np.int8
         # pairs (1, 2), (1, 3), (2, 3): -1 when the first is above
         assert signs.tolist() == [[-1, -1, -1], [1, 1, -1], [0, -1, -1]]
+
+
+def test_rankings_imports_no_module_of_the_package():
+    # the core types sit below every other module, so the member views build
+    # their pair signs here and no import runs inside a function
+    path = Path(__file__).parents[1] / "src" / "minmaxrank" / "rankings.py"
+    roots = set()  # top-level names imported, "." for a relative import
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("." if node.level else node.module.split(".")[0])
+    assert roots.isdisjoint({".", "minmaxrank"})
