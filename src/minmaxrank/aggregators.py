@@ -28,13 +28,14 @@ from .distances import (
     DistanceKind,
     SetDistanceKind,
     class_cost_reduction,
+    doubled_distances,
     least_worst,
     member_distances,
     minmax_objective,
     scaled_class_costs,
 )
 from .lp import build_footrule_program, build_kendall_lp, pairwise_weights, sigma_rank, solve
-from .rankings import BLOCK_ELEMENTS, Instance, Permutation, Ranking, RankingClass, twice_positions
+from .rankings import Instance, Permutation, Ranking, RankingClass, twice_positions
 from ._rng import generator
 
 _B_TOLERANCE = 1e-12
@@ -386,14 +387,11 @@ def median_footrule_matching_baseline(
 
     Minimizes the pooled (unweighted) footrule exactly; no minmax guarantee.
     """
-    tw, twice_ranks = inst.member_tw, 2 * np.arange(1, inst.n + 1)
+    tw = inst.member_tw
     # cost[x][t - 1]: pooled |2 * position - 2t| of element x + 1 at rank t,
-    # summed over member blocks whose (m, n, n) temporary stays in budget
-    step = max(1, BLOCK_ELEMENTS // inst.n**2)
-    cost = sum(
-        np.abs(tw[i:i + step, :, None] - twice_ranks).sum(axis=0)
-        for i in range(0, len(tw), step)
-    )
+    # the footrule kernel between element columns and constant rank rows
+    twice_ranks = np.repeat(2 * np.arange(1, inst.n + 1)[:, None], len(tw), axis=1)
+    cost = doubled_distances(tw.T, twice_ranks, True)
     _, cols = linear_sum_assignment(cost)
     perm = Permutation(tuple(int(c) + 1 for c in cols))
     return AggregationResult(perm, minmax_objective(perm, inst, kind, set_kind))

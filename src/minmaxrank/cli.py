@@ -6,11 +6,11 @@ serializer so files round-trip), and each data line reads
 
     class=<id> lambda=<weight> : token token { tied tokens } token ...
 
-listing one ranking best-to-worst, with tie groups in braces.  A class
-with a brace on any of its lines holds partial rankings (``{ a } b c`` is
-one without ties), the others permutations.  Element names are mapped to
-1..n in first-seen order; every line must cover the same ground set, and
-all lines of a class must carry the same weight.
+listing one ranking best-to-worst, with tie groups in braces.  A line
+with a brace is a partial ranking (``{ a } b c`` is one without ties), any
+other line a permutation, so one class may hold both.  Element names are
+mapped to 1..n in first-seen order; every line must cover the same ground
+set, and all lines of a class must carry the same weight.
 
 Gene-order files have one genome per line: a name, a tab, and a signed
 permutation of 1..n.  Signs are stripped and each genome becomes its own
@@ -53,7 +53,6 @@ class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-        self.message = message
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,8 @@ def parse_instance_file(text: str) -> ParsedFile:
             names[name] = len(names) + 1
         return names[name]
 
-    entries: list[tuple[int, str, Fraction, list[list[int]]]] = []
-    braced: set[str] = set()  # classes with a line that holds a '{'
+    # (line, class id, weight, buckets, whether the line holds a '{')
+    entries: list[tuple[int, str, Fraction, list[list[int]], bool]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -139,21 +138,19 @@ def parse_instance_file(text: str) -> ParsedFile:
         flat = [x for b in buckets for x in b]
         if len(set(flat)) != len(flat):
             raise ParseError(line_no, "element repeated within a ranking")
-        entries.append((line_no, class_id, weight, buckets))
-        if "{" in ranking_part:
-            braced.add(class_id)
+        entries.append((line_no, class_id, weight, buckets, "{" in ranking_part))
 
     if not entries:
         raise ParseError(0, "no rankings in file")
     n = len(names)
-    for line_no, _, _, buckets in entries:
+    for line_no, _, _, buckets, _ in entries:
         covered = {x for b in buckets for x in b}
         if len(covered) != n:
             raise ParseError(
                 line_no, f"ranking covers {len(covered)} of {n} elements"
             )
     # no distance of any kind exceeds n^2/2, so this bounds every class cost
-    for line_no, _, weight, _ in entries:
+    for line_no, _, weight, _, _ in entries:
         try:
             float(weight * n * n / 2)
         except OverflowError:
@@ -163,25 +160,16 @@ def parse_instance_file(text: str) -> ParsedFile:
                 "is outside float64 range",
             )
 
-    by_class: dict[str, list[tuple[int, Fraction, list[list[int]]]]] = {}
-    for line_no, class_id, weight, buckets in entries:
-        by_class.setdefault(class_id, []).append((line_no, weight, buckets))
-
-    classes = []
-    for class_id, rows in by_class.items():
-        weight = rows[0][1]
-        for line_no, w, _ in rows[1:]:
-            if w != weight:
-                raise ParseError(
-                    line_no, f"class {class_id} has inconsistent lambda"
-                )
-        members: list[Ranking] = []
-        for _, _, buckets in rows:
-            if class_id in braced:
-                members.append(PartialRanking.from_buckets(buckets))
-            else:
-                members.append(Permutation.from_order([b[0] for b in buckets]))
-        classes.append(RankingClass(tuple(members), weight))
+    by_class: dict[str, tuple[Fraction, list[Ranking]]] = {}
+    for line_no, class_id, weight, buckets, partial in entries:
+        class_weight, members = by_class.setdefault(class_id, (weight, []))
+        if weight != class_weight:
+            raise ParseError(line_no, f"class {class_id} has inconsistent lambda")
+        if partial:
+            members.append(PartialRanking.from_buckets(buckets))
+        else:
+            members.append(Permutation.from_order([b[0] for b in buckets]))
+    classes = [RankingClass(tuple(m), w) for w, m in by_class.values()]
 
     # ids were given in first-seen order, so the keys are already sorted by id
     return ParsedFile(Instance(n, tuple(classes)), tuple(names), tuple(by_class))
@@ -205,37 +193,16 @@ def _format_ranking(ranking: Ranking, names: Sequence[str]) -> str:
     return " ".join(parts)
 
 
-def _check_labels(what: str, labels: Sequence[str], count: int, banned: str) -> None:
-    if len(labels) != count:
-        raise ValueError(f"{len(labels)} {what}s given for {count}")
-    seen = set()
-    for label in labels:
-        if label in seen:
-            raise ValueError(f"duplicate {what} {label!r}")
-        if not label or any(ch.isspace() or ch in banned for ch in label):
-            raise ValueError(f"{what} {label!r} is empty or holds whitespace or "
-                             f"one of {' '.join(banned)}")
-        seen.add(label)
-
-
-def write_instance_file(
-    inst: Instance,
-    element_names: tuple[str, ...] | None = None,
-    class_ids: tuple[str, ...] | None = None,
-) -> str:
-    """Serialize so parsing gives the instance back; bad labels raise ValueError."""
-    if element_names is None:
-        element_names = tuple(str(x) for x in range(1, inst.n + 1))
-    if class_ids is None:
-        class_ids = tuple(str(k) for k in range(1, inst.num_classes + 1))
-    _check_labels("element name", element_names, inst.n, "{}")
-    _check_labels("class id", class_ids, inst.num_classes, "{}:")
-    lines = ["elements: " + " ".join(element_names)]
-    for k, cls in enumerate(inst.classes):
+def write_instance_file(inst: Instance) -> str:
+    """Serialize with element names 1..n and class ids 1..C, so parsing
+    gives the instance back."""
+    names = tuple(str(x) for x in range(1, inst.n + 1))
+    lines = ["elements: " + " ".join(names)]
+    for k, cls in enumerate(inst.classes, start=1):
         for member in cls.members:
             lines.append(
-                f"class={class_ids[k]} lambda={_format_weight(cls.weight)} : "
-                + _format_ranking(member, element_names)
+                f"class={k} lambda={_format_weight(cls.weight)} : "
+                + _format_ranking(member, names)
             )
     return "\n".join(lines) + "\n"
 

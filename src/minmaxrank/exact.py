@@ -56,27 +56,19 @@ class OptimalSolution:
 
 
 @lru_cache(maxsize=8)
-def _lexicographic_table(s: int) -> np.ndarray:
-    """Read-only (s!, s) array of the permutations of range(s), in lexicographic order."""
-    table = np.array(list(itertools.permutations(range(s))), dtype=np.intp)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=8)
-def _table_features(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only float64 features of ``_lexicographic_table(s)``, one column per row.
-
-    The (s², s!) one-hot, whose row v*s + j is 1 where table[:, j] == v,
-    and the (s(s-1)/2, s!) pair signs of the table's rows.
+def _lexicographic_table(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only (s!, s) table of the permutations of range(s), in
+    lexicographic order, and its float64 features, one column per row: the
+    (s², s!) one-hot, whose row v*s + j is 1 where table[:, j] == v, and
+    the (s(s-1)/2, s!) pair signs of the table's rows.
     """
-    table = _lexicographic_table(s)
+    table = np.array(list(itertools.permutations(range(s))), dtype=np.intp)
     onehot = table.T[None, :, :] == np.arange(s)[:, None, None]
-    features = (onehot.reshape(s * s, len(table)).astype(np.float64),
-                np.ascontiguousarray(pair_signs(table).T, dtype=np.float64))
-    for a in features:
+    arrays = (table, onehot.reshape(s * s, len(table)).astype(np.float64),
+              np.ascontiguousarray(pair_signs(table).T, dtype=np.float64))
+    for a in arrays:
         a.flags.writeable = False
-    return features
+    return arrays
 
 
 def _suffix_length(n: int) -> int:
@@ -103,7 +95,7 @@ def _block_scorer(
     """
     n = tw.shape[1]
     head, tail = tw[:, :n - s], tw[:, n - s:]
-    onehot, table_signs = _table_features(s)
+    _, onehot, table_signs = _lexicographic_table(s)
     suffix = 0
     if not positional:
         # for a candidate sign a = ±1 and a member sign b, |a - b| = 1 - ab
@@ -142,7 +134,7 @@ def brute_force(
         raise TooLarge(f"n={n} exceeds enumeration limit {n_limit}")
 
     s = _suffix_length(n)
-    table = _lexicographic_table(s)
+    table = _lexicographic_table(s)[0]
     score = _block_scorer(inst.member_tw, s, kind.positional)
     class_costs, scale = class_cost_reduction(inst, set_kind)
     ranks = range(1, n + 1)

@@ -11,18 +11,18 @@ as integers (``twice_positions``), so half-integers stay exact and
 comparisons never hit floating-point ties.
 
 A permutation is built from its ranks (``Permutation(ranks)``) or its
-best-to-worst order (``Permutation.from_order``), a partial ranking from its
-buckets (``PartialRanking.from_buckets``).  Every algorithm and distance
-reads either kind through ``twice_positions``.  All types are immutable
-after construction and validate their invariants in ``__post_init__``,
-raising ``RankingError``; they are safe to share across threads or
-processes.  An instance carries three read-only array views, each built
-on first use: the member view ``Instance.member_tw`` of twice-positions,
-and from it the members' pair signs ``Instance.member_signs`` (this
-module's ``pair_signs``), which every member-level Kendall distance reads,
-and the pairwise-count view ``Instance.above_counts``, the one place
-members' pairwise orders are counted.  This module imports no other
-module of the package.
+best-to-worst order (``Permutation.from_order``), a partial ranking from
+its buckets (``PartialRanking.from_buckets``).  Every algorithm and
+distance reads either kind through ``twice_positions``, so a class may mix
+them.  All types are immutable after construction and validate their
+invariants in ``__post_init__``, raising ``RankingError``; they are safe
+to share across threads or processes.  An instance carries three read-only
+array views, each built on first use: the member view
+``Instance.member_tw`` of twice-positions, and from it the members' pair
+signs ``Instance.member_signs`` (this module's ``pair_signs``), which
+every member-level Kendall distance reads, and the pairwise-count view
+``Instance.above_counts``, the one place members' pairwise orders are
+counted.  This module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def pair_signs(tw: np.ndarray) -> np.ndarray:
 class RankingClass:
     """A set of rankings sharing a violation cost weight.
 
-    Members must be all permutations or all partial rankings, over a common
+    Members may be permutations, partial rankings or both, over a common
     ground set.  The weight is kept as an exact Fraction.
     """
 
@@ -198,12 +198,8 @@ class RankingClass:
         if self.weight <= 0:
             raise RankingError(f"class weight must be positive, got {self.weight}")
         n = self.members[0].n
-        kind = type(self.members[0])
-        for m in self.members:
-            if m.n != n:
-                raise RankingError("members have differing ground-set sizes")
-            if type(m) is not kind:
-                raise RankingError("members mix permutations and partial rankings")
+        if any(m.n != n for m in self.members):
+            raise RankingError("members have differing ground-set sizes")
         object.__setattr__(self, "members", tuple(self.members))
 
     @property

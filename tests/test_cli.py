@@ -57,6 +57,12 @@ class=b lambda=1 : 8 7 6 5 4 3 2 1
 
 EXTREME_FILE = "class=a lambda={} : 1 2 3\nclass=b lambda=1 : 3 2 1\n"
 
+# the example of the README's "Instance files" section
+README_FILE = (
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    .split("### Instance files\n", 1)[1].split("```\n", 2)[1]
+)
+
 TIED_FILE = """\
 elements: w x y z
 class=1 lambda=0.5 : { w x } y z
@@ -91,6 +97,14 @@ class TestParseInstanceFile:
         assert inst.classes[0].members[0] == PartialRanking.from_buckets([{1, 2}, {3}, {4}])
         # class 2 has no braces: stays a permutation
         assert inst.classes[1].members[0].ranks == (4, 3, 2, 1)
+
+    def test_braces_decide_each_line(self):
+        parsed = parse_instance_file(README_FILE)
+        assert parsed.element_names == ("a", "b", "c", "d")
+        first, second = parsed.instance.classes
+        assert [type(m) for m in first.members] == [PartialRanking, Permutation]
+        assert first.members[1].ranks == (2, 1, 3, 4)
+        assert [type(m) for m in second.members] == [Permutation]
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -150,31 +164,18 @@ class TestRoundTrip:
         again = parse_instance_file(write_instance_file(inst))
         assert again.instance == inst
 
-    def test_custom_names_roundtrip(self):
-        parsed = parse_instance_file(TIED_FILE)
-        text = write_instance_file(
-            parsed.instance, parsed.element_names, parsed.class_ids
-        )
-        again = parse_instance_file(text)
-        assert again.instance == parsed.instance
-        assert again.element_names == parsed.element_names
-
-
-_TOKENS = st.text(alphabet="abcxyz0123456789_-.", min_size=1, max_size=4)
-
 
 @st.composite
-def named_instances(draw):
-    """An instance plus optional custom element names and class ids."""
+def instances(draw):
+    """An instance whose members are each a permutation or a partial ranking."""
     n = draw(st.integers(1, 6))
     classes = []
     for _ in range(draw(st.integers(1, 3))):
         weight = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
-        tied = n >= 2 and draw(st.booleans())
         members = []
         for _ in range(draw(st.integers(1, 3))):
             order = draw(st.permutations(range(1, n + 1)))
-            if not tied:
+            if n < 2 or not draw(st.booleans()):
                 members.append(Permutation.from_order(order))
                 continue
             # bucket boundaries
@@ -184,63 +185,15 @@ def named_instances(draw):
                 PartialRanking.from_buckets([order[a:b] for a, b in zip(ends, ends[1:])])
             )
         classes.append(RankingClass(tuple(members), weight))
-    inst = Instance(n, tuple(classes))
-    names = draw(st.none() | st.lists(_TOKENS, min_size=n, max_size=n, unique=True))
-    ids = draw(
-        st.none()
-        | st.lists(_TOKENS, min_size=len(classes), max_size=len(classes), unique=True)
-    )
-    return inst, names, ids
+    return Instance(n, tuple(classes))
 
 
-@given(named_instances())
-def test_write_parse_round_trip(case):
-    inst, names, ids = case
-    names = tuple(names) if names else None
-    ids = tuple(ids) if ids else None
-    parsed = parse_instance_file(write_instance_file(inst, names, ids))
+@given(instances())
+def test_write_parse_round_trip(inst):
+    parsed = parse_instance_file(write_instance_file(inst))
     assert parsed.instance == inst
-    assert parsed.element_names == (
-        names or tuple(str(x) for x in range(1, inst.n + 1))
-    )
-    assert parsed.class_ids == (
-        ids or tuple(str(k) for k in range(1, inst.num_classes + 1))
-    )
-
-
-_TWO_CLASSES = Instance(
-    3,
-    (
-        RankingClass((Permutation.identity(3),), 1),
-        RankingClass((Permutation((2, 1, 3)),), 1),
-    ),
-)
-
-
-@pytest.mark.parametrize(
-    "names, ids, message",
-    [
-        # equal weights: the file would parse back as one two-member class
-        (None, ("a", "a"), "duplicate class id 'a'"),
-        (("x", "x", "y"), None, "duplicate element name 'x'"),
-        (("x y", "b", "c"), None, "element name 'x y' is empty or holds whitespace"),
-        (("a", "b\tc", "d"), None, "element name 'b\\tc' is empty"),
-        (("a", "{b", "c"), None, "element name '{b' is empty"),
-        (("a", "b", "c}"), None, "element name 'c}' is empty"),
-        (("a", "", "c"), None, "element name '' is empty"),
-        (None, ("a b", "c"), "class id 'a b' is empty"),
-        (None, ("a{", "c"), "class id 'a{' is empty"),
-        (None, ("a", "c:d"), "class id 'c:d' is empty or holds whitespace or one of"),
-        (None, ("", "c"), "class id '' is empty"),
-        (("a", "b"), None, "2 element names given for 3"),
-        (None, ("a",), "1 class ids given for 2"),
-        (("a", "b", "c", "d"), None, "4 element names given for 3"),
-    ],
-)
-def test_write_rejects_labels_that_do_not_round_trip(names, ids, message):
-    with pytest.raises(ValueError) as info:
-        write_instance_file(_TWO_CLASSES, names, ids)
-    assert str(info.value).startswith(message)
+    assert parsed.element_names == tuple(str(x) for x in range(1, inst.n + 1))
+    assert parsed.class_ids == tuple(str(k) for k in range(1, inst.num_classes + 1))
 
 
 class TestGeneOrders:

@@ -192,8 +192,10 @@ def test_block_scorer_matches_kernel_row_for_row(n, positional):
                            allow_ties=True)
     s = _suffix_length(n)
     assert (s == n) == (n <= 6)  # below n = 7 one block has an empty prefix
-    table = _lexicographic_table(s)
-    assert table is _lexicographic_table(s) and not table.flags.writeable
+    arrays = _lexicographic_table(s)
+    assert arrays is _lexicographic_table(s)
+    assert not any(a.flags.writeable for a in arrays)
+    table = arrays[0]
     score = _block_scorer(inst.member_tw, s, positional)
     ranks = range(1, n + 1)
     for prefix in permutations(ranks, n - s):

@@ -152,11 +152,17 @@ class TestClassesAndInstances:
         with pytest.raises(RankingError):
             RankingClass((Permutation.identity(2),), Fraction(0))
 
-    def test_class_rejects_mixed_kinds(self):
-        with pytest.raises(RankingError):
-            RankingClass(
-                (Permutation.identity(2), PartialRanking.from_buckets([{1, 2}])), 1
-            )
+    def test_class_accepts_mixed_kinds(self):
+        members = (
+            Permutation((2, 3, 1)),
+            PartialRanking.from_buckets([{3}, {1, 2}]),
+            PartialRanking.from_buckets([{1}, {2}, {3}]),
+        )
+        inst = Instance(3, (RankingClass(members, 1),))
+        np.testing.assert_array_equal(
+            inst.member_tw, [[4, 6, 2], [5, 5, 2], [2, 4, 6]]
+        )
+        np.testing.assert_array_equal(inst.member_tw, twice_positions(members))
 
     def test_max_weight_members(self):
         inst = Instance(
