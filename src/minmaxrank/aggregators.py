@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from ._scipy_ext import linear_sum_assignment
 from .distances import (
     DistanceError,
     DistanceKind,

@@ -26,16 +26,17 @@ Two programs are built here:
   its pooled weighted median, at each class's slope on that gap.
 
 ``solve`` loads either program into one HiGHS model the same way, through
-scipy's private binding (scipy >= 1.15), and raises ``SolverError`` with
-HiGHS's model-status text for any status other than optimal.  It turns
-presolve off for both: the Kendall program's solves are small and start
-warm after the first, the footrule program has only C rows, and HiGHS
-then starts from every column at its lower bound, sigma's order of every
-pair and the anchor of every position.  The Kendall model also switches
-from HiGHS's default dual steepest-edge pricing (Forrest & Goldfarb,
-Math. Programming 1992) to Devex (Harris, Math. Programming 1973) at the
-first cut round that adds at most 1/40 of the rows it holds, and keeps
-Devex: the few iterations of such a round do not earn back steepest
+scipy's private binding (scipy >= 1.15), which ``_scipy_ext`` loads from
+its extension file without running ``scipy.optimize``'s package init, and
+raises ``SolverError`` with HiGHS's model-status text for any status other
+than optimal.  It turns presolve off for both: the Kendall program's solves
+are small and start warm after the first, the footrule program has only C
+rows, and HiGHS then starts from every column at its lower bound, sigma's
+order of every pair and the anchor of every position.  The Kendall model
+also switches from HiGHS's default dual steepest-edge pricing (Forrest &
+Goldfarb, Math. Programming 1992) to Devex (Harris, Math. Programming 1973)
+at the first cut round that adds at most 1/40 of the rows it holds, and
+keeps Devex: the few iterations of such a round do not earn back steepest
 edge's start-up cost on every row held.  The Kendall class weights, which
 ``pairwise_weights`` reads at the pairs a caller asks for, and the tie
 mass read the instance's pairwise-count view ``Instance.above_counts``;
@@ -54,10 +55,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize._highspy import _core as highspy
 
+from ._scipy_ext import highspy
 from .rankings import BLOCK_ELEMENTS, Instance
 
 
@@ -218,16 +220,25 @@ def _violated_triangles(u: np.ndarray, present: np.ndarray) -> np.ndarray:
     return ids[np.searchsorted(present, ids) == np.searchsorted(present, ids, side="right")]
 
 
+@lru_cache(maxsize=256)
+def _quotients(m: int, num: int, den: int) -> np.ndarray:
+    """The read-only table c * (num / den) / m for c = 0..m.  Python's int
+    true division rounds each exact quotient correctly, like float(Fraction),
+    whatever the operand sizes; the key is ints, which hash faster than a
+    Fraction."""
+    table = np.array([c * num / (den * m) for c in range(m + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def pairwise_weights(inst: Instance, cells: np.ndarray) -> np.ndarray:
     """w[k][x][y] = count * weight / m at the flat cells x * n + y, (C, *cells.shape).
 
-    Each class looks its counts up in a table of the m + 1 possible ones;
-    Python's int true division rounds each exact quotient correctly, like
-    float(Fraction), whatever the operand sizes.
+    Each class looks its counts up in its cached table of the m + 1 possible
+    quotients.
     """
     return np.stack([
-        np.array([c * cls.weight.numerator / (cls.weight.denominator * cls.m)
-                  for c in range(cls.m + 1)])[counts.take(cells)]
+        _quotients(cls.m, cls.weight.numerator, cls.weight.denominator)[counts.take(cells)]
         for cls, counts in zip(inst.classes, inst.above_counts)
     ])
 

@@ -87,6 +87,19 @@ class TestPairwiseWeights:
             for y in range(3):
                 assert w[0][x][y] == (Fraction(1, 2) if x != y else 0)
 
+    def test_quotient_table_is_built_once_per_class_kind(self):
+        # two classes of equal m and weight share one read-only table, and
+        # later calls (the build, tie_mass, pivot rounding) rebuild none
+        members = (Permutation.identity(3), Permutation((3, 2, 1)), Permutation((2, 1, 3)))
+        inst = Instance(3, (RankingClass(members, Fraction(2, 7)),) * 2)
+        lp._quotients.cache_clear()
+        first = class_weights(inst)
+        assert class_weights(inst) == first
+        assert lp._quotients.cache_info().misses == 1
+        table = lp._quotients(3, 2, 7)
+        assert not table.flags.writeable
+        assert table.tolist() == [float(Fraction(2 * c, 21)) for c in range(4)]
+
     def test_tied_pair_contributes_nothing(self):
         inst = Instance(
             3, (RankingClass((PartialRanking.from_buckets([{1, 2}, {3}]),), 1),)
@@ -816,14 +829,12 @@ class TestViolatedTriangles:
 class TestHighsBinding:
     def test_rows_added_to_a_solved_model_are_solved_warm(self):
         # lp.solve loads both programs into one model through scipy's
-        # private HiGHS binding; a scipy release that moves or changes the
-        # calls it makes fails here by name
-        from scipy.optimize._highspy._core import (
-            HighsModelStatus,
-            HighsStatus,
-            _Highs,
-            kHighsInf,
-        )
+        # private HiGHS binding, lp.highspy, which lp loads from its file; a
+        # scipy release that moves the file or changes the calls lp makes
+        # fails here by name
+        h = lp.highspy
+        HighsModelStatus, HighsStatus, _Highs, kHighsInf = (
+            h.HighsModelStatus, h.HighsStatus, h._Highs, h.kHighsInf)
 
         # min x + y with -x - 2y <= -1 and x, y in [0, 1]: x = 0, y = 1/2
         highs = _Highs()
@@ -853,12 +864,9 @@ class TestHighsBinding:
     def test_presolve_switches_off(self):
         # lp.solve turns presolve off on every model through the same
         # binding; a release that renames the option or its value fails here
-        from scipy.optimize._highspy._core import (
-            HighsModelStatus,
-            HighsStatus,
-            _Highs,
-            kHighsInf,
-        )
+        h = lp.highspy
+        HighsModelStatus, HighsStatus, _Highs, kHighsInf = (
+            h.HighsModelStatus, h.HighsStatus, h._Highs, h.kHighsInf)
 
         highs = _Highs()
         highs.setOptionValue("output_flag", False)
@@ -877,12 +885,9 @@ class TestHighsBinding:
         # lp.solve switches a solved Kendall model to Devex pricing before a
         # round of few rows; a release that renames the option or its value
         # fails here
-        from scipy.optimize._highspy._core import (
-            HighsModelStatus,
-            HighsStatus,
-            _Highs,
-            kHighsInf,
-        )
+        h = lp.highspy
+        HighsModelStatus, HighsStatus, _Highs, kHighsInf = (
+            h.HighsModelStatus, h.HighsStatus, h._Highs, h.kHighsInf)
 
         # min x + y with -x - 2y <= -1 and x, y in [0, 1]: x = 0, y = 1/2
         highs = _Highs()
