@@ -391,7 +391,7 @@ def median_footrule_matching_baseline(
     # cost[x][t - 1]: pooled |2 * position - 2t| of element x + 1 at rank t,
     # the footrule kernel between element columns and constant rank rows
     twice_ranks = np.repeat(2 * np.arange(1, inst.n + 1)[:, None], len(tw), axis=1)
-    cost = doubled_distances(tw.T, twice_ranks, True)
+    cost = doubled_distances(tw.T, twice_ranks)
     _, cols = linear_sum_assignment(cost)
     perm = Permutation(tuple(int(c) + 1 for c in cols))
     return AggregationResult(perm, minmax_objective(perm, inst, kind, set_kind))

@@ -92,12 +92,6 @@ def _tokenize_ranking(text: str, line_no: int) -> list[list[str]]:
 
 def parse_instance_file(text: str) -> ParsedFile:
     names: dict[str, int] = {}
-
-    def element_id(name: str) -> int:
-        if name not in names:
-            names[name] = len(names) + 1
-        return names[name]
-
     # (line, class id, weight, buckets, whether the line holds a '{')
     entries: list[tuple[int, str, Fraction, list[list[int]], bool]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -106,7 +100,7 @@ def parse_instance_file(text: str) -> ParsedFile:
             continue
         if line.startswith("elements:"):
             for name in line[len("elements:"):].split():
-                element_id(name)
+                names.setdefault(name, len(names) + 1)
             continue
         head, sep, ranking_part = line.partition(":")
         if not sep:
@@ -132,7 +126,7 @@ def parse_instance_file(text: str) -> ParsedFile:
         if not in_range:
             raise ParseError(line_no, f"{fields[1]!r} is outside float64 range")
         buckets = [
-            [element_id(tok) for tok in group]
+            [names.setdefault(tok, len(names) + 1) for tok in group]
             for group in _tokenize_ranking(ranking_part, line_no)
         ]
         flat = [x for b in buckets for x in b]
@@ -143,14 +137,13 @@ def parse_instance_file(text: str) -> ParsedFile:
     if not entries:
         raise ParseError(0, "no rankings in file")
     n = len(names)
-    for line_no, _, _, buckets, _ in entries:
-        covered = {x for b in buckets for x in b}
-        if len(covered) != n:
-            raise ParseError(
-                line_no, f"ranking covers {len(covered)} of {n} elements"
-            )
-    # no distance of any kind exceeds n^2/2, so this bounds every class cost
-    for line_no, _, weight, _, _ in entries:
+    # the checks that need the whole ground set, in file order
+    by_class: dict[str, tuple[Fraction, list[Ranking]]] = {}
+    for line_no, class_id, weight, buckets, partial in entries:
+        covered = sum(map(len, buckets))  # no element repeats within a line
+        if covered != n:
+            raise ParseError(line_no, f"ranking covers {covered} of {n} elements")
+        # no distance of any kind exceeds n^2/2, so this bounds every class cost
         try:
             float(weight * n * n / 2)
         except OverflowError:
@@ -159,9 +152,6 @@ def parse_instance_file(text: str) -> ParsedFile:
                 f"lambda={_format_weight(weight)} times n^2/2 (n={n}) "
                 "is outside float64 range",
             )
-
-    by_class: dict[str, tuple[Fraction, list[Ranking]]] = {}
-    for line_no, class_id, weight, buckets, partial in entries:
         class_weight, members = by_class.setdefault(class_id, (weight, []))
         if weight != class_weight:
             raise ParseError(line_no, f"class {class_id} has inconsistent lambda")
@@ -209,7 +199,8 @@ def write_instance_file(inst: Instance) -> str:
 
 def parse_gene_order_file(text: str) -> ParsedFile:
     """Signed gene arrangements, one genome per line, as singleton classes."""
-    rows: list[tuple[int, str, list[int]]] = []
+    classes: list[RankingClass] = []
+    genomes: list[str] = []
     n = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
@@ -228,15 +219,12 @@ def parse_gene_order_file(text: str) -> ParsedFile:
             raise ParseError(
                 line_no, f"gene order is not a signed permutation of 1..{n}"
             )
-        rows.append((line_no, name.strip(), values))
-    if not rows:
+        classes.append(RankingClass((Permutation.from_order(values),), Fraction(1)))
+        genomes.append(name.strip())
+    if not classes:
         raise ParseError(0, "no genomes in file")
-    classes = tuple(
-        RankingClass((Permutation.from_order(values),), Fraction(1))
-        for _, _, values in rows
-    )
     names = tuple(str(x) for x in range(1, n + 1))
-    return ParsedFile(Instance(n, classes), names, tuple(r[1] for r in rows))
+    return ParsedFile(Instance(n, tuple(classes)), names, tuple(genomes))
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +288,13 @@ def _check_compatible(algo: str, dist_flag: str, set_flag: str) -> None:
             raise IncompatibleFlags(f"algorithm {algo} requires --{flag} {needed}")
 
 
-def _read_parsed(path: str, gene_orders: bool) -> ParsedFile:
-    with open(path, encoding="utf-8-sig") as fh:
+def _read_file_flags(args) -> tuple[ParsedFile, DistanceKind, SetDistanceKind]:
+    """The parsed file and the two distance kinds that the ``file_flags``
+    of ``aggregate`` and ``exact`` name."""
+    with open(args.file, encoding="utf-8-sig") as fh:
         text = fh.read()
-    return parse_gene_order_file(text) if gene_orders else parse_instance_file(text)
+    parse = parse_gene_order_file if args.gene_orders else parse_instance_file
+    return parse(text), _DISTANCES[args.distance], _SET_DISTANCES[args.setdist]
 
 
 def _fmt_rational(value: Fraction) -> str:
@@ -312,10 +303,8 @@ def _fmt_rational(value: Fraction) -> str:
 
 def cmd_aggregate(args) -> int:
     _check_compatible(args.algo, args.distance, args.setdist)
-    parsed = _read_parsed(args.file, args.gene_orders)
+    parsed, kind, set_kind = _read_file_flags(args)
     inst = parsed.instance
-    kind = _DISTANCES[args.distance]
-    set_kind = _SET_DISTANCES[args.setdist]
     result = run_algorithm(args.algo, inst, kind, set_kind, args.seed)
     print(f"algorithm: {args.algo}")
     print(f"distance: {kind.value}  setdist: {set_kind.value}")
@@ -336,10 +325,8 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    parsed = _read_parsed(args.file, args.gene_orders)
+    parsed, kind, set_kind = _read_file_flags(args)
     inst = parsed.instance
-    kind = _DISTANCES[args.distance]
-    set_kind = _SET_DISTANCES[args.setdist]
     opt = exact.brute_force(inst, kind, set_kind, n_limit=args.n_limit)
     # the gap comes first, so a solver failure leaves stdout empty
     median = set_kind is SetDistanceKind.MEDIAN

@@ -11,13 +11,14 @@ alike:
 
 Both generalizations are those of Fagin et al., "Comparing and aggregating
 rankings with ties" (PODS 2004), and equal the plain distances on
-permutations.  One exact integer kernel, ``doubled_distances``, computes
-either: twice a distance is an L1 distance between rows of twice-positions
-(footrule) or of pair signs (Kendall tau, ``sign_distances``; the signs
-come from ``rankings.pair_signs``, which this module re-exports).  The
-footrule is summed as a broadcast; the pair-sign L1 distance is taken as an
-inner product of lifted sign rows, one float64 product per block.  Values
-are exact half-integer Fractions.  A class costs the mean (median) or the
+permutations.  Each has one exact integer kernel: twice a distance is an
+L1 distance between rows of twice-positions (the footrule,
+``doubled_distances``) or of pair signs (Kendall tau, ``sign_distances``;
+the signs come from ``rankings.pair_signs``, which this module
+re-exports).  The footrule is summed as a broadcast; the pair-sign L1
+distance is taken as an inner product of lifted sign rows, one float64
+product per block.  ``distance`` picks the kernel by kind.  Values are
+exact half-integer Fractions.  A class costs the mean (median) or the
 least (minimum) distance to its members, times its weight; the minmax
 objective is the worst class.  ``class_cost_reduction`` is the one
 reduction from twice distances to exact scaled class costs (int64 while a
@@ -85,17 +86,14 @@ def _check(p: Ranking, q: Ranking) -> None:
         raise DistanceError(f"rankings over {p.n} and {q.n} elements")
 
 
-def doubled_distances(p: np.ndarray, q: np.ndarray, positional: bool) -> np.ndarray:
-    """(len p, len q) int64 array of twice the distance between rows.
+def doubled_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(len p, len q) int64 twice footrule distances between rows.
 
     ``p`` and ``q`` are twice-position arrays (``rankings.twice_positions``).
     Twice the footrule is the L1 distance between them, summed as a
     broadcast, with rows taken in blocks so that no temporary exceeds
-    BLOCK_ELEMENTS elements.  Twice the Kendall tau is ``sign_distances``
-    of their pair signs.
+    BLOCK_ELEMENTS elements.
     """
-    if not positional:
-        return sign_distances(pair_signs(p), pair_signs(q))
     out = np.empty((len(p), len(q)), dtype=np.int64)
     width = max(1, p.shape[1])
     q_rows = max(1, min(len(q), BLOCK_ELEMENTS // width))
@@ -150,7 +148,11 @@ def distance(p: Ranking, q: Ranking, kind: DistanceKind) -> Fraction:
     if not isinstance(kind, DistanceKind):
         raise DistanceError(f"unknown distance kind {kind!r}")
     _check(p, q)
-    d2 = doubled_distances(twice_positions([p]), twice_positions([q]), kind.positional)
+    tp, tq = twice_positions([p]), twice_positions([q])
+    if kind.positional:
+        d2 = doubled_distances(tp, tq)
+    else:
+        d2 = sign_distances(pair_signs(tp), pair_signs(tq))
     return Fraction(int(d2[0, 0]), 2)
 
 
@@ -274,7 +276,7 @@ def member_distances(inst: Instance, kind: DistanceKind) -> np.ndarray:
     ``member_signs`` for Kendall tau, so that no pair signs are built here.
     """
     if kind.positional:
-        return doubled_distances(inst.member_tw, inst.member_tw, True)
+        return doubled_distances(inst.member_tw, inst.member_tw)
     return sign_distances(inst.member_signs, inst.member_signs)
 
 
@@ -296,7 +298,7 @@ def scaled_class_costs(
         return (sums.astype(weights.dtype, copy=False) * weights).T, scale
     costs, scale = class_cost_reduction(inst, set_kind)
     if kind.positional:
-        return costs(doubled_distances(rows, inst.member_tw, True)), scale
+        return costs(doubled_distances(rows, inst.member_tw)), scale
     return costs(sign_distances(pair_signs(rows), inst.member_signs)), scale
 
 

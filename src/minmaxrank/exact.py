@@ -86,12 +86,13 @@ def _block_scorer(
     """score(prefix, rest): the (s!, M) int64 twice distances of one block.
 
     Row r of the block is ``prefix`` followed by ``rest[table[r]]``, and
-    column g is its distance to member row ``tw[g]``, as
-    ``doubled_distances`` gives it.  What depends only on the members and
-    the table is computed here, once per call of the oracle.  The products
-    are taken member by row, so the result is the transpose of a
-    C-ordered (M, s!) array, and each class's members are contiguous rows
-    of it for ``class_cost_reduction``.
+    column g is its distance to member row ``tw[g]``, as its kind's kernel
+    gives it: ``doubled_distances`` for the footrule, ``sign_distances`` of
+    pair signs for Kemeny.  What depends only on the members and the table
+    is computed here, once per call of the oracle.  The products are taken
+    member by row, so the result is the transpose of a C-ordered (M, s!)
+    array, and each class's members are contiguous rows of it for
+    ``class_cost_reduction``.
     """
     n = tw.shape[1]
     head, tail = tw[:, :n - s], tw[:, n - s:]

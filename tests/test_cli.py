@@ -25,6 +25,7 @@ from minmaxrank import (
 )
 from minmaxrank.cli import (
     ParseError,
+    ParsedFile,
     format_benchmark_csv,
     main,
     parse_gene_order_file,
@@ -135,6 +136,14 @@ class TestParseInstanceFile:
             parse_instance_file("# comment\nclass=1 lambda=bad : 1 2\n")
         assert err.value.line_no == 2
 
+    def test_whole_file_checks_report_the_first_faulty_line(self):
+        # line 2's lambda is checked before line 3's coverage
+        text = ("class=1 lambda=1 : a b c\nclass=1 lambda=2 : c b a\n"
+                "class=2 lambda=1 : a b\n")
+        with pytest.raises(ParseError, match="inconsistent lambda") as err:
+            parse_instance_file(text)
+        assert err.value.line_no == 2
+
 
 class TestRoundTrip:
     def test_permutation_instance(self):
@@ -221,6 +230,49 @@ class TestGeneOrders:
     def test_parse_errors(self, text, message):
         with pytest.raises(ParseError, match=f"^{message}$"):
             parse_gene_order_file(text)
+
+
+# texts from the tokens of both file grammars: each line opens with one of
+# its reader's heads (for instance files a ranking head whose weight
+# stresses the weight checks) and goes on with element names, signed and
+# Unicode digits, braces, separators and stray heads; names, digits and
+# braces come twice, so that many lines read far enough to reach the
+# whole-file checks
+WEIGHTS = ["1", "2", "3/2", "1e308", "1e400", "1e-400", "nan", "inf", "1/0", "-0"]
+BODY_TOKENS = [
+    "a", "b", "c", "1", "2", "3", "a", "b", "c", "1", "2", "3", "-2", "+3",
+    "\u0663", "-\u0662", "\u00b2", "{", "}", "{", "}", ":", "#", "elements:",
+    "class=", "lambda=", *WEIGHTS[4:], "\t", "\n",
+]
+
+
+def grammar_texts(heads):
+    line = st.builds(lambda head, body: " ".join([head, *body]), heads,
+                     st.lists(st.sampled_from(BODY_TOKENS), max_size=6))
+    return st.lists(line, max_size=4).map("\n".join)
+
+
+READERS = {
+    "instance": (parse_instance_file, grammar_texts(st.one_of(
+        st.builds("class={} lambda={} :".format,
+                  st.sampled_from(["1", "2", "a", ""]), st.sampled_from(WEIGHTS)),
+        st.sampled_from(["elements:", "#", ""]),
+    ))),
+    "gene-order": (parse_gene_order_file,
+                   grammar_texts(st.sampled_from(["genome\t", "g2\t", "#", ""]))),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_readers_return_a_file_or_raise_parse_error(reader, data):
+    read, texts = READERS[reader]
+    try:
+        parsed = read(data.draw(texts))
+    except ParseError:
+        return
+    assert isinstance(parsed, ParsedFile)
 
 
 @pytest.mark.parametrize("call, error, message", [

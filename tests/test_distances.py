@@ -21,7 +21,13 @@ from minmaxrank import (
     set_distance,
 )
 from minmaxrank._rng import generator
-from minmaxrank.distances import class_cost_reduction, doubled_distances, scaled_class_costs
+from minmaxrank.distances import (
+    class_cost_reduction,
+    doubled_distances,
+    pair_signs,
+    scaled_class_costs,
+    sign_distances,
+)
 from minmaxrank.mallows import TwoLevelConfig, sample_instance
 from minmaxrank.rankings import twice_positions
 
@@ -355,8 +361,8 @@ class TestDoubledDistances:
             p = [make(rng, n) for _ in range(rows)]
             q = [make(rng, n) for _ in range(rows + int(rng.integers(1, 4)))]
             tp, tq = twice_positions(p), twice_positions(q)
-            pairwise = doubled_distances(tp, tq, False)
-            positional = doubled_distances(tp, tq, True)
+            pairwise = sign_distances(pair_signs(tp), pair_signs(tq))
+            positional = doubled_distances(tp, tq)
             assert pairwise.shape == positional.shape == (len(p), len(q))
             for i, a in enumerate(p):
                 for j, b in enumerate(q):
@@ -369,7 +375,10 @@ class TestDoubledDistances:
         tw = twice_positions([random_permutation(rng, 10) for _ in range(1000)])
         tracemalloc.start()
         try:
-            out = doubled_distances(tw, tw, positional)
+            if positional:
+                out = doubled_distances(tw, tw)
+            else:
+                out = sign_distances(pair_signs(tw), pair_signs(tw))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -385,7 +394,7 @@ class TestDoubledDistances:
         distances.pair_signs(tw)  # build the cached pair indices first
         tracemalloc.start()
         try:
-            out = doubled_distances(tw, tw, False)
+            out = sign_distances(pair_signs(tw), pair_signs(tw))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -461,7 +470,8 @@ class TestMedianKendallFromCounts:
         finally:
             tracemalloc.stop()
         reduce, scale = class_cost_reduction(inst, MEDIAN)
-        member_costs = reduce(doubled_distances(twice_positions([p]), inst.member_tw, False))
+        signs = pair_signs(twice_positions([p])), pair_signs(inst.member_tw)
+        member_costs = reduce(sign_distances(*signs))
         assert got == Fraction(int(member_costs.max()), scale)
         # the (1, 65, 1000) comparison and its int64 weights; 1.1 MB measured
         assert peak < 2 * 2**20

@@ -18,7 +18,13 @@ from minmaxrank import (
     minmax_objective,
 )
 from minmaxrank._rng import generator
-from minmaxrank.distances import class_cost_reduction, doubled_distances, scaled_class_costs
+from minmaxrank.distances import (
+    class_cost_reduction,
+    doubled_distances,
+    pair_signs,
+    scaled_class_costs,
+    sign_distances,
+)
 from minmaxrank.exact import _block_scorer, _lexicographic_table, _suffix_length
 
 from conftest import gap_instance, random_instance
@@ -205,9 +211,11 @@ def test_block_scorer_matches_kernel_row_for_row(n, positional):
         block[:, n - s:] = rest[table]
         got = score(prefix, rest)
         assert got.dtype == np.int64
-        np.testing.assert_array_equal(
-            got, doubled_distances(2 * block, inst.member_tw, positional)
-        )
+        if positional:
+            expected = doubled_distances(2 * block, inst.member_tw)
+        else:
+            expected = sign_distances(pair_signs(2 * block), pair_signs(inst.member_tw))
+        np.testing.assert_array_equal(got, expected)
 
 
 # by the alias names that the benchmark's oracle-ties workload passes

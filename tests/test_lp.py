@@ -1326,6 +1326,41 @@ def test_src_does_not_import_scipy_sparse():
     assert imported == []
 
 
+def test_src_leaves_no_unused_import_or_private_function():
+    # what a deletion leaves behind: an import nothing reads, or a private
+    # helper whose last caller went
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in (Path(__file__).parents[1] / "src" / "minmaxrank").glob("*.py")}
+
+    def referenced(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    unused = []
+    for name, tree in sorted(trees.items()):
+        if name == "__init__.py":
+            continue
+        used = referenced(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [(name, alias.name) for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in used]
+    for name, tree in sorted(trees.items()):
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")):
+                continue
+            # references from everywhere but the function's own body
+            outside = set()
+            for other in trees.values():
+                for stmt in other.body:
+                    if stmt is not fn:
+                        outside |= referenced(stmt)
+            if fn.name not in outside:
+                unused.append((name, fn.name))
+    assert unused == []
+
+
 class TestSolveErrors:
     # a positional and a pairwise program share the one status mapping
     @pytest.mark.parametrize("rank", [None, np.zeros(1)], ids=["positional", "pairwise"])
