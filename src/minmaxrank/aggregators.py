@@ -5,14 +5,14 @@ for the Kendall/Kemeny objective, sort-rounding for the footrule objective,
 the selection/reduction pair for the minimum set-distance variants, and two
 classless median baselines used for benchmarking.
 
-All randomized routines are deterministic given their seed.  Every result's
-ranking is a permutation, on tied input too.  Objectives in results are
-exact Fractions recomputed from the returned ranking, and the
-``certificate`` (when present) is the relaxation optimum of the run's own
-problem as HiGHS's primal value at solver tolerance.  It lower-bounds every
-achievable objective only up to that tolerance, which grows with the class
-weights' ratio: at weights 7/5 and 10**12 on two elements, the footrule
-certificate is 2.800300 against an optimum of 14/5.
+All randomized routines are deterministic given their seed.  Every result
+is built by ``_result``, which makes its ranking a permutation, on tied
+input too, and its objective the exact Fraction of that ranking on the
+input.  The ``certificate`` (when present) is the relaxation optimum of
+the run's own problem as HiGHS's primal value at solver tolerance.  It
+lower-bounds every achievable objective only up to that tolerance, which
+grows with the class weights' ratio: at weights 7/5 and 10**12 on two
+elements, the footrule certificate is 2.800300 against an optimum of 14/5.
 """
 
 from __future__ import annotations
@@ -47,6 +47,24 @@ class AggregationResult:
     ranking: Permutation
     objective: Fraction
     certificate: float | None = None
+
+
+def _result(inst: Instance, ranking: Ranking, kind: DistanceKind,
+            set_kind: SetDistanceKind, objective: Fraction | None = None,
+            certificate: float | None = None) -> AggregationResult:
+    """Every algorithm's result: a permutation and its exact objective on
+    ``inst``, which is computed unless given.
+
+    A partial ranking's objective can fall below every permutation's, so a
+    tied ranking (a selected member) is refined to a permutation, each
+    bucket in the order of ``lp.sigma_rank``, and its objective recomputed.
+    """
+    if not isinstance(ranking, Permutation):
+        order = np.lexsort((sigma_rank(inst), twice_positions([ranking])[0]))
+        ranking, objective = Permutation.from_order((order + 1).tolist()), None
+    if objective is None:
+        objective = minmax_objective(ranking, inst, kind, set_kind)
+    return AggregationResult(ranking, objective, certificate)
 
 
 @dataclass(frozen=True)
@@ -195,8 +213,8 @@ def mmkt_conv(inst: Instance) -> AggregationResult:
     ``pivot_rounding`` scores pivots only when h has a cycle.
     """
     perm, certificate = _mmkt(inst)
-    objective = minmax_objective(perm, inst, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN)
-    return AggregationResult(perm, objective, certificate=certificate)
+    return _result(inst, perm, DistanceKind.KENDALL_TAU, SetDistanceKind.MEDIAN,
+                   certificate=certificate)
 
 
 def positions_to_order(u: np.ndarray, rng_seed=None) -> list[int]:
@@ -240,8 +258,7 @@ def mmsp_conv(
     """
     kind = _footrule_kind(kind)
     perm, certificate = _mmsp(inst, rng_seed)
-    objective = minmax_objective(perm, inst, kind, SetDistanceKind.MEDIAN)
-    return AggregationResult(perm, objective, certificate=certificate)
+    return _result(inst, perm, kind, SetDistanceKind.MEDIAN, certificate=certificate)
 
 
 def max_weight_members(inst: Instance) -> list[tuple[int, int, Ranking]]:
@@ -249,23 +266,6 @@ def max_weight_members(inst: Instance) -> list[tuple[int, int, Ranking]]:
     top = max(cls.weight for cls in inst.classes)
     heaviest = [cls.weight == top for cls in inst.classes]
     return [(k, i, m) for k, i, m in inst.iter_members() if heaviest[k]]
-
-
-def _selected(inst: Instance, member: Ranking, kind: DistanceKind,
-              set_kind: SetDistanceKind, objective: Fraction | None = None
-              ) -> AggregationResult:
-    """A selected member, with ``objective`` if known, as a result.
-
-    A partial ranking's objective can fall below every permutation's, so a
-    tied member is refined to a permutation, each bucket in the order of
-    ``lp.sigma_rank``, and its objective recomputed.
-    """
-    if not isinstance(member, Permutation):
-        order = np.lexsort((sigma_rank(inst), twice_positions([member])[0]))
-        member, objective = Permutation.from_order((order + 1).tolist()), None
-    if objective is None:
-        objective = minmax_objective(member, inst, kind, set_kind)
-    return AggregationResult(member, objective)
 
 
 def pick_rnd_perm(
@@ -279,7 +279,7 @@ def pick_rnd_perm(
     candidates = max_weight_members(inst)
     rng = generator(rng_seed)
     _, _, chosen = candidates[int(rng.integers(len(candidates)))]
-    return _selected(inst, chosen, kind, set_kind)
+    return _result(inst, chosen, kind, set_kind)
 
 
 def pick_opt_perm(
@@ -290,7 +290,7 @@ def pick_opt_perm(
     candidates = max_weight_members(inst)
     rows = [inst.class_starts[k] + i for k, i, _ in candidates]
     j, objective = least_worst(*scaled_class_costs(inst.member_tw[rows], inst, kind, set_kind))
-    return _selected(inst, candidates[j][2], kind, set_kind, objective)
+    return _result(inst, candidates[j][2], kind, set_kind, objective)
 
 
 def _nearest_member(inst: Instance, kind: DistanceKind) -> tuple[tuple, Fraction, np.ndarray]:
@@ -313,7 +313,7 @@ def min_pick_perm(inst: Instance, kind: DistanceKind) -> AggregationResult:
     so with one class of permutations the first member is returned.
     """
     (_, _, member), objective, _ = _nearest_member(inst, kind)
-    return _selected(inst, member, kind, SetDistanceKind.MINIMUM, objective)
+    return _result(inst, member, kind, SetDistanceKind.MINIMUM, objective)
 
 
 def restrict_to_min_witnesses(inst: Instance, kind: DistanceKind) -> Instance:
@@ -342,8 +342,7 @@ def min_mmkt_conv(inst: Instance) -> AggregationResult:
     """
     kind = DistanceKind.KENDALL_TAU
     perm, _ = _mmkt(restrict_to_min_witnesses(inst, kind))
-    return AggregationResult(
-        perm, minmax_objective(perm, inst, kind, SetDistanceKind.MINIMUM))
+    return _result(inst, perm, kind, SetDistanceKind.MINIMUM)
 
 
 def min_mmsp_conv(
@@ -353,8 +352,7 @@ def min_mmsp_conv(
     a factor of 4 when every class holds permutations."""
     kind = _footrule_kind(kind)
     perm, _ = _mmsp(restrict_to_min_witnesses(inst, kind), rng_seed)
-    return AggregationResult(
-        perm, minmax_objective(perm, inst, kind, SetDistanceKind.MINIMUM))
+    return _result(inst, perm, kind, SetDistanceKind.MINIMUM)
 
 
 def median_pivot_baseline(
@@ -374,8 +372,7 @@ def median_pivot_baseline(
     order = _pivot_sort(
         maj > maj.T, lambda active: active[int(rng.integers(len(active)))]
     )
-    perm = Permutation.from_order([x + 1 for x in order])
-    return AggregationResult(perm, minmax_objective(perm, inst, kind, set_kind))
+    return _result(inst, Permutation.from_order([x + 1 for x in order]), kind, set_kind)
 
 
 def median_footrule_matching_baseline(
@@ -393,5 +390,4 @@ def median_footrule_matching_baseline(
     twice_ranks = np.repeat(2 * np.arange(1, inst.n + 1)[:, None], len(tw), axis=1)
     cost = doubled_distances(tw.T, twice_ranks)
     _, cols = linear_sum_assignment(cost)
-    perm = Permutation(tuple(int(c) + 1 for c in cols))
-    return AggregationResult(perm, minmax_objective(perm, inst, kind, set_kind))
+    return _result(inst, Permutation(tuple(int(c) + 1 for c in cols)), kind, set_kind)

@@ -29,8 +29,8 @@ instance's pairwise counts ``Instance.above_counts``, in O(C n²) a row,
 since a class's summed distance is linear in a row's pair orders;
 otherwise through one kernel call against the instance's member view
 (``member_tw``, or the members' pair signs ``member_signs``), which
-``member_distances`` also reads for the members' own distances.  Rankings
-over unequal ground sets raise ``DistanceError``.
+``member_distances`` also reads for the members' own distances.  Unequal
+ground sets and unknown set distance kinds raise ``DistanceError``.
 """
 
 from __future__ import annotations
@@ -84,6 +84,11 @@ class SetDistanceKind(Enum):
 def _check(p: Ranking, q: Ranking) -> None:
     if p.n != q.n:
         raise DistanceError(f"rankings over {p.n} and {q.n} elements")
+
+
+def _check_set_kind(set_kind: SetDistanceKind) -> None:
+    if not isinstance(set_kind, SetDistanceKind):
+        raise DistanceError(f"unknown set distance kind {set_kind!r}")
 
 
 def doubled_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -163,6 +168,7 @@ def set_distance(
     set_kind: SetDistanceKind,
 ) -> Fraction:
     """Distance to a class: mean or minimum over members, one pair at a time."""
+    _check_set_kind(set_kind)
     ds = [distance(p, member, kind) for member in cls.members]
     if set_kind is SetDistanceKind.MEDIAN:
         return Fraction(sum(ds), cls.m)
@@ -184,6 +190,7 @@ def _class_factors(inst: Instance, set_kind: SetDistanceKind) -> tuple[np.ndarra
     factors are int64; otherwise they are Python ints in an object array,
     and so are the costs scaled by them.
     """
+    _check_set_kind(set_kind)
     median = set_kind is SetDistanceKind.MEDIAN
     # factor k is nums[k] / dens[k], kept in integers: Fraction arithmetic
     # would cost more than reducing one row

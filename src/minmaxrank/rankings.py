@@ -43,6 +43,20 @@ class RankingError(ValueError):
     """A ranking, class or instance is invalid, or an element is out of range."""
 
 
+def _check_ids(ids: Iterable, n: int, noun: str, repeated: str) -> None:
+    """Raise RankingError unless each of ``ids`` is an int in 1..n, and none
+    is repeated; ``noun`` and ``repeated`` word the messages."""
+    seen = [False] * n
+    for x in ids:
+        if not isinstance(x, int):
+            raise RankingError(f"{noun} {x!r} is not an integer")
+        if not 1 <= x <= n:
+            raise RankingError(f"{noun} {x} outside 1..{n}")
+        if seen[x - 1]:
+            raise RankingError(f"{noun} {x} {repeated}")
+        seen[x - 1] = True
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection from elements 1..n to ranks 1..n.
@@ -57,15 +71,7 @@ class Permutation:
         n = len(self.ranks)
         if n < 1:
             raise RankingError("permutation must have at least one element")
-        seen = [False] * n
-        for r in self.ranks:
-            if not isinstance(r, int):
-                raise RankingError(f"rank {r!r} is not an integer")
-            if r < 1 or r > n:
-                raise RankingError(f"rank {r} outside 1..{n}")
-            if seen[r - 1]:
-                raise RankingError(f"rank {r} appears more than once")
-            seen[r - 1] = True
+        _check_ids(self.ranks, n, "rank", "appears more than once")
 
     @property
     def n(self) -> int:
@@ -73,14 +79,14 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         """The inverse permutation: entry t holds the element ranked t."""
-        inv = [0] * self.n
-        for x, r in enumerate(self.ranks, start=1):
-            inv[r - 1] = x
-        return Permutation(tuple(inv))
+        return Permutation(self.order())
 
     def order(self) -> tuple[int, ...]:
         """Elements listed best-to-worst (the inverse as a sequence)."""
-        return self.inverse().ranks
+        order = [0] * self.n
+        for x, r in enumerate(self.ranks, start=1):
+            order[r - 1] = x
+        return tuple(order)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -89,15 +95,9 @@ class Permutation:
     @classmethod
     def from_order(cls, order: Sequence[int]) -> "Permutation":
         """Build from a best-to-worst listing of the elements."""
-        n = len(order)
-        ranks = [0] * n
+        _check_ids(order, len(order), "element", "listed more than once")
+        ranks = [0] * len(order)
         for pos, x in enumerate(order, start=1):
-            if not isinstance(x, int):
-                raise RankingError(f"element {x!r} is not an integer")
-            if not 1 <= x <= n:
-                raise RankingError(f"element {x} outside 1..{n}")
-            if ranks[x - 1] != 0:
-                raise RankingError(f"element {x} listed more than once")
             ranks[x - 1] = pos
         return cls(tuple(ranks))
 
@@ -114,18 +114,13 @@ class PartialRanking:
         n = sum(len(b) for b in self.buckets)
         if n < 1:
             raise RankingError("partial ranking must have at least one element")
-        twice = [0] * n
-        higher = 0
+        if not all(self.buckets):
+            raise RankingError("empty bucket")
+        _check_ids((x for b in self.buckets for x in b), n, "element",
+                   "appears in more than one bucket")
+        twice, higher = [0] * n, 0
         for b in self.buckets:
-            if not b:
-                raise RankingError("empty bucket")
             for x in b:
-                if not isinstance(x, int):
-                    raise RankingError(f"element {x!r} is not an integer")
-                if not 1 <= x <= n:
-                    raise RankingError(f"element {x} outside 1..{n}")
-                if twice[x - 1] != 0:
-                    raise RankingError(f"element {x} appears in more than one bucket")
                 twice[x - 1] = 2 * higher + len(b) + 1
             higher += len(b)
         object.__setattr__(self, "_twice_positions", tuple(twice))

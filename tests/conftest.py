@@ -1,6 +1,7 @@
-"""Shared generators for randomized sweeps."""
+"""Shared generators for randomized sweeps, and the README's instance file."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,12 @@ from minmaxrank._rng import generator
 from minmaxrank.rankings import twice_positions
 
 WEIGHT_CHOICES = (Fraction(1, 2), Fraction(1), Fraction(2))
+
+# the example of the README's "Instance files" section
+README_FILE = (
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    .split("### Instance files\n", 1)[1].split("```\n", 2)[1]
+)
 
 
 def random_permutation(rng, n: int) -> Permutation:

@@ -36,7 +36,7 @@ from minmaxrank import (
     set_distance,
     solve,
 )
-from minmaxrank import aggregators
+from minmaxrank import aggregators, cli
 from minmaxrank.aggregators import (
     _cost_tables,
     _kendall_order,
@@ -47,12 +47,14 @@ from minmaxrank.aggregators import (
 from minmaxrank import distances, rankings
 from minmaxrank.distances import BLOCK_ELEMENTS, pair_signs
 from minmaxrank._rng import generator
-from minmaxrank.cli import parse_gene_order_file
+from minmaxrank.cli import parse_gene_order_file, parse_instance_file
 from minmaxrank.mallows import TwoLevelConfig, sample_instance
 
 from conftest import (
+    README_FILE,
     float_weights,
     gap_instance,
+    has_ties,
     positions,
     random_instance,
     random_permutation,
@@ -821,6 +823,38 @@ class TestBaselines:
             tracemalloc.stop()
         # one unblocked (30, 400, 400) int64 temporary alone is 38 MB
         assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("algo", list(cli._ALGORITHMS))
+def test_every_algorithm_returns_through_one_result(algo, monkeypatch):
+    """Each run builds its result once, in ``_result``; each LP entry
+    solves once.  Runs a tied instance and the README example under every
+    distance and set distance that the algorithm accepts."""
+    results, solves = [], []
+    _result = aggregators._result
+
+    def result_spy(*args, **kwargs):
+        results.append(_result(*args, **kwargs))
+        return results[-1]
+
+    def solve_spy(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(aggregators, "_result", result_spy)
+    monkeypatch.setattr(aggregators, "solve", solve_spy)
+    need = cli._ALGORITHMS[algo]
+    tied = tied_instance(generator(0))
+    assert has_ties(tied)
+    for inst in (tied, parse_instance_file(README_FILE).instance):
+        for dist in [need.distance] if need.distance else cli._DISTANCES:
+            for setdist in [need.setdist] if need.setdist else cli._SET_DISTANCES:
+                results.clear()
+                solves.clear()
+                out = cli.run_algorithm(algo, inst, cli._DISTANCES[dist],
+                                        cli._SET_DISTANCES[setdist], seed=0)
+                assert len(results) == 1 and results[0] is out
+                assert len(solves) == (algo in ("mmkt", "mmsp", "min-mmkt", "min-mmsp"))
 
 
 def test_bounds_hold_for_permutation_classes_only():

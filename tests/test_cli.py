@@ -36,7 +36,7 @@ from minmaxrank.cli import (
 from minmaxrank.distances import scaled_class_costs
 from minmaxrank._rng import generator
 
-from conftest import random_instance, tied_instance
+from conftest import README_FILE, random_instance, tied_instance
 
 GAP_FILE = """\
 # the two-class integrality-gap instance
@@ -57,12 +57,6 @@ class=b lambda=1 : 8 7 6 5 4 3 2 1
 """
 
 EXTREME_FILE = "class=a lambda={} : 1 2 3\nclass=b lambda=1 : 3 2 1\n"
-
-# the example of the README's "Instance files" section
-README_FILE = (
-    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    .split("### Instance files\n", 1)[1].split("```\n", 2)[1]
-)
 
 TIED_FILE = """\
 elements: w x y z

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -16,8 +17,12 @@ from minmaxrank import (
     Permutation,
     RankingClass,
     SetDistanceKind,
+    brute_force,
     distance,
+    median_pivot_baseline,
     minmax_objective,
+    pick_opt_perm,
+    pick_rnd_perm,
     set_distance,
 )
 from minmaxrank._rng import generator
@@ -347,6 +352,28 @@ def test_objective_measures_partial_rankings_on_untied_input(kind, expected):
 def test_inapplicable_distance_names_its_fault(call, message):
     with pytest.raises(DistanceError, match=f"^{message}$"):
         call()
+
+
+# one class {123, 213}: the median objective of 123 is 1/2, the minimum 0
+_TWO_MEMBERS = Instance(3, (RankingClass((Permutation((1, 2, 3)), Permutation((2, 1, 3)))),))
+
+
+@pytest.mark.parametrize("set_kind", ["med", "median", None])
+@pytest.mark.parametrize("call", [
+    lambda s: minmax_objective(Permutation((1, 2, 3)), _TWO_MEMBERS, KT, s),
+    lambda s: set_distance(Permutation((1, 2, 3)), _TWO_MEMBERS.classes[0], KT, s),
+    lambda s: brute_force(_TWO_MEMBERS, KT, s),
+    lambda s: pick_opt_perm(_TWO_MEMBERS, KT, s),
+    lambda s: pick_rnd_perm(_TWO_MEMBERS, KT, s, 0),
+    lambda s: median_pivot_baseline(_TWO_MEMBERS, 0, KT, s),
+], ids=["objective", "set-distance", "brute-force", "pick-opt", "pick-rnd",
+        "pivot-baseline"])
+def test_unknown_set_distance_kind_raises(call, set_kind):
+    """Only a ``SetDistanceKind`` names a set distance: neither its value nor
+    None falls through to the minimum."""
+    with pytest.raises(DistanceError,
+                       match=f"^unknown set distance kind {re.escape(repr(set_kind))}$"):
+        call(set_kind)
 
 
 class TestDoubledDistances:

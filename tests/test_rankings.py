@@ -191,12 +191,13 @@ class TestClassesAndInstances:
     (lambda: PartialRanking.from_buckets([[1], [2.0]]), r"element 2\.0 is not an integer"),
     (lambda: Permutation.from_order([2, 2]), r"element 2 listed more than once"),
     (lambda: PartialRanking(()), r"partial ranking must have at least one element"),
+    (lambda: PartialRanking((frozenset({1.5}), frozenset())), r"empty bucket"),
     (lambda: RankingClass((Permutation.identity(2), Permutation.identity(3))),
      r"members have differing ground-set sizes"),
     (lambda: Instance(2, ()), r"instance must have at least one class"),
 ], ids=["rank-not-int", "from-order-range", "from-order-numpy", "from-order-float",
         "bucket-numpy", "bucket-float", "from-order-repeat", "empty-partial",
-        "member-sizes", "no-classes"])
+        "empty-bucket-first", "member-sizes", "no-classes"])
 def test_invalid_input_names_its_fault(build, message):
     with pytest.raises(RankingError, match=f"^{message}$"):
         build()
